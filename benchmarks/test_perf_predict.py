@@ -1,15 +1,13 @@
-"""Tier-2 perf smoke: the three prediction engines head to head.
+"""Tier-2 perf smoke: the bitvector engine against the per-tree loop.
 
-Times ``predict_raw`` for the per-tree loop, the packed single-pass
-descent and the traversal-free bitvector engine over the (N, T) grid
-{10k, 100k} x {50, 500} on a deep leaf-wise GBDT (num_leaves=31, the
-paper's forest shape) and writes a schema-validated
-``BENCH_predict.json`` trajectory artifact at the repo root.  The run
-*fails* if the bitvector engine is not at least ``2x`` faster than
-packed at the largest cell (N=100k, T=500), if packed is slower than the
-loop there, or if any cell's outputs are not bitwise identical across
-all three engines — keeping the perf claims and the correctness contract
-pinned in CI.
+Times ``predict_raw`` for the per-tree loop and the traversal-free
+bitvector engine over the (N, T) grid {10k, 100k} x {50, 500} on a deep
+leaf-wise GBDT (num_leaves=31, the paper's forest shape) and writes a
+schema-validated ``BENCH_predict.json`` trajectory artifact at the repo
+root.  The run *fails* if the bitvector engine is not at least ``2x``
+faster than the loop at the largest cell (N=100k, T=500), or if any
+cell's outputs are not bitwise identical across the two engines —
+keeping the perf claim and the correctness contract pinned in CI.
 
 Run with ``pytest benchmarks/test_perf_predict.py -q``.
 """
@@ -27,7 +25,6 @@ from repro.devtools.benchval import validate_bench_predict
 from repro.forest import (
     GradientBoostingRegressor,
     bitvector_for,
-    packed_for,
     set_prediction_engine,
 )
 from repro.forest.engines import DEFAULT_ENGINE
@@ -36,12 +33,14 @@ from _report import header, report
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
+#: Timed engines: the reference loop first, then bitvector.
+ENGINES = ("loop", "bitvector")
 ROW_COUNTS = (10_000, 100_000)
 TREE_COUNTS = (50, 500)
 N_FEATURES = 12
 SEED = 0
 
-#: The perf gate: bitvector over packed at the largest grid cell.
+#: The perf gate: bitvector over the loop at the largest grid cell.
 BITVECTOR_MIN_SPEEDUP = 2.0
 
 
@@ -69,17 +68,11 @@ def _time_predict(
     """Best-of-``repeats`` wall time; the minimum filters scheduler noise."""
     set_prediction_engine(engine)
     try:
-        if engine == "packed":
+        if engine == "bitvector":
             # Warm the encoding once so the timing isolates evaluation.
-            packed = packed_for(model)
-            assert packed is not None
-            packed.clear_cache()
-            run = lambda: packed.predict_raw(X, use_cache=False)
-        elif engine == "bitvector":
             encoded = bitvector_for(model)
             assert encoded is not None
-            encoded.clear_cache()
-            run = lambda: encoded.predict_raw(X, use_cache=False)
+            run = lambda: encoded.predict_raw(X)
         else:
             run = lambda: model.predict_raw(X)
         best = np.inf
@@ -93,7 +86,7 @@ def _time_predict(
 
 
 def test_perf_predict():
-    header("Prediction engines (loop / packed / bitvector): predict_raw rows/sec")
+    header("Prediction engines (loop / bitvector): predict_raw rows/sec")
     model_full, X_eval = _train_forest(max(TREE_COUNTS))
 
     cells = []
@@ -110,12 +103,9 @@ def test_perf_predict():
             X = X_eval[:n_rows]
             seconds = {}
             outputs = {}
-            for engine in ("loop", "packed", "bitvector"):
+            for engine in ENGINES:
                 seconds[engine], outputs[engine] = _time_predict(model, X, engine)
-            identical = bool(
-                np.array_equal(outputs["loop"], outputs["packed"])
-                and np.array_equal(outputs["loop"], outputs["bitvector"])
-            )
+            identical = bool(np.array_equal(outputs["loop"], outputs["bitvector"]))
             cell = {
                 "n_rows": n_rows,
                 "n_trees": n_trees,
@@ -124,29 +114,22 @@ def test_perf_predict():
             for engine, spent in seconds.items():
                 cell[f"{engine}_seconds"] = round(spent, 4)
                 cell[f"{engine}_rows_per_sec"] = round(n_rows / spent, 1)
-            cell["packed_speedup_vs_loop"] = round(
-                seconds["loop"] / seconds["packed"], 2
-            )
             cell["bitvector_speedup_vs_loop"] = round(
                 seconds["loop"] / seconds["bitvector"], 2
-            )
-            cell["bitvector_speedup_vs_packed"] = round(
-                seconds["packed"] / seconds["bitvector"], 2
             )
             cells.append(cell)
             report(
                 f"N={n_rows:>7,} T={n_trees:>3}: "
                 f"loop {cell['loop_rows_per_sec']:>10,.0f} rows/s  "
-                f"packed {cell['packed_rows_per_sec']:>10,.0f} rows/s  "
                 f"bitvector {cell['bitvector_rows_per_sec']:>10,.0f} rows/s  "
-                f"bv/packed {cell['bitvector_speedup_vs_packed']:.2f}x  "
+                f"bv/loop {cell['bitvector_speedup_vs_loop']:.2f}x  "
                 f"identical={identical}"
             )
 
     artifact = {
         "benchmark": "predict_raw",
         "forest": {"num_leaves": 31, "n_features": N_FEATURES, "seed": SEED},
-        "engines": ["loop", "packed", "bitvector"],
+        "engines": list(ENGINES),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cells": cells,
@@ -161,10 +144,7 @@ def test_perf_predict():
         for c in cells
         if c["n_rows"] == max(ROW_COUNTS) and c["n_trees"] == max(TREE_COUNTS)
     )
-    assert largest["packed_speedup_vs_loop"] > 1.0, (
-        f"packed engine slower than loop at the largest cell: {largest}"
-    )
-    assert largest["bitvector_speedup_vs_packed"] >= BITVECTOR_MIN_SPEEDUP, (
-        f"bitvector engine below the {BITVECTOR_MIN_SPEEDUP}x-over-packed gate "
+    assert largest["bitvector_speedup_vs_loop"] >= BITVECTOR_MIN_SPEEDUP, (
+        f"bitvector engine below the {BITVECTOR_MIN_SPEEDUP}x-over-loop gate "
         f"at the largest cell: {largest}"
     )

@@ -35,14 +35,12 @@ def set_prediction_engine(name: str) -> None:
     """Select the forest evaluation engine used by every ``predict_raw``.
 
     ``"bitvector"`` (the default) evaluates trees traversal-free from
-    QuickScorer-style threshold-sorted bitmasks, falling back to
-    ``"packed"`` for forests it cannot encode; ``"packed"`` evaluates all
-    trees in one batched descent; ``"loop"`` restores the per-tree loop.
-    Outputs are bitwise identical — the knob exists for benchmarking and
-    as an escape hatch.  Delegates to the registry in
-    :mod:`repro.forest.engines`; imported lazily (through
-    :mod:`repro.forest`, so every engine is registered) to keep
-    ``repro.core`` import-light.
+    QuickScorer-style threshold-sorted bitmasks, falling back to the
+    per-tree loop for forests it cannot encode; ``"loop"`` always runs
+    the per-tree loop.  Outputs are bitwise identical — the knob exists
+    for benchmarking and as the equivalence reference.  Delegates to
+    :mod:`repro.forest.engines`, imported lazily to keep ``repro.core``
+    import-light.
     """
     from .. import forest
 

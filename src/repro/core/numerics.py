@@ -2,7 +2,7 @@
 
 GEF's fidelity claims rest on exact numerics: strictly increasing
 sampling domains, finite GCV scores, finite PIRLS solves, bitwise
-reproducible packed forest traversal.  In production those invariants are
+reproducible forest evaluation.  In production those invariants are
 assumed; under test they are *checked*.  ``set_numerics_mode("strict")``
 (or ``REPRO_NUMERICS=strict`` in the environment — how CI and
 ``tests/conftest.py`` force it) arms three layers:

@@ -28,7 +28,7 @@ __all__ = ["ModuleInfo", "ProjectGraph", "build_project"]
 class ModuleInfo:
     """One parsed module and the resolution tables derived from it."""
 
-    #: Dotted module name, e.g. ``repro.forest.packed``.
+    #: Dotted module name, e.g. ``repro.forest.bitvector``.
     name: str
     #: Path reported in findings (relative to the project root, POSIX).
     path: str

@@ -4,8 +4,8 @@ The repo-root ``BENCH_*.json`` files are trajectory artifacts: CI and
 future sessions read them to compare performance claims across commits,
 so their schema must not drift silently when a benchmark is refactored.
 This module holds the validators the benchmarks and CI both call —
-:func:`validate_bench_predict` for the three-engine ``predict_raw``
-grid (``BENCH_serve.json`` has its own validator next to its generator,
+:func:`validate_bench_predict` for the loop-versus-bitvector
+``predict_raw`` grid (``BENCH_serve.json`` has its own validator next to its generator,
 :func:`repro.devtools.loadgen.validate_bench_serve`).
 """
 
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 __all__ = ["validate_bench_predict"]
 
-#: Engines every predict cell must time, in ladder order.
-_ENGINES = ("loop", "packed", "bitvector")
+#: Engines every predict cell must time: the reference loop, then bitvector.
+_ENGINES = ("loop", "bitvector")
 
 _CELL_REQUIRED = (
     "n_rows",
@@ -22,9 +22,7 @@ _CELL_REQUIRED = (
     "identical",
     *(f"{engine}_seconds" for engine in _ENGINES),
     *(f"{engine}_rows_per_sec" for engine in _ENGINES),
-    "packed_speedup_vs_loop",
     "bitvector_speedup_vs_loop",
-    "bitvector_speedup_vs_packed",
 )
 
 

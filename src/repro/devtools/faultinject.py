@@ -103,18 +103,17 @@ def corrupt_forest(forest, fault: str, tree_index: int = 0):
         raise ValueError(
             f"unknown fault {fault!r}; expected one of {FOREST_FAULTS}"
         )
-    # The per-engine evaluation caches hold locks (not deep-copyable) and
-    # would mask the corruption on predict anyway: map each to None in the
-    # deepcopy memo, then drop the placeholders from the copy.
+    # The cached bitvector encoding is costly to copy and would mask the
+    # corruption on predict anyway: map it to None in the deepcopy memo,
+    # then drop the placeholder from the copy.
     memo: dict = {}
-    for state_key in ("_packed_state", "_bitvector_state"):
-        cached = forest.__dict__.get(state_key)
-        if cached is not None:
-            memo[id(cached)] = None
+    cached = forest.__dict__.get("_bitvector_state")
+    if cached is not None:
+        memo[id(cached)] = None
     corrupted = copy.deepcopy(forest, memo)
-    from ..forest.packed import invalidate_packed
+    from ..forest.engines import invalidate_model_caches
 
-    invalidate_packed(corrupted)
+    invalidate_model_caches(corrupted)
     tree = corrupted.trees_[tree_index]
     if fault == "nan-threshold":
         tree.threshold[_first_internal(tree)] = np.nan

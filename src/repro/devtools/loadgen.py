@@ -6,7 +6,7 @@ the previous one answers).  Two transports share the exact same request
 path:
 
 * ``"inproc"`` — calls ``app.handle`` directly, measuring the serving
-  stack (admission, batching, packed engine) without socket noise;
+  stack (admission, batching, bitvector engine) without socket noise;
 * ``"http"`` — real ``urllib`` requests against a started server.
 
 Every client derives its rows from ``np.random.default_rng([seed, i])``,
@@ -426,7 +426,7 @@ def bench_serve(
                 )
             )
             app.add_model("bench", model)
-            # One throwaway round warms the packed engine and the JSON
+            # One throwaway round warms the engine and the JSON
             # path so neither cell pays first-call costs.
             run_load(
                 app,

@@ -100,33 +100,16 @@ class GlobalEntry:
 
 
 _ENTRIES = (
-    # repro.forest.engines — the engine knob and the spec registry, both
-    # mutated under engines._state_lock.  Knob reads are lock-free atomic
-    # loads on the dispatch hot path; specs are only added at
-    # engine-module import.
+    # repro.forest.engines — the engine knob, written under
+    # engines._state_lock.  Reads are lock-free atomic loads on the
+    # dispatch hot path.
     GlobalEntry(
         module="repro.forest.engines", name="_engine",
         discipline="lock", lock="_state_lock",
-        atomic_reads=("get_prediction_engine", "_spec_chain"),
+        atomic_reads=("get_prediction_engine", "_encoded"),
         rationale="single atomic load of an interned str on every "
         "dispatch; stale reads select the previous engine, never a torn "
         "value",
-    ),
-    GlobalEntry(
-        module="repro.forest.engines", name="_ENGINE_SPECS",
-        discipline="lock", lock="_state_lock",
-        atomic_reads=("_spec_chain",),
-        rationale="dict.get on a dict that only grows at import time; "
-        "dispatch never observes a partially built spec",
-    ),
-    # repro.forest.packed — n_jobs knob, guarded by packed._state_lock;
-    # per-model pack caches hang off model.__dict__ under _pack_lock.
-    GlobalEntry(
-        module="repro.forest.packed", name="_default_n_jobs",
-        discipline="lock", lock="_state_lock",
-        atomic_reads=("get_default_n_jobs", "PackedForest._evaluate"),
-        rationale="single atomic int load per predict call; a stale "
-        "value only changes the thread count of one batch",
     ),
     # repro.core.numerics — sanitizer mode and the kernel fault-injection
     # hook, both guarded by numerics._mode_lock (hot-path reads lock-free).

@@ -11,21 +11,16 @@ the *forest protocol* GEF relies on:
 
 Prediction runs on the traversal-free bitvector engine by default
 (QuickScorer-style threshold-sorted bitmasks, see
-:mod:`repro.forest.bitvector`), falling back to the packed single-pass
-descent (:mod:`repro.forest.packed`) for forests the bitvector encoding
-declines; ``set_prediction_engine("packed")`` or ``"loop"`` selects the
-older engines, which are bitwise identical but slower.  The registry of
-selectable engines lives in :mod:`repro.forest.engines`.
+:mod:`repro.forest.bitvector`), falling back to the per-tree loop for
+forests the bitvector encoding declines; ``set_prediction_engine("loop")``
+selects the loop, which is bitwise identical but slower.  The knob lives
+in :mod:`repro.forest.engines`.
 """
 
 from .binning import BinMapper
 from .bitvector import BitvectorForest, bitvector_for, invalidate_bitvector
 from .boosting import GradientBoostingClassifier, GradientBoostingRegressor
-from .engines import (
-    engine_names,
-    get_prediction_engine,
-    set_prediction_engine,
-)
+from .engines import get_prediction_engine, set_prediction_engine
 from .grower import TreeGrowerParams, grow_tree
 from .losses import LogisticLoss, SquaredLoss, get_loss, sigmoid
 from .multiclass import OneVsRestGBDTClassifier
@@ -36,17 +31,9 @@ from .model_io import (
     load_forest,
     save_forest,
 )
-from .packed import (
-    PackedForest,
-    forest_fingerprint,
-    get_default_n_jobs,
-    invalidate_packed,
-    packed_for,
-    set_default_n_jobs,
-)
 from .random_forest import RandomForestClassifier, RandomForestRegressor
 from .text_dump import dump_tree, forest_summary
-from .tree import LEAF, Tree
+from .tree import LEAF, Tree, forest_fingerprint
 from .validation import GridSearch, cross_val_score, kfold_indices, train_test_split
 
 __all__ = [
@@ -58,7 +45,6 @@ __all__ = [
     "LEAF",
     "LogisticLoss",
     "OneVsRestGBDTClassifier",
-    "PackedForest",
     "RandomForestClassifier",
     "RandomForestRegressor",
     "SquaredLoss",
@@ -67,23 +53,18 @@ __all__ = [
     "bitvector_for",
     "cross_val_score",
     "dump_tree",
-    "engine_names",
     "forest_fingerprint",
     "forest_from_dict",
     "forest_summary",
     "forest_to_dict",
     "forests_equal",
-    "get_default_n_jobs",
     "get_loss",
     "get_prediction_engine",
     "grow_tree",
     "invalidate_bitvector",
-    "invalidate_packed",
     "kfold_indices",
     "load_forest",
-    "packed_for",
     "save_forest",
-    "set_default_n_jobs",
     "set_prediction_engine",
     "sigmoid",
     "train_test_split",

@@ -1,11 +1,11 @@
 """Traversal-free bitvector forest evaluation (QuickScorer-style).
 
-The packed engine still *walks* trees — one gather per level per active
-(row, tree) pair.  This module removes the walk entirely by re-encoding
-each tree as threshold-sorted **false-node bitmasks** (Lucchese et al.'s
-QuickScorer family, the same authors as the source paper): prediction
-becomes branch-free columnar numpy work with no level-by-level descent
-and no per-node branching.
+The per-tree loop *walks* every tree — one gather per level per row.
+This module removes the walk entirely by re-encoding each tree as
+threshold-sorted **false-node bitmasks** (Lucchese et al.'s QuickScorer
+family, the same authors as the source paper): prediction becomes
+branch-free columnar numpy work with no level-by-level descent and no
+per-node branching.
 
 Encoding
 --------
@@ -41,37 +41,30 @@ Mask words adapt to the forest: ``uint32`` for trees up to 32 leaves
 ``uint64`` word up to 64 leaves, and multi-word ``uint64`` lanes above
 that (up to :data:`MAX_LEAF_WORDS` words).  Forests that exceed the word
 budget or whose prefix tables would exceed :data:`MAX_TABLE_BYTES`
-decline packing and fall back to the packed engine (see
-:mod:`repro.forest.engines` for the ladder).
+decline encoding and run through the per-tree loop (see
+:mod:`repro.forest.engines`).
 
 The reduction replays the exact sequential accumulation order of the
-per-tree loop via a cumulative sum, so bitvector, packed and loop
-outputs are bit-for-bit equal.
+per-tree loop via a cumulative sum, so bitvector and loop outputs are
+bit-for-bit equal.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..core.numerics import NumericsError, assert_all_finite, strict_enabled
 from ..obs.metrics import get_metrics, inc as metric_inc, observe as metric_observe
 from ..obs.trace import monotonic as obs_monotonic, span as obs_span
-from .engines import EngineSpec, register_engine
-from .packed import _forest_fingerprint
-from .tree import LEAF, Tree
+from .tree import LEAF, Tree, _forest_fingerprint
 
 __all__ = [
     "MAX_LEAF_WORDS",
     "MAX_TABLE_BYTES",
     "BitvectorForest",
     "bitvector_for",
-    "dispatch_predict_raw",
-    "dispatch_staged_predict_raw",
     "invalidate_bitvector",
 ]
 
@@ -79,19 +72,12 @@ __all__ = [
 # guarded by _pack_lock; the module holds no other mutable state.
 _pack_lock = threading.Lock()
 
-#: Entries kept in each BitvectorForest's prediction LRU cache.
-PREDICTION_CACHE_SIZE = 4
-
 #: Trees wider than ``64 * MAX_LEAF_WORDS`` leaves decline packing.
 MAX_LEAF_WORDS = 8
 
-#: Prefix-mask tables above this many bytes decline packing (the packed
-#: engine's O(nodes) buffers then take over).
+#: Prefix-mask tables above this many bytes decline packing (the
+#: per-tree loop then takes over).
 MAX_TABLE_BYTES = 256 * 1024 * 1024
-
-#: Fall back to the loop for staged prediction above this many
-#: (tree, row) leaf values (the staged path materializes all of them).
-_STAGED_MAX_ELEMENTS = 25_000_000
 
 
 def _leaf_order(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,7 +125,7 @@ class BitvectorForest:
     Build with :meth:`pack`; it returns ``None`` when the forest cannot
     be encoded (non-finite thresholds, too many leaves per tree, or
     prefix tables over the byte budget), in which case dispatch falls
-    back to the packed engine.
+    back to the per-tree loop.
     """
 
     def __init__(self):
@@ -152,8 +138,6 @@ class BitvectorForest:
         self.feat_thr: list[np.ndarray] = []
         self.tables: list[np.ndarray | None] = []
         self.table_bytes = 0
-        self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # packing
@@ -283,16 +267,14 @@ class BitvectorForest:
         metric_inc("bitvector.searchsorted", searched)
         return pos
 
-    def _eval_block(
+    def _eval_rows(
         self,
         pos: np.ndarray,
-        lo: int,
-        hi: int,
         out: np.ndarray | None,
         out_values: np.ndarray | None,
         chunk: int,
     ) -> None:
-        """Evaluate rows ``lo:hi``; write reduced scores and/or leaf values."""
+        """Evaluate every row; write reduced scores and/or leaf values."""
         T, W = self.n_trees, self.n_words
         dtype = self.init_vec.dtype
         features = [f for f in range(self.n_features) if self.tables[f] is not None]
@@ -312,8 +294,9 @@ class BitvectorForest:
         init_row = self.init_vec[:, 0] if single else self.init_vec
         leaf_off = self.leaf_offsets
         pv = self.leaf_values
-        for clo in range(lo, hi, chunk):
-            chi = min(clo + chunk, hi)
+        n_rows = pos.shape[0]
+        for clo in range(0, n_rows, chunk):
+            chi = min(clo + chunk, n_rows)
             R = chi - clo
             a = acc[:R]
             a[:] = init_row
@@ -383,7 +366,6 @@ class BitvectorForest:
         X: np.ndarray,
         out_values: np.ndarray | None = None,
         chunk: int | None = None,
-        n_jobs: int = 1,
     ) -> np.ndarray | None:
         if chunk is None:
             chunk = self._auto_chunk()
@@ -394,70 +376,29 @@ class BitvectorForest:
         pos = self.digitize(X)
         N = pos.shape[0]
         out = None if out_values is not None else np.empty(N)
-        n_blocks = min(max(int(n_jobs), 1), max(1, -(-N // chunk)))
-        if n_blocks <= 1 or N == 0:
-            if N:
-                self._eval_block(pos, 0, N, out, out_values, chunk)
-        else:
-            # Chunk-aligned row blocks; rows never interact, so the result
-            # is identical to the single-threaded pass.
-            chunks_total = -(-N // chunk)
-            per_block = -(-chunks_total // n_blocks) * chunk
-            bounds = [(b, min(b + per_block, N)) for b in range(0, N, per_block)]
-            with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-                futures = [
-                    pool.submit(
-                        self._eval_block, pos, b_lo, b_hi, out, out_values, chunk
-                    )
-                    for b_lo, b_hi in bounds
-                ]
-                for future in futures:
-                    future.result()
+        if N:
+            self._eval_rows(pos, out, out_values, chunk)
         if out is not None:
             assert_all_finite(out, "bitvector predict reduction")
         if out_values is not None:
             assert_all_finite(out_values, "bitvector leaf-value matrix")
         return out
 
-    def predict_raw(
-        self,
-        X: np.ndarray,
-        chunk: int | None = None,
-        n_jobs: int = 1,
-        use_cache: bool = True,
-    ) -> np.ndarray:
+    def predict_raw(self, X: np.ndarray, chunk: int | None = None) -> np.ndarray:
         """``init + sum of trees`` for every row, bitwise equal to the loop."""
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
         metric_inc("predict.rows", X.shape[0])
-        key = None
-        if use_cache and PREDICTION_CACHE_SIZE > 0:
-            key = (X.shape, hashlib.blake2b(X, digest_size=16).digest())
-            with self._cache_lock:
-                hit = self._cache.get(key)
-                if hit is not None:
-                    self._cache.move_to_end(key)
-                    hit = hit.copy()
-            if hit is not None:
-                metric_inc("predict.cache_hits")
-                return hit
-            metric_inc("predict.cache_misses")
         with obs_span(
             "bitvector.predict", rows=int(X.shape[0]), trees=int(self.n_trees)
         ):
             metric_inc("bitvector.mask_words", self.n_words)
-            out = self._evaluate(X, chunk=chunk, n_jobs=n_jobs)
-        if key is not None:
-            with self._cache_lock:
-                self._cache[key] = out.copy()
-                while len(self._cache) > PREDICTION_CACHE_SIZE:
-                    self._cache.popitem(last=False)
-        return out
+            return self._evaluate(X, chunk=chunk)
 
-    def leaf_value_matrix(self, X: np.ndarray, n_jobs: int = 1) -> np.ndarray:
+    def leaf_value_matrix(self, X: np.ndarray) -> np.ndarray:
         """Per-tree leaf values, shape ``(n_trees, n_rows)`` (staged helper)."""
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
         values = np.empty((self.n_trees, X.shape[0]))
-        self._evaluate(X, out_values=values, n_jobs=n_jobs)
+        self._evaluate(X, out_values=values)
         return values
 
     def staged_predict_raw(self, X: np.ndarray):
@@ -474,14 +415,12 @@ class BitvectorForest:
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
         """The bitvector forest as flat buffers plus scalar metadata.
 
-        Same contract as :meth:`repro.forest.packed.PackedForest.
-        export_state`: every buffer evaluation reads is returned under a
-        stable key (the ragged per-feature threshold lists and prefix
-        tables use ``"feat_thr:<f>"`` / ``"table:<f>"`` keys; features
-        without conditions simply have no entry), and
-        :meth:`from_state` rebuilds an equivalent engine from views over
-        those buffers — typically shared-memory views placed by
-        :mod:`repro.serve.shm`.
+        Every buffer evaluation reads is returned under a stable key (the
+        ragged per-feature threshold lists and prefix tables use
+        ``"feat_thr:<f>"`` / ``"table:<f>"`` keys; features without
+        conditions simply have no entry), and :meth:`from_state` rebuilds
+        an equivalent engine from views over those buffers — typically
+        shared-memory views placed by :mod:`repro.serve.shm`.
         """
         arrays: dict[str, np.ndarray] = {
             "leaf_values": self.leaf_values,
@@ -538,14 +477,9 @@ class BitvectorForest:
                 self.tables.append(table)
         return self
 
-    def clear_cache(self) -> None:
-        """Drop all cached prediction results."""
-        with self._cache_lock:
-            self._cache.clear()
-
 
 # ----------------------------------------------------------------------
-# model integration: cached packing, invalidation, engine registration
+# model integration: cached encoding and invalidation
 # ----------------------------------------------------------------------
 def invalidate_bitvector(model) -> None:
     """Drop a model's cached :class:`BitvectorForest` (after mutating it)."""
@@ -573,45 +507,17 @@ def bitvector_for(model) -> BitvectorForest | None:
     registry = get_metrics()
     t0 = obs_monotonic() if registry is not None else 0.0
     with obs_span("bitvector.pack", n_trees=len(trees)):
-        packed = BitvectorForest.pack(
+        encoded = BitvectorForest.pack(
             trees, model.init_score_, int(model.n_features_)
         )
     if registry is not None:
         metric_inc("pack.count")
         metric_observe("pack.seconds", obs_monotonic() - t0)
-        if packed is not None:
-            metric_observe("bitvector.table_bytes", packed.table_bytes)
+        if encoded is not None:
+            metric_observe("bitvector.table_bytes", encoded.table_bytes)
         else:
             metric_inc("bitvector.declined")
     with _pack_lock:
-        model.__dict__["_bitvector_state"] = (fingerprint, packed)
-    return packed
+        model.__dict__["_bitvector_state"] = (fingerprint, encoded)
+    return encoded
 
-
-def dispatch_predict_raw(model, X: np.ndarray) -> np.ndarray | None:
-    """Bitvector-engine ``predict_raw``, or ``None`` to fall down the ladder."""
-    encoded = bitvector_for(model)
-    if encoded is None:
-        return None
-    return encoded.predict_raw(X)
-
-
-def dispatch_staged_predict_raw(model, X: np.ndarray):
-    """Bitvector-engine staged generator, or ``None`` to fall down the ladder."""
-    encoded = bitvector_for(model)
-    if encoded is None:
-        return None
-    if encoded.n_trees * np.atleast_2d(X).shape[0] > _STAGED_MAX_ELEMENTS:
-        return None
-    return encoded.staged_predict_raw(X)
-
-
-register_engine(
-    EngineSpec(
-        name="bitvector",
-        predict=dispatch_predict_raw,
-        staged=dispatch_staged_predict_raw,
-        invalidate=invalidate_bitvector,
-        fallback="packed",
-    )
-)

@@ -17,8 +17,11 @@ import numpy as np
 from .binning import BinMapper
 from .grower import TreeGrowerParams, grow_tree
 from .losses import get_loss
-from .engines import dispatch_predict_raw, dispatch_staged_predict_raw
-from .packed import invalidate_packed
+from .engines import (
+    dispatch_predict_raw,
+    dispatch_staged_predict_raw,
+    invalidate_model_caches,
+)
 from .tree import Tree, accumulate_importance
 from .._rng import as_generator
 
@@ -155,7 +158,7 @@ class _BaseGradientBoosting:
 
         if self.early_stopping_rounds is not None and self.best_iteration_:
             del self.trees_[self.best_iteration_ :]
-        invalidate_packed(self)
+        invalidate_model_caches(self)
         return self
 
     @staticmethod
@@ -170,10 +173,9 @@ class _BaseGradientBoosting:
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
         """Raw additive score ``init + sum_t tree_t(x)``.
 
-        Evaluated by the selected prediction engine (the traversal-free
-        bitvector engine by default, falling back to packed descent for
-        forests it cannot encode); the per-tree loop below is the
-        bitwise-identical last resort.
+        Evaluated by the traversal-free bitvector engine unless the loop
+        is selected or the forest cannot be encoded; the per-tree loop
+        below is the bitwise-identical reference.
         """
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))

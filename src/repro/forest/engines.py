@@ -1,26 +1,16 @@
-"""Central prediction-engine registry: one source of truth for dispatch.
+"""The prediction-engine knob and the two dispatch functions models call.
 
-Historically the engine knob lived inside :mod:`repro.forest.packed` and
-validated names against a hard-coded tuple — adding an engine meant
-editing the knob, the dispatchers and the config re-export in lock-step.
-This module centralizes all of it: every evaluation engine registers an
-:class:`EngineSpec` at import time, and the process-wide knob
-(:func:`set_prediction_engine`) validates against the registry, so the
-set of selectable names can never drift from the set of dispatchable
-engines.
-
-Each spec names its *fallback* engine, forming a declining ladder: when
-the selected engine cannot handle a forest (its ``predict`` hook returns
-``None``), dispatch walks to the fallback instead of failing.  The
-shipped ladder is ``bitvector -> packed -> loop``:
+Two engines exist, both bitwise identical:
 
 * ``bitvector`` — traversal-free QuickScorer-style evaluation
   (:mod:`repro.forest.bitvector`), the default;
-* ``packed`` — batched breadth-synchronous descent
-  (:mod:`repro.forest.packed`);
-* ``loop`` — the historical per-tree loop, implemented by the models
-  themselves (its spec has no ``predict`` hook, which tells dispatch to
-  hand control back to the caller).
+* ``loop`` — the per-tree loop, implemented by the models themselves and
+  kept as the equivalence reference.
+
+Dispatch returns ``None`` to mean "run the loop": when the loop is
+selected, or when the bitvector encoding declines a forest (non-finite
+thresholds, trees wider than ``64 * MAX_LEAF_WORDS`` leaves, prefix
+tables over ``MAX_TABLE_BYTES``).
 
 Engine selection is a process-wide knob guarded by ``_state_lock``
 (registered in the thread-safety registry); reads on the hot path are
@@ -30,85 +20,45 @@ single atomic loads under the GIL and stay lock-free.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Callable
+
+import numpy as np
+
+from .bitvector import bitvector_for, invalidate_bitvector
 
 __all__ = [
     "DEFAULT_ENGINE",
-    "EngineSpec",
+    "ENGINES",
     "dispatch_predict_raw",
     "dispatch_staged_predict_raw",
-    "engine_names",
     "get_prediction_engine",
     "invalidate_model_caches",
-    "register_engine",
     "set_prediction_engine",
 ]
 
-#: The engine selected at process start (falls back down its ladder for
-#: forests it cannot encode).
+#: Every selectable engine name.
+ENGINES = ("bitvector", "loop")
+
+#: The engine selected at process start.
 DEFAULT_ENGINE = "bitvector"
 
-# Module-state discipline (see repro.devtools.registry): the knob and the
-# spec table are mutated under _state_lock; hot-path reads are single
-# atomic loads under the GIL.  Specs are only added (at engine-module
-# import), never replaced or removed mid-run.
+#: Fall back to the loop for staged prediction above this many
+#: (tree, row) leaf values (the staged path materializes all of them).
+_STAGED_MAX_ELEMENTS = 25_000_000
+
+# Module-state discipline (see repro.devtools.registry): the knob is
+# written under _state_lock; hot-path reads are single atomic loads.
 _state_lock = threading.Lock()
 _engine = DEFAULT_ENGINE
-_ENGINE_SPECS: dict[str, "EngineSpec"] = {}
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """One registered evaluation engine and its dispatch hooks.
-
-    Attributes
-    ----------
-    name:
-        The knob value selecting this engine.
-    predict:
-        ``(model, X) -> ndarray | None`` — full-batch ``predict_raw``;
-        ``None`` (the hook itself) marks the model-owned loop, a
-        returned ``None`` means "this forest is unsupported, fall back".
-    staged:
-        ``(model, X) -> generator | None`` — per-stage prediction, with
-        the same ``None`` conventions as ``predict``.
-    invalidate:
-        ``(model) -> None`` — drop any per-model cached encoding this
-        engine attached to the model.
-    fallback:
-        Name of the engine to try when this one declines a forest, or
-        ``None`` to hand back to the caller's loop.
-    """
-
-    name: str
-    predict: Callable | None = None
-    staged: Callable | None = None
-    invalidate: Callable | None = None
-    fallback: str | None = None
-
-
-def register_engine(spec: EngineSpec) -> None:
-    """Add ``spec`` to the registry (idempotent per engine name)."""
-    with _state_lock:
-        _ENGINE_SPECS[spec.name] = spec
-
-
-def engine_names() -> tuple[str, ...]:
-    """Sorted names of every registered engine."""
-    with _state_lock:
-        return tuple(sorted(_ENGINE_SPECS))
 
 
 def set_prediction_engine(name: str) -> None:
-    """Select the process-wide prediction engine by registered name."""
+    """Select the process-wide prediction engine (one of :data:`ENGINES`)."""
+    if name not in ENGINES:
+        raise ValueError(  # repro: allow(raise-outside-taxonomy) harness misuse, not a pipeline failure
+            f"unknown engine {name!r}; choose from {ENGINES}"
+        )
+    global _engine
     with _state_lock:
-        if name not in _ENGINE_SPECS:
-            known = tuple(sorted(_ENGINE_SPECS))
-            raise ValueError(  # repro: allow(raise-outside-taxonomy) harness misuse, not a pipeline failure
-                f"unknown engine {name!r}; choose from {known}"
-            )
-        global _engine
         _engine = name
 
 
@@ -117,60 +67,37 @@ def get_prediction_engine() -> str:
     return _engine
 
 
-def _spec_chain():
-    """Specs from the selected engine down its fallback ladder."""
-    name = _engine
-    seen = set()
-    while name is not None and name not in seen:
-        seen.add(name)
-        spec = _ENGINE_SPECS.get(name)
-        if spec is None:
-            return
-        yield spec
-        name = spec.fallback
+def _encoded(model):
+    """The model's bitvector encoding, or ``None`` to run the loop."""
+    if _engine == "loop":
+        return None
+    return bitvector_for(model)
 
 
 def dispatch_predict_raw(model, X):
-    """``predict_raw`` through the selected engine's fallback ladder.
-
-    Returns the score array, or ``None`` when every engine on the ladder
-    declined (or the loop is selected) — the caller then runs its own
-    per-tree loop.
-    """
-    for spec in _spec_chain():
-        if spec.predict is None:
-            return None
-        out = spec.predict(model, X)
-        if out is not None:
-            return out
-    return None
+    """Bitvector ``predict_raw`` for ``model``, or ``None`` to run the loop."""
+    encoded = _encoded(model)
+    if encoded is None:
+        return None
+    return encoded.predict_raw(X)
 
 
 def dispatch_staged_predict_raw(model, X):
-    """Staged-prediction generator through the fallback ladder, or ``None``."""
-    for spec in _spec_chain():
-        if spec.staged is None:
-            return None
-        stages = spec.staged(model, X)
-        if stages is not None:
-            return stages
-    return None
+    """Bitvector staged-prediction generator, or ``None`` to run the loop."""
+    encoded = _encoded(model)
+    if encoded is None:
+        return None
+    if encoded.n_trees * np.atleast_2d(X).shape[0] > _STAGED_MAX_ELEMENTS:
+        return None
+    return encoded.staged_predict_raw(X)
 
 
 def invalidate_model_caches(model) -> None:
-    """Drop every engine's cached per-model encoding (call after mutation).
+    """Drop the model's cached bitvector encoding (call after mutation).
 
-    Mutations are also caught automatically by each engine's structural
-    fingerprint check; this hook just makes the common sites (fit,
-    early-stopping truncation) explicit and cheap.
+    Mutations are also caught automatically by the structural fingerprint
+    check in :func:`~repro.forest.bitvector.bitvector_for`; this hook
+    just makes the common sites (fit, early-stopping truncation)
+    explicit and cheap.
     """
-    with _state_lock:
-        specs = list(_ENGINE_SPECS.values())
-    for spec in specs:
-        if spec.invalidate is not None:
-            spec.invalidate(model)
-
-
-# The per-tree loop lives in the models themselves; registering it here
-# (with no hooks) makes it selectable and ends every fallback ladder.
-register_engine(EngineSpec(name="loop"))
+    invalidate_bitvector(model)

@@ -18,8 +18,7 @@ import numpy as np
 from .binning import BinMapper
 from .grower import TreeGrowerParams, grow_tree
 from .losses import sigmoid
-from .engines import dispatch_predict_raw
-from .packed import invalidate_packed
+from .engines import dispatch_predict_raw, invalidate_model_caches
 from .tree import Tree, accumulate_importance
 from .._rng import as_generator
 
@@ -108,7 +107,7 @@ class _BaseRandomForest:
             tree.value /= self.n_estimators  # sum of trees == bagged average
             self.trees_.append(tree)
             self._bootstrap_rows.append(np.unique(rows))
-        invalidate_packed(self)
+        invalidate_model_caches(self)
         return self
 
     def oob_prediction(self, X: np.ndarray) -> np.ndarray:

@@ -19,12 +19,13 @@ Conventions
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-__all__ = ["LEAF", "Tree", "accumulate_importance"]
+__all__ = ["LEAF", "Tree", "accumulate_importance", "forest_fingerprint"]
 
 #: Sentinel stored in ``Tree.feature`` for leaf nodes.
 LEAF = -1
@@ -216,3 +217,27 @@ class Tree:
             n_samples=np.asarray(data["n_samples"], dtype=np.int64),
             cover=np.asarray(data["cover"], dtype=np.float64),
         )
+
+
+def _forest_fingerprint(trees: list[Tree], init_score: float) -> int:
+    """Cheap structural checksum covering everything prediction depends on."""
+    h = zlib.crc32(np.float64(init_score).tobytes())
+    h = zlib.crc32(np.int64(len(trees)).tobytes(), h)
+    for tree in trees:
+        for arr in (tree.feature, tree.threshold, tree.left, tree.right, tree.value):
+            h = zlib.crc32(np.ascontiguousarray(arr), h)
+    return h
+
+
+def forest_fingerprint(model) -> int:
+    """The structural fingerprint (crc32) of a fitted forest.
+
+    Covers everything prediction depends on (tree structure, thresholds,
+    leaf values, init score), so two forests with equal fingerprints are
+    interchangeable for serving.  The bitvector encoding cache, the model
+    registry, the surrogate cache and the ledger all key on this value.
+    """
+    trees = getattr(model, "trees_", None)
+    if not trees:
+        raise ValueError("model is not fitted")
+    return _forest_fingerprint(trees, model.init_score_)

@@ -25,7 +25,7 @@ from ..core.explanation import GEFExplanation
 from ..core.explanation_io import explanation_from_dict, explanation_to_dict
 from ..core.errors import LedgerEntryNotFoundError, LedgerError
 from ..forest.model_io import forest_from_dict, forest_to_dict
-from ..forest.packed import forest_fingerprint
+from ..forest.tree import forest_fingerprint
 from ..obs.trace import monotonic
 from .store import LedgerEntry, LedgerStore
 

@@ -8,7 +8,7 @@ While one is installed, :func:`span` opens a named span::
         sp.set(retries=2)
 
 Spans nest through a per-thread stack, so a span opened on a worker
-thread (e.g. inside the packed predict pool) records that thread's own
+thread (e.g. a serving batcher or fleet reader) records that thread's own
 lineage instead of corrupting the caller's.  Finished spans accumulate in
 the tracer and export two ways:
 
@@ -20,7 +20,7 @@ the tracer and export two ways:
 
 When no tracer is installed, :func:`span` returns a shared no-op span:
 the instrumentation sites across the pipeline pay one ``None``-check and
-nothing else, which is how the packed-predict benchmark stays within its
+nothing else, which is how the predict benchmark stays within its
 regression budget with observability compiled in.
 
 The pipeline clock

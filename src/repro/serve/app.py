@@ -10,7 +10,7 @@ dispatch path.
 Endpoints::
 
     POST /predict       {"model": id?, "rows": [[...], ...]}
-                        -> forest scores via the micro-batched packed engine
+                        -> forest scores via the micro-batched bitvector engine
     POST /explain       {"model": id?, "instance": [...]?, "top": n?}
                         -> global surrogate summary (+ local break-down)
     POST /gam/predict   {"model": id?, "rows": [[...], ...]}

@@ -1,12 +1,12 @@
 """Micro-batching executor: coalesce concurrent predicts into one descent.
 
-The packed engine's cost per call is dominated by fixed overhead
+The bitvector engine's cost per call is dominated by fixed overhead
 (digitizing, buffer setup), so sixteen concurrent one-request calls are
 far slower than one sixteen-request call.  :class:`MicroBatcher` exploits
 that: client threads :meth:`submit` row blocks into a bounded queue and
 block on a per-request event; a single worker thread drains the queue and
-issues **one** packed-engine call per flush, then scatters the result
-slices back.  Rows never interact inside the packed engine, so the
+issues **one** engine call per flush, then scatters the result
+slices back.  Rows never interact inside the engine, so the
 batched output is bitwise identical to per-request evaluation — the
 concurrency suite asserts exact equality.
 
@@ -62,7 +62,7 @@ class MicroBatcher:
     ----------
     predict_fn:
         Callable mapping a 2-D float array to a 1-D score array (one
-        packed-engine call); evaluated on the worker thread.
+        engine call); evaluated on the worker thread.
     max_batch:
         Flush as soon as this many requests are waiting (``1`` disables
         coalescing — the baseline configuration in the serve benchmark).

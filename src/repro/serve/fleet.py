@@ -53,7 +53,7 @@ from ..obs.trace import current_context, get_tracer, merge_chrome_trace
 from .admission import Deadline
 from .app import Response, ServeApp, ServeConfig, _json_response
 from .registry import ModelEntry
-from .shm import SharedModelBundle, SharedSegment, export_model
+from .shm import export_model
 from .worker import WorkerOptions, worker_main
 
 __all__ = ["Fleet", "FleetApp", "FleetConfig", "HashRing"]
@@ -421,37 +421,40 @@ class Fleet:
                 handle.proc.join(self.config.stop_timeout_s)
             handle.mark_dead("fleet closed")
         for record in models:
-            for segment in record["segments"]:
-                segment.unlink()
+            record["segment"].unlink()
 
     # ------------------------------------------------------------------
     # models
     # ------------------------------------------------------------------
     def add_model(self, entry: ModelEntry, replicas: int | None = None) -> list[str]:
-        """Export ``entry``'s engines to shared memory and assign workers.
+        """Export ``entry``'s encoding to shared memory and assign workers.
 
         Returns the assigned worker names.  Callable before ``start()``
         (bundles ride along on spawn) or after (live workers load and
-        ack).  Re-adding an id is a hot swap: old segments are unlinked
+        ack).  Re-adding an id is a hot swap: the old segment is unlinked
         after the new bundle is broadcast — workers still mapping the old
         segment keep serving from it until they process the swap (POSIX
         unlink-while-mapped), so there is no unserved window.
+
+        A forest with no bitvector encoding is not assigned (any previous
+        assignment of the id is removed) and ``[]`` is returned:
+        :meth:`dispatch` then raises :class:`ModelNotFoundError` and
+        :class:`FleetApp` serves it in-process through the loop.
         """
+        if entry.bitvector is None:
+            self.remove_model(entry.model_id)
+            return []
         k = int(replicas) if replicas is not None else self.config.replication
         k = max(1, min(k, len(self._names)))
-        bundle, segments = export_model(
-            entry.model_id,
-            entry.fingerprint,
-            entry.n_features,
-            entry.packed,
-            entry.bitvector,
+        bundle, segment = export_model(
+            entry.model_id, entry.fingerprint, entry.n_features, entry.bitvector
         )
         assigned = self._ring.replicas(entry.fingerprint, k)
         with self._lock:
             old = self._models.get(entry.model_id)
             self._models[entry.model_id] = {
                 "bundle": bundle,
-                "segments": segments,
+                "segment": segment,
                 "assigned": assigned,
             }
             broadcast = self._started and not self._closed
@@ -465,8 +468,7 @@ class Fleet:
                         self.config.ack_timeout_s,
                     )
         if old is not None:
-            for segment in old["segments"]:
-                segment.unlink()
+            old["segment"].unlink()
         return assigned
 
     def remove_model(self, model_id: str) -> None:
@@ -485,8 +487,7 @@ class Fleet:
                         ("unload", model_id),
                         self.config.ack_timeout_s,
                     )
-        for segment in record["segments"]:
-            segment.unlink()
+        record["segment"].unlink()
 
     def assignment(self, model_id: str) -> list[str]:
         """The worker names currently assigned to ``model_id``."""

@@ -2,9 +2,9 @@
 
 Each registered model is loaded through :mod:`repro.forest.model_io`
 (or handed over as an already-fitted forest-protocol object), encoded
-once by both batch evaluation engines (bitvector and packed — serving
-latency must never pay a first-request pack), and fingerprinted with
-:func:`repro.forest.packed.forest_fingerprint`.  The fingerprint — not
+once by the bitvector engine (serving latency must never pay a
+first-request encode), and fingerprinted with
+:func:`repro.forest.tree.forest_fingerprint`.  The fingerprint — not
 the id — is the *structural* identity: the surrogate cache keys fitted
 GAMs by it, so re-registering the same forest under another id (or
 hot-reloading an unchanged file) reuses the cached explanation.
@@ -28,7 +28,7 @@ from ..core.errors import ModelNotFoundError, ServeError
 from ..forest.bitvector import BitvectorForest, bitvector_for
 from ..forest.engines import get_prediction_engine
 from ..forest.model_io import load_forest
-from ..forest.packed import PackedForest, forest_fingerprint, packed_for
+from ..forest.tree import forest_fingerprint
 from ..obs.trace import span as obs_span
 
 __all__ = ["ModelEntry", "ModelRegistry"]
@@ -36,12 +36,11 @@ __all__ = ["ModelEntry", "ModelRegistry"]
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One registered model: the forest, its encoded forms, its identity."""
+    """One registered model: the forest, its encoded form, its identity."""
 
     model_id: str
     model: object
     fingerprint: int
-    packed: PackedForest | None = None
     bitvector: BitvectorForest | None = None
     path: Path | None = None
     n_features: int = field(default=0)
@@ -49,18 +48,13 @@ class ModelEntry:
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
         """Raw forest scores for ``X`` via the selected prediction engine.
 
-        Follows the engine knob with the registry's pre-built encodings
-        (bitvector when selected and eligible, packed otherwise, the
-        model's own loop for ``"loop"``), bypassing the per-engine
-        prediction LRUs (every serving batch is distinct, and benchmark
-        runs must not alias results).  All paths are bitwise identical to
+        Uses the registry's pre-built bitvector encoding unless the loop
+        is selected or the forest has no encoding, in which case the
+        model's own loop runs.  Both paths are bitwise identical to
         ``model.predict_raw``.
         """
-        engine = get_prediction_engine()
-        if engine == "bitvector" and self.bitvector is not None:
-            return self.bitvector.predict_raw(X, use_cache=False)
-        if engine != "loop" and self.packed is not None:
-            return self.packed.predict_raw(X, use_cache=False)
+        if self.bitvector is not None and get_prediction_engine() != "loop":
+            return self.bitvector.predict_raw(X)
         return self.model.predict_raw(X)
 
 
@@ -94,7 +88,6 @@ class ModelRegistry:
             model_id=model_id,
             model=model,
             fingerprint=forest_fingerprint(model),
-            packed=packed_for(model),
             bitvector=bitvector_for(model),
             path=path,
             n_features=int(model.n_features_),

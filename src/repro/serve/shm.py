@@ -1,18 +1,19 @@
-"""Shared-memory export/attach of forest engine buffers for the fleet.
+"""Shared-memory export/attach of bitvector forest buffers for the fleet.
 
-Both evaluation engines are structure-of-arrays by construction
-(:meth:`~repro.forest.packed.PackedForest.export_state`,
-:meth:`~repro.forest.bitvector.BitvectorForest.export_state`): every
+The bitvector encoding is structure-of-arrays by construction
+(:meth:`~repro.forest.bitvector.BitvectorForest.export_state`): every
 buffer prediction reads is one contiguous numpy array.  This module
 places those buffers in ``multiprocessing.shared_memory`` so N worker
 processes evaluate the *same physical copy* of a forest — attach is a
 zero-copy ``np.ndarray`` view over the segment, not a deserialization.
 
-Layout: one segment per (model, engine).  A :class:`SharedBlock` is the
-picklable description a worker needs to attach — segment name plus one
-``(offset, shape, dtype)`` record per array plus the engine's scalar
-metadata.  A :class:`SharedModelBundle` groups the blocks of one model
-together with its identity (id, fingerprint, feature count).
+Layout: one segment per model.  A :class:`SharedBlock` is the picklable
+description a worker needs to attach — segment name plus one
+``(offset, shape, dtype)`` record per array plus the encoding's scalar
+metadata.  A :class:`SharedModelBundle` pairs that block with the
+model's identity (id, fingerprint, feature count).  A forest the
+bitvector encoding declines has nothing to export; the fleet serves it
+in-process instead.
 
 Lifecycle hygiene
 -----------------
@@ -45,7 +46,7 @@ __all__ = [
     "SharedModelBundle",
     "SharedSegment",
     "attach_block",
-    "attach_model_engines",
+    "attach_model",
     "export_block",
     "export_model",
     "live_segments",
@@ -89,10 +90,10 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class SharedBlock:
-    """Picklable description of one exported engine state.
+    """Picklable description of one exported encoding.
 
     ``segment`` names the shared-memory segment, ``arrays`` lists every
-    buffer inside it, and ``meta`` carries the engine's scalar metadata
+    buffer inside it, and ``meta`` carries the encoding's scalar metadata
     (the second element of ``export_state()``).
     """
 
@@ -109,8 +110,7 @@ class SharedModelBundle:
     model_id: str
     fingerprint: int
     n_features: int
-    packed: SharedBlock | None
-    bitvector: SharedBlock | None
+    bitvector: SharedBlock
 
 
 class SharedSegment:
@@ -247,56 +247,34 @@ def attach_block(
 
 
 def export_model(
-    model_id: str, fingerprint: int, n_features: int, packed, bitvector
-) -> tuple[SharedModelBundle, list[SharedSegment]]:
-    """Export a registered model's engine encodings into shared memory.
+    model_id: str, fingerprint: int, n_features: int, bitvector
+) -> tuple[SharedModelBundle, SharedSegment]:
+    """Export a registered model's bitvector encoding into shared memory.
 
-    ``packed`` / ``bitvector`` are the model's
-    :class:`~repro.forest.packed.PackedForest` /
-    :class:`~repro.forest.bitvector.BitvectorForest` (either may be
-    ``None`` when the forest cannot be encoded by that engine).  Returns
-    the worker-facing bundle and the owned segments to unlink later.
+    ``bitvector`` is the model's
+    :class:`~repro.forest.bitvector.BitvectorForest`.  Returns the
+    worker-facing bundle and the owned segment to unlink later.
     """
-    segments: list[SharedSegment] = []
-    packed_block = bitvector_block = None
-    if packed is not None:
-        arrays, meta = packed.export_state()
-        packed_block, segment = export_block("packed", arrays, meta)
-        segments.append(segment)
-    if bitvector is not None:
-        arrays, meta = bitvector.export_state()
-        bitvector_block, segment = export_block("bitvector", arrays, meta)
-        segments.append(segment)
-    return (
-        SharedModelBundle(
-            model_id=str(model_id),
-            fingerprint=int(fingerprint),
-            n_features=int(n_features),
-            packed=packed_block,
-            bitvector=bitvector_block,
-        ),
-        segments,
+    arrays, meta = bitvector.export_state()
+    block, segment = export_block("bitvector", arrays, meta)
+    bundle = SharedModelBundle(
+        model_id=str(model_id),
+        fingerprint=int(fingerprint),
+        n_features=int(n_features),
+        bitvector=block,
     )
+    return bundle, segment
 
 
-def attach_model_engines(bundle: SharedModelBundle):
-    """Attach a bundle's engines: ``(packed, bitvector, segments)``.
+def attach_model(bundle: SharedModelBundle):
+    """Attach a bundle's encoding: ``(bitvector, segment)``.
 
-    The rebuilt engines evaluate directly over the shared buffers and are
-    bitwise identical to the exporting process's engines.  ``segments``
-    (the attached ``SharedMemory`` objects) must outlive the engines.
+    The rebuilt :class:`~repro.forest.bitvector.BitvectorForest`
+    evaluates directly over the shared buffers and is bitwise identical
+    to the exporting process's.  ``segment`` (the attached
+    ``SharedMemory`` object) must outlive the engine.
     """
     from ..forest.bitvector import BitvectorForest
-    from ..forest.packed import PackedForest
 
-    segments = []
-    packed = bitvector = None
-    if bundle.packed is not None:
-        segment, views = attach_block(bundle.packed)
-        segments.append(segment)
-        packed = PackedForest.from_state(views, bundle.packed.meta)
-    if bundle.bitvector is not None:
-        segment, views = attach_block(bundle.bitvector)
-        segments.append(segment)
-        bitvector = BitvectorForest.from_state(views, bundle.bitvector.meta)
-    return packed, bitvector, segments
+    segment, views = attach_block(bundle.bitvector)
+    return BitvectorForest.from_state(views, bundle.bitvector.meta), segment

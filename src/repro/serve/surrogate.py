@@ -6,7 +6,7 @@ answers explanation and GAM-predict queries in microseconds, the same
 fit-once/reuse asymmetry TreeSHAP exploits for tree ensembles.  This
 module is the cache that realizes it:
 
-* keyed by the **packed-engine structural fingerprint**, so two model
+* keyed by the forest's **structural fingerprint**, so two model
   ids wrapping the same forest share one Γ;
 * **singleflight** — when N requests for an unfitted forest arrive
   concurrently, exactly one thread runs the PR-3 stage runner (the

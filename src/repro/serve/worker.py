@@ -1,8 +1,8 @@
 """Fleet worker process: a :class:`ServeApp` over a pipe transport.
 
 :func:`worker_main` is the (spawn-picklable) entry point of one fleet
-worker.  The worker attaches its assigned models from shared memory
-(:mod:`repro.serve.shm`), installs them into a private
+worker.  The worker attaches its assigned models' bitvector encodings
+from shared memory (:mod:`repro.serve.shm`), installs them into a private
 :class:`~repro.serve.app.ServeApp`, and serves requests received over a
 ``multiprocessing`` pipe.  The protocol is deliberately tiny — plain
 tuples, first element the message kind:
@@ -59,7 +59,7 @@ from ..obs.metrics import enable_metrics, get_metrics
 from ..obs.trace import enable_tracing, get_tracer
 from .app import ServeApp, ServeConfig
 from .registry import ModelEntry
-from .shm import SharedModelBundle, attach_model_engines
+from .shm import SharedModelBundle, attach_model
 
 __all__ = ["WorkerOptions", "install_shared_model", "worker_main"]
 
@@ -79,7 +79,7 @@ class WorkerOptions:
 class _SharedForestStub:
     """Placeholder model object for shared-memory entries.
 
-    Workers serve predict from the attached engines; the paths that need
+    Workers serve predict from the attached encoding; the paths that need
     the original forest object (surrogate fits, the ``"loop"`` engine)
     are front-end concerns and fail typed if reached in a worker.
     """
@@ -98,29 +98,24 @@ class _SharedForestStub:
 
 def install_shared_model(
     app: ServeApp, bundle: SharedModelBundle
-) -> tuple[ModelEntry, list]:
-    """Attach a bundle's engines and install the model into ``app``.
+) -> tuple[ModelEntry, object]:
+    """Attach a bundle's encoding and install the model into ``app``.
 
     Returns the installed entry and the attached shared-memory segment
-    handles (which must stay referenced while the entry is in use).
+    handle (which must stay referenced while the entry is in use).
     """
-    packed, bitvector, segments = attach_model_engines(bundle)
-    if packed is None and bitvector is None:
-        raise ServeError(
-            f"bundle for model {bundle.model_id!r} carries no engine state"
-        )
+    bitvector, segment = attach_model(bundle)
     entry = ModelEntry(
         model_id=bundle.model_id,
         model=_SharedForestStub(bundle.model_id, bundle.n_features),
         fingerprint=int(bundle.fingerprint),
-        packed=packed,
         bitvector=bitvector,
         path=None,
         n_features=int(bundle.n_features),
     )
     app.registry.add_entry(entry)
     app.install_entry(entry)
-    return entry, segments
+    return entry, segment
 
 
 class _WorkerRuntime:
@@ -131,7 +126,7 @@ class _WorkerRuntime:
         self._conn = conn
         self._send_lock = threading.Lock()
         self._chaos = {"mute_pings": False, "corrupt_pings": False}
-        self._attached: dict[str, list] = {}
+        self._attached: dict[str, object] = {}
         self._app = ServeApp(
             ServeConfig(
                 max_batch=options.max_batch,
@@ -158,8 +153,8 @@ class _WorkerRuntime:
             self._install(bundle)
 
     def _install(self, bundle: SharedModelBundle) -> None:
-        _entry, segments = install_shared_model(self._app, bundle)
-        self._attached[bundle.model_id] = segments
+        _entry, segment = install_shared_model(self._app, bundle)
+        self._attached[bundle.model_id] = segment
 
     def _send(self, message) -> None:
         with self._send_lock:

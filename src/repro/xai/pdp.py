@@ -33,9 +33,8 @@ def as_predict_fn(model_or_fn):
 
     Every evaluator here accepts either a raw callable or a fitted forest;
     forests are mapped to their ``predict_raw``, which dispatches to the
-    packed single-pass engine when that engine is selected — the batched
-    grid x background products built below are exactly the large calls the
-    packed descent amortizes best.
+    bitvector engine — the batched grid x background products built below
+    are exactly the large calls its per-call setup amortizes best.
     """
     predict_raw = getattr(model_or_fn, "predict_raw", None)
     if predict_raw is not None and not callable(model_or_fn):

@@ -127,16 +127,16 @@ class TestKernelWiring:
         domain = build_domain(np.array([0.1, 0.4, 0.9]), "equi-width", k=8)
         assert np.all(np.diff(domain) > 0)
 
-    def test_packed_predict_flags_nonfinite_leaf(self, small_forest):
-        from repro.forest.packed import PackedForest
+    def test_bitvector_predict_flags_nonfinite_leaf(self, small_forest):
+        from repro.forest.bitvector import BitvectorForest
 
-        packed = PackedForest.pack(
+        encoded = BitvectorForest.pack(
             small_forest.trees_, small_forest.init_score_, 5
         )
-        packed.leaf_values[:] = np.nan
+        encoded.leaf_values[:] = np.nan
         X = np.full((4, 5), 0.5)
         with pytest.raises(NumericsError):
-            packed.predict_raw(X, use_cache=False)
+            encoded.predict_raw(X)
 
     def test_explain_pipeline_finite_end_to_end(self, small_forest):
         # A normal fit under strict mode must sail through every guard.

@@ -1,8 +1,8 @@
 """Equivalence tests for the traversal-free bitvector evaluation engine.
 
-The bitvector engine must be *bitwise identical* to both the per-tree
-loop and the packed descent on every forest shape: that is the contract
-that lets it be the default ``predict_raw`` path.  These tests sweep
+The bitvector engine must be *bitwise identical* to the per-tree loop on
+every forest shape: that is the contract that lets it be the default
+``predict_raw`` path.  These tests sweep
 model families, mask widths (uint32, single-word uint64, multi-word),
 degenerate trees, edge thresholds and special float inputs — all under
 ``REPRO_NUMERICS=strict`` (the suite-wide default from conftest) —
@@ -22,15 +22,12 @@ from repro.forest import (
     RandomForestRegressor,
     Tree,
     bitvector_for,
-    engine_names,
     get_prediction_engine,
     invalidate_bitvector,
-    invalidate_packed,
-    packed_for,
     set_prediction_engine,
 )
 from repro.forest import bitvector as bitvector_mod
-from repro.forest.engines import DEFAULT_ENGINE
+from repro.forest.engines import DEFAULT_ENGINE, ENGINES, invalidate_model_caches
 from repro.forest.tree import LEAF
 
 
@@ -96,10 +93,7 @@ class TestEquivalence:
             n_estimators=30, num_leaves=15, max_depth=max_depth, random_state=0
         )
         model.fit(X, y)
-        out = model.predict_raw(X_test)
-        assert np.array_equal(out, loop_predict_raw(model, X_test))
-        packed = packed_for(model)
-        assert np.array_equal(out, packed.predict_raw(X_test, use_cache=False))
+        assert np.array_equal(model.predict_raw(X_test), loop_predict_raw(model, X_test))
 
     def test_gbdt_classifier_bitwise_identical(self, data):
         X, y, X_test = data
@@ -107,11 +101,7 @@ class TestEquivalence:
             n_estimators=25, num_leaves=15, random_state=0
         )
         model.fit(X, (y > 0).astype(float))
-        out = model.predict_raw(X_test)
-        assert np.array_equal(out, loop_predict_raw(model, X_test))
-        assert np.array_equal(
-            out, packed_for(model).predict_raw(X_test, use_cache=False)
-        )
+        assert np.array_equal(model.predict_raw(X_test), loop_predict_raw(model, X_test))
 
     @pytest.mark.parametrize("num_leaves", [2, 31])
     def test_random_forests_bitwise_identical(self, data, num_leaves):
@@ -207,7 +197,7 @@ class TestMaskWidths:
         X[0] = np.nan
         X[1] = [0.1 * min(depth, 3) - 0.2, 0.0, 0.0]  # exact boundary
         assert np.array_equal(
-            encoded.predict_raw(X, use_cache=False), loop_predict_raw(model, X)
+            encoded.predict_raw(X), loop_predict_raw(model, X)
         )
 
     def test_trained_multiword_forest(self):
@@ -244,7 +234,7 @@ class TestDegenerateTrees:
         assert encoded is not None
         X = np.random.default_rng(0).standard_normal((10, 3))
         assert np.array_equal(
-            encoded.predict_raw(X, use_cache=False), loop_predict_raw(model, X)
+            encoded.predict_raw(X), loop_predict_raw(model, X)
         )
 
     def test_mixed_single_leaf_chain_and_stump(self):
@@ -262,7 +252,7 @@ class TestDegenerateTrees:
         assert encoded.n_words == 2  # chain(70) has 71 leaves
         X = np.array([[0.25, 0.0, 0.0], [0.2500001, 0.0, 0.0], [-5.0, 1.0, 1.0]])
         assert np.array_equal(
-            encoded.predict_raw(X, use_cache=False), loop_predict_raw(model, X)
+            encoded.predict_raw(X), loop_predict_raw(model, X)
         )
 
     def test_edge_thresholds_exact_boundary(self):
@@ -280,7 +270,7 @@ class TestDegenerateTrees:
         model = self._stub([tree], init=0.0)
         encoded = bitvector_for(model)
         X = np.array([[0.0, t, 0.0], [0.0, np.nextafter(t, 2.0), 0.0]])
-        out = encoded.predict_raw(X, use_cache=False)
+        out = encoded.predict_raw(X)
         assert np.array_equal(out, np.array([10.0, 20.0]))
         assert np.array_equal(out, loop_predict_raw(model, X))
 
@@ -292,27 +282,26 @@ class TestEligibilityAndFallback:
         model.fit(X, y)
         root = int(np.flatnonzero(model.trees_[0].feature != LEAF)[0])
         model.trees_[0].threshold[root] = np.nan
-        invalidate_packed(model)
+        invalidate_model_caches(model)
         assert bitvector_for(model) is None
-        assert packed_for(model) is None
-        # predict_raw still works, now through the loop at the ladder's end.
+        # predict_raw still works, now through the loop.
         assert np.array_equal(model.predict_raw(X_test), loop_predict_raw(model, X_test))
 
     def test_too_wide_tree_declines(self):
         wide = chain_tree(64 * bitvector_mod.MAX_LEAF_WORDS)  # one leaf too many
         assert BitvectorForest.pack([wide], 0.0, 3) is None
 
-    def test_table_budget_decline_falls_back_to_packed(self, data, monkeypatch):
+    def test_table_budget_decline_falls_back_to_loop(self, data, monkeypatch):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=8, num_leaves=15, random_state=0)
         model.fit(X, y)
         monkeypatch.setattr(bitvector_mod, "MAX_TABLE_BYTES", 0)
-        invalidate_packed(model)
+        invalidate_model_caches(model)
         assert bitvector_for(model) is None
-        # The engine ladder lands on packed: output unchanged, pack cached.
+        # Dispatch lands on the loop: output unchanged, decline cached.
         out = model.predict_raw(X_test)
         assert np.array_equal(out, loop_predict_raw(model, X_test))
-        assert model.__dict__["_packed_state"][1] is not None
+        assert model.__dict__["_bitvector_state"][1] is None
 
     def test_decline_is_cached_until_invalidated(self, data, monkeypatch):
         X, y, _ = data
@@ -330,18 +319,6 @@ class TestEligibilityAndFallback:
 
 
 class TestCacheAndInvalidation:
-    def test_cache_hit_returns_identical_copy(self, data):
-        X, y, X_test = data
-        model = GradientBoostingRegressor(n_estimators=10, num_leaves=15, random_state=0)
-        model.fit(X, y)
-        first = model.predict_raw(X_test)
-        second = model.predict_raw(X_test)
-        assert np.array_equal(first, second)
-        assert first is not second
-        # Mutating a returned array must not poison the cache.
-        second += 123.0
-        assert np.array_equal(model.predict_raw(X_test), first)
-
     def test_mutation_triggers_reencode(self, data):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=10, num_leaves=15, random_state=0)
@@ -354,15 +331,13 @@ class TestCacheAndInvalidation:
         assert not np.array_equal(before, after)
         assert np.array_equal(after, loop_predict_raw(model, X_test))
 
-    def test_invalidate_packed_clears_every_engine(self, data):
+    def test_invalidate_model_caches_drops_encoding(self, data):
         X, y, _ = data
         model = GradientBoostingRegressor(n_estimators=5, num_leaves=7, random_state=0)
         model.fit(X, y)
         assert bitvector_for(model) is not None
-        assert packed_for(model) is not None
-        invalidate_packed(model)
+        invalidate_model_caches(model)
         assert "_bitvector_state" not in model.__dict__
-        assert "_packed_state" not in model.__dict__
 
     def test_explicit_bitvector_invalidation_hook(self, data):
         X, y, _ = data
@@ -378,11 +353,9 @@ class TestEngineKnobAndRegistry:
         assert DEFAULT_ENGINE == "bitvector"
         assert get_prediction_engine() == "bitvector"
 
-    def test_all_three_engines_registered(self):
-        assert set(engine_names()) >= {"bitvector", "packed", "loop"}
-
     def test_engine_knob_roundtrip(self):
-        for name in ("loop", "packed", "bitvector"):
+        assert ENGINES == ("bitvector", "loop")
+        for name in ENGINES:
             set_prediction_engine(name)
             assert get_prediction_engine() == name
         with pytest.raises(ValueError):
@@ -395,19 +368,8 @@ class TestEngineKnobAndRegistry:
         set_prediction_engine("loop")
         out = model.predict_raw(X_test)
         assert "_bitvector_state" not in model.__dict__
-        assert "_packed_state" not in model.__dict__
         set_prediction_engine("bitvector")
         assert np.array_equal(out, model.predict_raw(X_test))
-
-    def test_packed_engine_skips_bitvector_encoding(self, data):
-        X, y, X_test = data
-        model = GradientBoostingRegressor(n_estimators=5, num_leaves=7, random_state=0)
-        model.fit(X, y)
-        set_prediction_engine("packed")
-        out = model.predict_raw(X_test)
-        assert "_bitvector_state" not in model.__dict__
-        assert "_packed_state" in model.__dict__
-        assert np.array_equal(out, loop_predict_raw(model, X_test))
 
 
 class TestChunkingAndThreads:
@@ -418,12 +380,13 @@ class TestChunkingAndThreads:
         encoded = bitvector_for(model)
         reference = loop_predict_raw(model, X_test)
         for chunk in (64, 256, 2048):
-            out = encoded.predict_raw(X_test, chunk=chunk, use_cache=False)
+            out = encoded.predict_raw(X_test, chunk=chunk)
             assert np.array_equal(out, reference)
-        out = encoded.predict_raw(X_test, n_jobs=4, use_cache=False)
-        assert np.array_equal(out, reference)
         with pytest.raises(ValueError):
-            encoded.predict_raw(X_test, chunk=100, use_cache=False)
+            encoded.predict_raw(X_test, chunk=100)
+        # Evaluation is single-threaded: there is no n_jobs split.
+        with pytest.raises(TypeError):
+            encoded.predict_raw(X_test, n_jobs=4)
 
     def test_feature_count_mismatch_rejected(self, data):
         X, y, _ = data
@@ -431,7 +394,7 @@ class TestChunkingAndThreads:
         model.fit(X, y)
         encoded = bitvector_for(model)
         with pytest.raises(ValueError, match="features"):
-            encoded.predict_raw(np.zeros((3, 9)), use_cache=False)
+            encoded.predict_raw(np.zeros((3, 9)))
 
     def test_direct_pack_roundtrip(self, data):
         X, y, X_test = data
@@ -443,6 +406,6 @@ class TestChunkingAndThreads:
         assert encoded is not None
         assert encoded.n_trees == 8
         assert np.array_equal(
-            encoded.predict_raw(X_test, use_cache=False),
+            encoded.predict_raw(X_test),
             loop_predict_raw(model, X_test),
         )

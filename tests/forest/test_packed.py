@@ -1,29 +1,32 @@
-"""Equivalence tests for the packed forest evaluation engine.
+"""Equivalence tests for the packed (exported) bitvector state.
 
-The packed engine must be *bitwise identical* to the per-tree loop on
-every forest shape: that is the whole contract that lets it be the default
-``predict_raw`` path.  These tests sweep model families, depths, degenerate
-trees, edge thresholds and special float inputs, always comparing with
-``np.array_equal`` (no tolerances).
+A fleet worker never encodes a forest itself: it rebuilds a
+:class:`~repro.forest.bitvector.BitvectorForest` from the flat buffers
+that :meth:`~repro.forest.bitvector.BitvectorForest.export_state` packs,
+mapped read-only.  That rebuilt engine must be *bitwise identical* to the
+per-tree loop on every forest shape.  These tests sweep model families,
+depths, degenerate trees, edge thresholds and special float inputs
+through ``export_state`` → read-only copies → ``from_state``, always
+comparing with ``np.array_equal`` (no tolerances).  The shared-memory
+transport itself is covered in ``tests/serve/test_shm.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.forest import (
+    BitvectorForest,
     GradientBoostingClassifier,
     GradientBoostingRegressor,
     OneVsRestGBDTClassifier,
-    PackedForest,
     RandomForestClassifier,
     RandomForestRegressor,
     Tree,
+    bitvector_for,
     get_prediction_engine,
-    invalidate_packed,
-    packed_for,
     set_prediction_engine,
 )
-from repro.forest.engines import DEFAULT_ENGINE
+from repro.forest.engines import DEFAULT_ENGINE, ENGINES, invalidate_model_caches
 from repro.forest.tree import LEAF
 
 
@@ -34,6 +37,23 @@ def loop_predict_raw(model, X):
     for tree in model.trees_:
         raw += tree.predict(X)
     return raw
+
+
+def repack(encoded):
+    """Rebuild ``encoded`` from read-only copies of its exported buffers."""
+    arrays, meta = encoded.export_state()
+    frozen = {}
+    for key, buf in arrays.items():
+        frozen[key] = buf.copy()
+        frozen[key].flags.writeable = False
+    return BitvectorForest.from_state(frozen, dict(meta))
+
+
+def packed_model(model):
+    """The packed state of ``model``'s current bitvector encoding."""
+    encoded = bitvector_for(model)
+    assert encoded is not None
+    return repack(encoded)
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +67,8 @@ def data():
 
 
 @pytest.fixture(autouse=True)
-def packed_engine():
-    set_prediction_engine("packed")
+def default_engine():
+    set_prediction_engine(DEFAULT_ENGINE)
     yield
     set_prediction_engine(DEFAULT_ENGINE)
 
@@ -61,7 +81,8 @@ class TestEquivalence:
             n_estimators=30, num_leaves=15, max_depth=max_depth, random_state=0
         )
         model.fit(X, y)
-        assert np.array_equal(model.predict_raw(X_test), loop_predict_raw(model, X_test))
+        packed = packed_model(model)
+        assert np.array_equal(packed.predict_raw(X_test), loop_predict_raw(model, X_test))
 
     def test_gbdt_classifier_bitwise_identical(self, data):
         X, y, X_test = data
@@ -69,7 +90,8 @@ class TestEquivalence:
             n_estimators=25, num_leaves=15, random_state=0
         )
         model.fit(X, (y > 0).astype(float))
-        assert np.array_equal(model.predict_raw(X_test), loop_predict_raw(model, X_test))
+        packed = packed_model(model)
+        assert np.array_equal(packed.predict_raw(X_test), loop_predict_raw(model, X_test))
 
     @pytest.mark.parametrize("num_leaves", [2, 31])
     def test_random_forests_bitwise_identical(self, data, num_leaves):
@@ -78,12 +100,16 @@ class TestEquivalence:
             n_estimators=15, num_leaves=num_leaves, random_state=0
         )
         reg.fit(X, y)
-        assert np.array_equal(reg.predict_raw(X_test), loop_predict_raw(reg, X_test))
+        assert np.array_equal(
+            packed_model(reg).predict_raw(X_test), loop_predict_raw(reg, X_test)
+        )
         clf = RandomForestClassifier(
             n_estimators=15, num_leaves=num_leaves, random_state=0
         )
         clf.fit(X, (y > 0).astype(float))
-        assert np.array_equal(clf.predict_raw(X_test), loop_predict_raw(clf, X_test))
+        assert np.array_equal(
+            packed_model(clf).predict_raw(X_test), loop_predict_raw(clf, X_test)
+        )
 
     def test_multiclass_bitwise_identical(self):
         rng = np.random.default_rng(3)
@@ -95,11 +121,9 @@ class TestEquivalence:
         raw = model.predict_raw(X_test)
         assert raw.shape == (150, model.n_classes_)
         for k, forest in enumerate(model.forests_):
+            packed = packed_model(forest)
+            assert np.array_equal(packed.predict_raw(X_test), raw[:, k])
             assert np.array_equal(raw[:, k], loop_predict_raw(forest, X_test))
-        set_prediction_engine("loop")
-        proba_loop = model.predict_proba(X_test)
-        set_prediction_engine("packed")
-        assert np.array_equal(model.predict_proba(X_test), proba_loop)
 
     def test_special_float_inputs(self, data):
         X, y, _ = data
@@ -110,13 +134,14 @@ class TestEquivalence:
         X_test[1, :] = np.inf
         X_test[2, :] = -np.inf
         X_test[3, :] = 0.0
-        assert np.array_equal(model.predict_raw(X_test), loop_predict_raw(model, X_test))
+        packed = packed_model(model)
+        assert np.array_equal(packed.predict_raw(X_test), loop_predict_raw(model, X_test))
 
     def test_staged_predict_bitwise_identical(self, data):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=12, num_leaves=7, random_state=0)
         model.fit(X, y)
-        packed_stages = list(model.staged_predict_raw(X_test))
+        packed_stages = list(packed_model(model).staged_predict_raw(X_test))
         set_prediction_engine("loop")
         loop_stages = list(model.staged_predict_raw(X_test))
         assert len(packed_stages) == len(loop_stages) == 12
@@ -137,7 +162,7 @@ class TestDegenerateTrees:
 
     def test_single_leaf_trees_only(self):
         model = self._forest_of([Tree.single_leaf(1.0), Tree.single_leaf(-0.25)])
-        packed = packed_for(model)
+        packed = packed_model(model)
         X = np.random.default_rng(0).standard_normal((10, 3))
         assert np.array_equal(packed.predict_raw(X), loop_predict_raw(model, X))
 
@@ -152,7 +177,7 @@ class TestDegenerateTrees:
             n_samples=np.array([10, 6, 4], dtype=np.int64),
         )
         model = self._forest_of([Tree.single_leaf(3.0), stump])
-        packed = packed_for(model)
+        packed = packed_model(model)
         X = np.array([[0.25, 0.0, 0.0], [0.2500001, 0.0, 0.0], [-5.0, 1.0, 1.0]])
         assert np.array_equal(packed.predict_raw(X), loop_predict_raw(model, X))
 
@@ -169,7 +194,7 @@ class TestDegenerateTrees:
             n_samples=np.array([4, 2, 2], dtype=np.int64),
         )
         model = self._forest_of([tree], init=0.0)
-        packed = packed_for(model)
+        packed = packed_model(model)
         X = np.array([[0.0, t, 0.0], [0.0, np.nextafter(t, 2.0), 0.0]])
         out = packed.predict_raw(X)
         assert np.array_equal(out, np.array([10.0, 20.0]))
@@ -181,54 +206,58 @@ class TestDegenerateTrees:
         model.fit(X, y)
         root = int(np.flatnonzero(model.trees_[0].feature != LEAF)[0])
         model.trees_[0].threshold[root] = np.nan
-        invalidate_packed(model)
-        assert packed_for(model) is None
-        # predict_raw still works through the loop fallback.
+        invalidate_model_caches(model)
+        # No encoding means no packed state to export ...
+        assert bitvector_for(model) is None
+        # ... and predict_raw still works through the loop fallback.
         assert np.array_equal(model.predict_raw(X_test), loop_predict_raw(model, X_test))
 
 
 class TestCacheAndInvalidation:
-    def test_cache_hit_returns_identical_copy(self, data):
-        X, y, X_test = data
-        model = GradientBoostingRegressor(n_estimators=10, num_leaves=15, random_state=0)
-        model.fit(X, y)
-        first = model.predict_raw(X_test)
-        second = model.predict_raw(X_test)
-        assert np.array_equal(first, second)
-        assert first is not second
-        # Mutating a returned array must not poison the cache.
-        second += 123.0
-        assert np.array_equal(model.predict_raw(X_test), first)
-
     def test_mutation_triggers_repack(self, data):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=10, num_leaves=15, random_state=0)
         model.fit(X, y)
         before = model.predict_raw(X_test)
-        packed_before = packed_for(model)
+        packed_before = packed_model(model)
         model.trees_[0].value *= 2.0
-        after = model.predict_raw(X_test)
-        assert packed_for(model) is not packed_before
+        packed_after = packed_model(model)
+        assert packed_after.fingerprint != packed_before.fingerprint
+        after = packed_after.predict_raw(X_test)
         assert not np.array_equal(before, after)
         assert np.array_equal(after, loop_predict_raw(model, X_test))
+        # An exported state is a snapshot: the old one keeps its answers.
+        assert np.array_equal(packed_before.predict_raw(X_test), before)
 
     def test_explicit_invalidation_hook(self, data):
-        X, y, _ = data
+        X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=5, num_leaves=7, random_state=0)
         model.fit(X, y)
-        assert packed_for(model) is not None
-        invalidate_packed(model)
-        assert "_packed_state" not in model.__dict__
+        encoded = bitvector_for(model)
+        arrays_before, meta_before = encoded.export_state()
+        invalidate_model_caches(model)
+        assert "_bitvector_state" not in model.__dict__
+        # The next export re-encodes into an equal, fresh state.
+        fresh = bitvector_for(model)
+        assert fresh is not encoded
+        arrays_after, meta_after = fresh.export_state()
+        assert meta_after == meta_before
+        assert arrays_after.keys() == arrays_before.keys()
+        for key, buf in arrays_before.items():
+            assert np.array_equal(arrays_after[key], buf)
+        assert np.array_equal(repack(fresh).predict_raw(X_test), loop_predict_raw(model, X_test))
 
 
 class TestEngineKnobAndThreads:
     def test_engine_knob_roundtrip(self):
-        assert get_prediction_engine() == "packed"
-        set_prediction_engine("loop")
-        assert get_prediction_engine() == "loop"
-        set_prediction_engine("packed")
-        with pytest.raises(ValueError):
-            set_prediction_engine("warp-drive")
+        assert get_prediction_engine() == DEFAULT_ENGINE
+        for name in ENGINES:
+            set_prediction_engine(name)
+            assert get_prediction_engine() == name
+        # "packed" is not an engine: the packed state is bitvector buffers.
+        for bad in ("packed", "warp-drive"):
+            with pytest.raises(ValueError):
+                set_prediction_engine(bad)
 
     def test_loop_engine_skips_packing(self, data):
         X, y, X_test = data
@@ -236,29 +265,32 @@ class TestEngineKnobAndThreads:
         model.fit(X, y)
         set_prediction_engine("loop")
         out = model.predict_raw(X_test)
-        assert "_packed_state" not in model.__dict__
-        set_prediction_engine("packed")
-        assert np.array_equal(out, model.predict_raw(X_test))
+        assert "_bitvector_state" not in model.__dict__
+        set_prediction_engine("bitvector")
+        assert np.array_equal(out, packed_model(model).predict_raw(X_test))
 
     def test_n_jobs_and_chunking_invariance(self, data):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=20, num_leaves=31, random_state=0)
         model.fit(X, y)
-        packed = packed_for(model)
+        packed = packed_model(model)
         reference = loop_predict_raw(model, X_test)
-        for chunk in (32, 128, 1024):
-            out = packed.predict_raw(X_test, chunk=chunk, use_cache=False)
+        for chunk in (64, 256, 2048):
+            out = packed.predict_raw(X_test, chunk=chunk)
             assert np.array_equal(out, reference)
-        out = packed.predict_raw(X_test, n_jobs=4, use_cache=False)
-        assert np.array_equal(out, reference)
         with pytest.raises(ValueError):
-            packed.predict_raw(X_test, chunk=100, use_cache=False)
+            packed.predict_raw(X_test, chunk=100)
+        # Evaluation is single-threaded: there is no n_jobs split.
+        with pytest.raises(TypeError):
+            packed.predict_raw(X_test, n_jobs=4)
 
     def test_direct_pack_roundtrip(self, data):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=8, num_leaves=15, random_state=0)
         model.fit(X, y)
-        packed = PackedForest.pack(model.trees_, model.init_score_, model.n_features_)
-        assert packed is not None
+        encoded = BitvectorForest.pack(model.trees_, model.init_score_, model.n_features_)
+        assert encoded is not None
+        packed = repack(encoded)
         assert packed.n_trees == 8
+        assert packed.fingerprint == encoded.fingerprint
         assert np.array_equal(packed.predict_raw(X_test), loop_predict_raw(model, X_test))

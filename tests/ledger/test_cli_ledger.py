@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.forest import load_forest, save_forest
-from repro.forest.packed import forest_fingerprint
+from repro.forest.tree import forest_fingerprint
 from repro.ledger import (
     LedgerStore,
     record_event,

@@ -14,7 +14,7 @@ import pytest
 from repro.core import GEF, load_explanation, save_explanation
 from repro.core.stages import StageReport
 from repro.devtools.faultinject import stall_stage
-from repro.forest.packed import invalidate_packed
+from repro.forest.engines import invalidate_model_caches
 from repro.obs import (
     disable_metrics,
     disable_tracing,
@@ -36,9 +36,9 @@ def _small_gef(**overrides):
 @pytest.fixture(scope="module")
 def traced_run(small_forest):
     """One traced+metered explain run: (explanation, tracer, registry)."""
-    # Earlier suites may have packed the shared session forest already;
-    # drop the cached pack so this run exercises pack.* metrics too.
-    invalidate_packed(small_forest)
+    # Earlier suites may have encoded the shared session forest already;
+    # drop the cached encoding so this run exercises pack.* metrics too.
+    invalidate_model_caches(small_forest)
     tracer = enable_tracing()
     registry = enable_metrics()
     try:
@@ -94,7 +94,6 @@ class TestPipelineMetrics:
         _, _, registry = traced_run
         assert registry.counter("predict.rows") > 0
         assert registry.counter("pack.count") >= 1
-        assert registry.counter("predict.cache_misses") >= 1
         assert registry.counter("fit.gcv_candidates") > 0
 
     def test_pack_seconds_histogram_recorded(self, traced_run):

@@ -30,7 +30,7 @@ def _echo_predict(calls):
 
 
 def _blocked_predict(started, release, calls):
-    """A predict_fn that parks inside the packed call until released."""
+    """A predict_fn that parks inside the engine call until released."""
 
     def predict(X):
         calls.append(np.array(X, copy=True))
@@ -268,12 +268,13 @@ def test_predict_error_propagates_to_every_submitter():
     batcher.stop()
 
 
-def test_batched_scores_bitwise_equal_direct(serve_forest, serve_rows):
-    from repro.forest import packed_for
+def test_batched_scores_bitwise_equal_direct(serve_forest, serve_rows,
+                                             loop_predict):
+    from repro.forest import bitvector_for
 
-    packed = packed_for(serve_forest)
+    encoded = bitvector_for(serve_forest)
     batcher = MicroBatcher(
-        lambda X: packed.predict_raw(X, use_cache=False),
+        encoded.predict_raw,
         max_batch=8,
         max_delay_s=1e9,
         name="exact",
@@ -296,7 +297,7 @@ def test_batched_scores_bitwise_equal_direct(serve_forest, serve_rows):
         thread.join(10.0)
     batcher.stop()
     for i, chunk in enumerate(chunks):
-        direct = packed.predict_raw(chunk, use_cache=False)
+        direct = loop_predict(serve_forest, chunk)
         assert np.array_equal(results[i], direct), (
             f"client {i}: batched scores differ from direct evaluation"
         )

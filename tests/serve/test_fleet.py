@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import FleetDegradedError, ModelNotFoundError
+from repro.obs import enable_metrics, get_metrics
 from repro.serve import FleetApp, FleetConfig, ServeConfig
 from repro.serve.admission import Deadline
 from repro.serve.fleet import HashRing
@@ -115,8 +116,8 @@ class TestFleetModels:
         before = set(live_segments())
         fleet_app.add_model("swap", serve_forest)
         mid = set(live_segments())
-        assert len(mid) == len(before) + 2
-        # Hot swap: same id, new segments, old ones unlinked.
+        assert len(mid) == len(before) + 1
+        # Hot swap: same id, new segment, old one unlinked.
         fleet_app.add_model("swap", serve_forest)
         after_swap = set(live_segments())
         assert len(after_swap) == len(mid)
@@ -152,6 +153,47 @@ class TestDegradedServing:
             assert response.status == 200
             expected = app.registry.get("m").predict_raw(serve_rows[:4])
             assert response.json()["predictions"] == expected.tolist()
+        finally:
+            app.close(drain=True)
+        assert set(live_segments()) == before
+
+    def test_unencodable_forest_served_locally_without_restarts(
+        self, serve_forest, nan_forest, serve_rows, loop_predict
+    ):
+        # The fleet must not ship a forest with no bitvector encoding to a
+        # worker (installing it there would kill the process); the front
+        # end serves it through the loop.
+        forest = nan_forest
+        rows = serve_rows[:8]
+        enable_metrics()
+        before = set(live_segments())
+        app = FleetApp(ServeConfig(), FleetConfig(workers=1, quorum=1))
+        try:
+            app.add_model("m", serve_forest)
+            app.start_fleet()
+            app.add_model("nan", forest)
+            assert app.fleet.assignment("nan") == []
+            response = app.handle(
+                "POST", "/predict", _predict_body(rows, model="nan")
+            )
+            assert response.status == 200
+            expected = loop_predict(forest, rows)
+            assert response.json()["predictions"] == expected.tolist()
+            assert get_metrics().counter("fleet.local_fallback") == 1
+            # Hot swap onto the unencodable forest: the old assignment is
+            # unloaded and its segment unlinked.
+            app.add_model("m", forest)
+            assert app.fleet.assignment("m") == []
+            assert set(live_segments()) == before
+            response = app.handle("POST", "/predict", _predict_body(rows))
+            assert response.json()["predictions"] == expected.tolist()
+            app.fleet.supervisor.tick()
+            fleet = app.handle("GET", "/healthz").json()["fleet"]
+            assert fleet["state"] == "ok"
+            assert all(
+                w["state"] == "up" and w["restarts"] == 0
+                for w in fleet["workers"].values()
+            )
         finally:
             app.close(drain=True)
         assert set(live_segments()) == before

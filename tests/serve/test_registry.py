@@ -6,23 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ModelNotFoundError, ServeError
-from repro.forest import (
-    forest_fingerprint,
-    load_forest,
-    packed_for,
-    save_forest,
-)
+from repro.forest import forest_fingerprint, load_forest, save_forest
 from repro.serve import ModelRegistry
 
 
-def test_add_in_memory_and_predict(serve_forest, serve_rows):
+def test_add_in_memory_and_predict(serve_forest, serve_rows, loop_predict):
     registry = ModelRegistry()
     entry = registry.add("demo", serve_forest)
     assert entry.model_id == "demo"
     assert entry.fingerprint == forest_fingerprint(serve_forest)
     assert entry.n_features == serve_forest.n_features_
     assert "demo" in registry and len(registry) == 1
-    direct = packed_for(serve_forest).predict_raw(serve_rows, use_cache=False)
+    direct = loop_predict(serve_forest, serve_rows)
     np.testing.assert_array_equal(entry.predict_raw(serve_rows), direct)
 
 

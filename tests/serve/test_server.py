@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import GEFConfig
-from repro.forest import forest_fingerprint, packed_for, save_forest
+from repro.forest import forest_fingerprint, save_forest
 from repro.obs.metrics import (
     enable_metrics,
     get_metrics,
@@ -85,9 +85,8 @@ def test_metrics_endpoint_is_valid_prometheus(server, serve_rows):
     assert validate_prometheus_text(text) > 0
 
 
-def test_http_predict_bitwise_equals_packed_engine(server, serve_forest,
-                                                  serve_rows):
-    packed = packed_for(serve_forest)
+def test_http_predict_bitwise_equals_loop(server, serve_forest, serve_rows,
+                                         loop_predict):
     chunks = [serve_rows[i * 4 : i * 4 + 4] for i in range(12)]
     results: dict[int, list] = {}
     errors: list[Exception] = []
@@ -114,9 +113,9 @@ def test_http_predict_bitwise_equals_packed_engine(server, serve_forest,
         thread.join(30.0)
     assert not errors
     for i, chunk in enumerate(chunks):
-        direct = packed.predict_raw(chunk, use_cache=False).tolist()
+        direct = loop_predict(serve_forest, chunk).tolist()
         assert results[i] == direct, (
-            f"client {i}: HTTP predictions differ from the packed engine "
+            f"client {i}: HTTP predictions differ from the per-tree loop "
             f"(JSON floats round-trip exactly, so this is a real mismatch)"
         )
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.forest.packed import packed_for
 from repro.serve.app import ServeApp
+from repro.serve.fleet import Fleet, FleetConfig
 from repro.serve.registry import ModelRegistry
 from repro.serve.shm import (
     attach_block,
-    attach_model_engines,
+    attach_model,
     export_block,
     export_model,
     live_segments,
@@ -25,11 +25,7 @@ def entry(serve_forest):
 
 def _export(entry):
     return export_model(
-        entry.model_id,
-        entry.fingerprint,
-        entry.n_features,
-        entry.packed,
-        entry.bitvector,
+        entry.model_id, entry.fingerprint, entry.n_features, entry.bitvector
     )
 
 
@@ -61,81 +57,79 @@ class TestExportAttach:
         finally:
             segment.unlink()
 
-    def test_attached_engines_bitwise_identical(self, entry, serve_rows):
-        bundle, segments = _export(entry)
+    def test_attached_engines_bitwise_identical(
+        self, entry, serve_rows, loop_predict
+    ):
+        bundle, segment = _export(entry)
         try:
-            packed, bitvector, shms = attach_model_engines(bundle)
-            expected = entry.model.predict_raw(serve_rows)
+            bitvector, shm = attach_model(bundle)
             np.testing.assert_array_equal(
-                packed.predict_raw(serve_rows, use_cache=False), expected
+                bitvector.predict_raw(serve_rows),
+                loop_predict(entry.model, serve_rows),
             )
-            np.testing.assert_array_equal(
-                bitvector.predict_raw(serve_rows, use_cache=False), expected
-            )
-            assert packed.fingerprint == entry.fingerprint
             assert bitvector.fingerprint == entry.fingerprint
-            for shm in shms:
-                shm.close()
+            shm.close()
         finally:
-            for segment in segments:
-                segment.unlink()
+            segment.unlink()
 
-    def test_install_shared_model_serves_predict(self, entry, serve_rows):
-        bundle, segments = _export(entry)
+    def test_install_shared_model_serves_predict(
+        self, entry, serve_rows, loop_predict
+    ):
+        bundle, segment = _export(entry)
         app = ServeApp()
         try:
-            installed, shms = install_shared_model(app, bundle)
+            installed, _shm = install_shared_model(app, bundle)
             assert installed.fingerprint == entry.fingerprint
             scores = installed.predict_raw(serve_rows[:16])
             np.testing.assert_array_equal(
-                scores, entry.model.predict_raw(serve_rows[:16])
+                scores, loop_predict(entry.model, serve_rows[:16])
             )
         finally:
             app.close(drain=True)
-            for segment in segments:
-                segment.unlink()
+            segment.unlink()
 
 
 class TestLifecycleHygiene:
     def test_live_segments_tracks_ownership(self, entry):
         before = set(live_segments())
-        bundle, segments = _export(entry)
-        names = {segment.name for segment in segments}
-        assert names <= set(live_segments())
-        for segment in segments:
-            assert segment.unlink() is True
+        bundle, segment = _export(entry)
+        assert segment.name in set(live_segments())
+        assert segment.unlink() is True
         assert set(live_segments()) == before
 
     def test_unlink_is_idempotent(self, entry):
-        bundle, segments = _export(entry)
-        for segment in segments:
-            assert segment.unlink() is True
-            assert segment.unlink() is False
+        bundle, segment = _export(entry)
+        assert segment.unlink() is True
+        assert segment.unlink() is False
 
     def test_attach_after_unlink_fails(self, entry):
-        bundle, segments = _export(entry)
-        for segment in segments:
-            segment.unlink()
+        bundle, segment = _export(entry)
+        segment.unlink()
         with pytest.raises(FileNotFoundError):
-            attach_block(bundle.packed)
+            attach_block(bundle.bitvector)
 
     def test_export_uses_fresh_segment_names(self, entry):
-        first, segments_a = _export(entry)
-        second, segments_b = _export(entry)
+        first, segment_a = _export(entry)
+        second, segment_b = _export(entry)
         try:
-            assert first.packed.segment != second.packed.segment
+            assert first.bitvector.segment != second.bitvector.segment
         finally:
-            for segment in segments_a + segments_b:
-                segment.unlink()
+            segment_a.unlink()
+            segment_b.unlink()
 
-    def test_missing_engine_exports_none(self, serve_forest):
-        bundle, segments = export_model("m", 1, 5, packed_for(serve_forest), None)
+    def test_missing_engine_exports_none(self, entry, nan_forest):
+        # The fleet must export no segment for a forest the bitvector
+        # encoding declines and assign it no worker; a hot swap onto it
+        # must drop the old assignment and its segment.
+        unencodable = ModelRegistry().add("m", nan_forest)
+        assert unencodable.bitvector is None
+        fleet = Fleet(FleetConfig(workers=1))
+        before = set(live_segments())
         try:
-            assert bundle.bitvector is None
-            packed, bitvector, shms = attach_model_engines(bundle)
-            assert bitvector is None and packed is not None
-            for shm in shms:
-                shm.close()
+            assert fleet.add_model(entry) == fleet.assignment("m") != []
+            assert len(set(live_segments()) - before) == 1
+            assert fleet.add_model(unencodable) == []
+            assert fleet.assignment("m") == []
+            assert set(live_segments()) == before
         finally:
-            for segment in segments:
-                segment.unlink()
+            fleet.close()

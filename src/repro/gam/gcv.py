@@ -4,7 +4,8 @@ The paper selects the penalization coefficients "varying lambda equally for
 each term used" via GCV.  For the identity-link / normal case the search is
 essentially free: the Gram matrices ``X'X`` and ``X'y`` are accumulated
 once, after which every candidate lambda costs a single p-by-p solve.  For
-the logistic link each candidate requires a full PIRLS refit.
+the logistic link each candidate runs PIRLS again.  Both paths build the
+training design once and share it across the candidates.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from ..core.errors import FitDivergenceError
 from ..core.numerics import assert_all_finite, numerics_guard
 from ..obs.metrics import inc as metric_inc
 from ..obs.trace import span as obs_span
+from .model import _blocks, _check_xy
 
 __all__ = ["default_lam_grid", "gcv_gridsearch"]
 
@@ -24,20 +26,14 @@ def default_lam_grid() -> np.ndarray:
     return np.logspace(-3, 3, 13)
 
 
-def _identity_gcv_path(gam, X: np.ndarray, y: np.ndarray, lam_grid: np.ndarray):
+def _identity_gcv_path(gam, D: np.ndarray, y: np.ndarray, lam_grid: np.ndarray):
     """Fast GCV path for the normal/identity GAM via shared Gram matrices."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
-    for term in gam.terms:
-        term.fit(X)
-    p = gam.n_coefs
-    n = len(y)
-
+    n, p = D.shape
     xtx = np.zeros((p, p))
     xty = np.zeros(p)
     yty = float(y @ y)
-    for lo, hi in gam._chunks(n):
-        d = gam._design_chunk(X[lo:hi])
+    for lo, hi in _blocks(n):
+        d = D[lo:hi]
         xtx += d.T @ d
         xty += d.T @ y[lo:hi]
 
@@ -74,6 +70,7 @@ def gcv_gridsearch(gam, X, y, lam_grid=None, verbose: bool = False):
         raise ValueError("lam_grid is empty")
     if np.any(lam_grid < 0):
         raise ValueError("lambdas must be >= 0")
+    X, y = _check_xy(X, y)
 
     identity_normal = (
         gam.link.name == "identity" and gam.distribution.name == "normal"
@@ -84,18 +81,19 @@ def gcv_gridsearch(gam, X, y, lam_grid=None, verbose: bool = False):
         candidates=int(len(lam_grid)),
         path="identity" if identity_normal else "refit",
     ):
-        return _gridsearch_body(gam, X, y, lam_grid, identity_normal, verbose)
+        D = gam._fit_design(X)
+        return _gridsearch_body(gam, D, y, lam_grid, identity_normal, verbose)
 
 
-def _gridsearch_body(gam, X, y, lam_grid, identity_normal, verbose):
+def _gridsearch_body(gam, D, y, lam_grid, identity_normal, verbose):
     lam_path = []
     if identity_normal:
-        results, xtx = _identity_gcv_path(gam, X, y, lam_grid)
+        results, xtx = _identity_gcv_path(gam, D, y, lam_grid)
         best = min(results, key=lambda r: r[1])
         lam, gcv, beta, rss, edof = best
         gam.lam = lam
         gam.coef_ = beta
-        gam._finalize_statistics(xtx, gam.penalty_matrix(), rss, len(np.asarray(y)))
+        gam._finalize_statistics(xtx, gam.penalty_matrix(), rss, len(y))
         lam_path = [(r[0], r[1]) for r in results]
         if verbose:
             for l_, g_ in lam_path:
@@ -105,7 +103,7 @@ def _gridsearch_body(gam, X, y, lam_grid, identity_normal, verbose):
         best_state = None
         for lam in lam_grid:
             gam.lam = float(lam)
-            gam.fit(X, y)
+            gam._pirls(D, y)
             gcv = gam.statistics_["GCV"]
             assert_all_finite(np.asarray([gcv]), f"GCV score (lam={lam:g})")
             lam_path.append((float(lam), gcv))

@@ -39,9 +39,18 @@ class Term:
     #: indices of the raw features this term reads (empty for intercept)
     features: tuple[int, ...] = ()
 
+    def fit_design(self, X: np.ndarray) -> np.ndarray:
+        """Learn data-dependent pieces and return the centered training block.
+
+        Knots, levels and centering means come from ``X``; the block is
+        ``design(X)`` built from the same single basis evaluation.
+        """
+        raise NotImplementedError
+
     def fit(self, X: np.ndarray) -> "Term":
         """Learn data-dependent pieces (domains, levels, centering means)."""
-        raise NotImplementedError
+        self.fit_design(X)
+        return self
 
     def design_for(self, values: np.ndarray) -> np.ndarray:
         """Centered design block for raw values of this term's features.
@@ -80,9 +89,9 @@ class InterceptTerm(Term):
 
     features = ()
 
-    def fit(self, X: np.ndarray) -> "InterceptTerm":
+    def fit_design(self, X: np.ndarray) -> np.ndarray:
         self._fitted = True
-        return self
+        return self.design(X)
 
     def design(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -118,11 +127,11 @@ class LinearTerm(Term):
         self.name = name
         self._fitted = False
 
-    def fit(self, X: np.ndarray) -> "LinearTerm":
+    def fit_design(self, X: np.ndarray) -> np.ndarray:
         x = np.asarray(X, dtype=np.float64)[:, self.features[0]]
         self.mean_ = float(x.mean())
         self._fitted = True
-        return self
+        return self.design(X)
 
     def design_for(self, values: np.ndarray) -> np.ndarray:
         self._check_fitted()
@@ -161,13 +170,13 @@ class SplineTerm(Term):
         self.name = name
         self._fitted = False
 
-    def fit(self, X: np.ndarray) -> "SplineTerm":
+    def fit_design(self, X: np.ndarray) -> np.ndarray:
         x = np.asarray(X, dtype=np.float64)[:, self.features[0]]
         self.knots_ = uniform_knots(float(x.min()), float(x.max()), self.n_splines, self.degree)
         raw = bspline_design(x, self.knots_, self.degree)
         self.col_means_ = raw.mean(axis=0)
         self._fitted = True
-        return self
+        return raw - self.col_means_
 
     def design_for(self, values: np.ndarray) -> np.ndarray:
         self._check_fitted()
@@ -194,7 +203,7 @@ class FactorTerm(Term):
         self.name = name
         self._fitted = False
 
-    def fit(self, X: np.ndarray) -> "FactorTerm":
+    def fit_design(self, X: np.ndarray) -> np.ndarray:
         x = np.asarray(X, dtype=np.float64)[:, self.features[0]]
         self.levels_ = np.unique(x)
         if len(self.levels_) < 2:
@@ -205,7 +214,7 @@ class FactorTerm(Term):
         raw = self._one_hot(x)
         self.col_means_ = raw.mean(axis=0)
         self._fitted = True
-        return self
+        return raw - self.col_means_
 
     def _one_hot(self, x: np.ndarray) -> np.ndarray:
         # Unseen levels produce an all-zero row: the term contributes only
@@ -266,7 +275,7 @@ class TensorTerm(Term):
         self.name = name
         self._fitted = False
 
-    def fit(self, X: np.ndarray) -> "TensorTerm":
+    def fit_design(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         self.knots_ = []
         for f in self.features:
@@ -277,7 +286,7 @@ class TensorTerm(Term):
         raw = self._raw_design(X[:, list(self.features)])
         self.col_means_ = raw.mean(axis=0)
         self._fitted = True
-        return self
+        return raw - self.col_means_
 
     def _raw_design(self, values: np.ndarray) -> np.ndarray:
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.gam.model
 from repro.gam import GAM, FactorTerm, InterceptTerm, SplineTerm, TensorTerm
 
 
@@ -61,11 +62,13 @@ class TestFitting:
         with pytest.raises(RuntimeError):
             GAM([SplineTerm(0)]).predict(np.zeros((2, 1)))
 
-    def test_chunked_fit_matches_single_chunk(self, additive_data):
+    def test_chunked_fit_matches_single_chunk(self, additive_data, monkeypatch):
         X, y = additive_data
-        small = GAM([SplineTerm(0, 8), SplineTerm(1, 8)], lam=1.0, chunk_size=100)
-        big = GAM([SplineTerm(0, 8), SplineTerm(1, 8)], lam=1.0, chunk_size=10**6)
+        small = GAM([SplineTerm(0, 8), SplineTerm(1, 8)], lam=1.0)
+        big = GAM([SplineTerm(0, 8), SplineTerm(1, 8)], lam=1.0)
+        monkeypatch.setattr(repro.gam.model, "_ROW_BLOCK", 100)
         small.fit(X, y)
+        monkeypatch.setattr(repro.gam.model, "_ROW_BLOCK", 10**6)
         big.fit(X, y)
         # Chunked accumulation reorders floating-point sums; the fitted
         # function must agree even if null-space coefficients drift.

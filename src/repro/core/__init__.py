@@ -43,7 +43,6 @@ from .feature_selection import (
 )
 from .gam_builder import (
     DEGRADATION_LADDER,
-    build_degraded_gam,
     build_gam,
     build_terms,
     is_categorical,
@@ -119,7 +118,6 @@ __all__ = [
     "LocalExplanation",
     "SAMPLING_STRATEGY_NAMES",
     "all_thresholds_domain",
-    "build_degraded_gam",
     "build_domain",
     "build_gam",
     "build_sampling_domains",

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .explanation import GEFExplanation
 from .feature_selection import feature_thresholds, select_univariate
-from .gam_builder import build_degraded_gam, build_gam
+from .gam_builder import build_gam
 from .interactions import select_interactions
 from .numerics import NumericsError
 from .sampling import build_sampling_domains
@@ -327,7 +327,9 @@ class GEF:
         """
         cfg = self.config
         in_rung_retries = 0 if cfg.strict else min(cfg.max_retries, 2)
-        plan = _rung_plan(pairs) if not cfg.strict else _rung_plan(pairs)[:1]
+        plan = _rung_plan(pairs)
+        if cfg.strict:
+            plan = plan[:1]
         last_error: Exception | None = None
         for rung_index, (rung, rung_pairs, note) in enumerate(plan):
             if rung_index > 0:
@@ -335,16 +337,10 @@ class GEF:
                 metric_gauge("degrade.rung", rung_index)
             for trial in range(1 + in_rung_retries):
                 trial_start = monotonic()
-                if rung in ("univariate-only", "linear"):
-                    gam = build_degraded_gam(
-                        features, rung_pairs, thresholds, cfg,
-                        is_classifier, feature_names, rung,
-                    )
-                else:
-                    gam = build_gam(
-                        features, rung_pairs, thresholds, cfg,
-                        is_classifier, feature_names,
-                    )
+                gam = build_gam(
+                    features, rung_pairs, thresholds, cfg,
+                    is_classifier, feature_names, rung,
+                )
                 lam_grid = cfg.lam_grid
                 if lam_grid is None:
                     # The identity-link GCV path is nearly free; the
@@ -400,8 +396,6 @@ class GEF:
                             StageAttempt(outcome="degraded", note=note)
                         )
                 return gam, rung_pairs
-            if cfg.strict:
-                break
         message = "the GAM fit failed on every rung of the degradation ladder"
         if cfg.strict:
             message = "the GAM fit diverged (strict mode: no ladder)"

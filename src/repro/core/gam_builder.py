@@ -21,7 +21,6 @@ __all__ = [
     "is_categorical",
     "build_terms",
     "build_gam",
-    "build_degraded_gam",
 ]
 
 #: Rung names of the fit degradation ladder, simplest last.  ``full`` is
@@ -45,22 +44,35 @@ def build_terms(
     thresholds: list[np.ndarray],
     config: GEFConfig,
     feature_names: list[str] | None = None,
+    rung: str = "full",
 ) -> list:
-    """Terms for F' (splines/factors) and F'' (tensors), in that order."""
+    """Terms for F' (splines/factors) and F'' (tensors), in that order.
+
+    ``rung`` names a step of :data:`DEGRADATION_LADDER`.  ``full`` and
+    ``drop-tensor`` build the configured terms for the given ``pairs``
+    (the caller shrinks ``pairs`` to drop tensors);
+    ``univariate-only`` builds one spline per feature and ``linear`` one
+    :class:`~repro.gam.LinearTerm` per feature, both without tensors.
+    """
+    if rung not in DEGRADATION_LADDER:
+        raise SelectionError(f"unknown degradation rung {rung!r}")
+    configured = rung in ("full", "drop-tensor")
 
     def name_of(f: int) -> str:
         return feature_names[f] if feature_names else f"x{f}"
 
     terms = []
     for f in features:
-        if is_categorical(thresholds[f], config.categorical_threshold):
+        if configured and is_categorical(thresholds[f], config.categorical_threshold):
             terms.append(FactorTerm(f, name=f"f({name_of(f)})"))
-        elif config.component_type == "linear":
+        elif rung == "linear" or (configured and config.component_type == "linear"):
             terms.append(LinearTerm(f, name=f"l({name_of(f)})"))
         else:
             terms.append(
                 SplineTerm(f, n_splines=config.n_splines, name=f"s({name_of(f)})")
             )
+    if not configured:
+        return terms
     for i, j in pairs:
         terms.append(
             TensorTerm(
@@ -80,55 +92,17 @@ def build_gam(
     config: GEFConfig,
     is_classifier: bool,
     feature_names: list[str] | None = None,
+    rung: str = "full",
 ) -> GAM:
     """The (unfitted) explanation GAM with the paper's link conventions.
 
     Regression forests get an identity link with a normal response;
     classification forests a logistic link with a binomial response.
+    ``rung`` selects the terms of one degradation-ladder step (see
+    :func:`build_terms`); the link is the same on every rung.
     """
     if not features:
         raise SelectionError("F' is empty; nothing to build a GAM from")
-    terms = build_terms(features, pairs, thresholds, config, feature_names)
-    link = "logit" if is_classifier and config.label != "raw" else "identity"
-    return GAM(terms, link=link)
-
-
-def build_degraded_gam(
-    features: list[int],
-    pairs: list[tuple[int, int]],
-    thresholds: list[np.ndarray],
-    config: GEFConfig,
-    is_classifier: bool,
-    feature_names: list[str] | None,
-    rung: str,
-) -> GAM:
-    """The (unfitted) GAM for one rung of the degradation ladder.
-
-    ``rung`` is ``"full"`` (delegates to :func:`build_gam`),
-    ``"univariate-only"`` (no tensor terms, factors replaced by splines)
-    or ``"linear"`` (no tensors, one :class:`~repro.gam.LinearTerm` per
-    feature).  The iterative ``drop-tensor`` rungs are expressed by the
-    caller shrinking ``pairs`` and rebuilding ``"full"``.
-    """
-    if rung == "full":
-        return build_gam(
-            features, pairs, thresholds, config, is_classifier, feature_names
-        )
-    if rung not in ("univariate-only", "linear"):
-        raise SelectionError(f"unknown degradation rung {rung!r}")
-    if not features:
-        raise SelectionError("F' is empty; nothing to build a GAM from")
-
-    def name_of(f: int) -> str:
-        return feature_names[f] if feature_names else f"x{f}"
-
-    terms = []
-    for f in features:
-        if rung == "linear":
-            terms.append(LinearTerm(f, name=f"l({name_of(f)})"))
-        else:
-            terms.append(
-                SplineTerm(f, n_splines=config.n_splines, name=f"s({name_of(f)})")
-            )
+    terms = build_terms(features, pairs, thresholds, config, feature_names, rung)
     link = "logit" if is_classifier and config.label != "raw" else "identity"
     return GAM(terms, link=link)

@@ -10,6 +10,12 @@ beyond each end of the feature domain, so the basis forms a partition of
 unity on the whole domain.  Evaluation outside the domain clamps to the
 boundary, giving constant extrapolation — the safe choice for a surrogate
 queried slightly outside the sampled region.
+
+Only ``degree + 1`` bases are nonzero at any point, so
+:func:`bspline_design` runs the Cox–de Boor recursion on that window of
+each row alone and scatters it into the dense design.  The one routine
+serves the fit and every arbitrary-X caller (prediction, local
+explanations, PDP scans).
 """
 
 from __future__ import annotations
@@ -40,7 +46,12 @@ def uniform_knots(lo: float, hi: float, n_splines: int, degree: int = 3) -> np.n
     if hi <= lo:
         # Degenerate (constant) feature: widen artificially so the basis
         # is well defined; all evaluations clamp to the same point anyway.
+        # From |lo| >= 2**53 on, adding 1.0 rounds back to lo, so widen in
+        # proportion to |lo| instead (well above the float spacing and the
+        # clamping margin of bspline_design).
         hi = lo + 1.0
+        if hi == lo:
+            hi = lo + abs(lo) * 2.0**-32
     n_interior = n_splines - degree
     step = (hi - lo) / n_interior
     knots = lo + step * np.arange(-degree, n_interior + degree + 1)
@@ -53,9 +64,16 @@ def bspline_design(
 ) -> np.ndarray:
     """Dense design matrix of B-spline basis functions evaluated at ``x``.
 
-    Cox–de Boor recursion, vectorized over the evaluation points.  Inputs
-    are clamped to the knot-supported domain, which yields constant
-    extrapolation of the fitted spline beyond it.
+    Inputs are clamped to the knot-supported domain, which yields constant
+    extrapolation of the fitted spline beyond it (``±inf`` included).  Each
+    row's knot interval ``j`` fixes its ``degree + 1`` nonzero bases
+    ``j - degree .. j``; the Cox–de Boor recursion raises that window one
+    degree at a time, vectorized over rows, and every other entry is zero.
+    A zero-width knot span contributes nothing (it is skipped, never
+    divided by), so repeated knots are allowed and a collapsed knot vector
+    gives all-zero rows.  A NaN input runs the recursion like any other
+    (its interval index is clamped into range) and, for ``degree >= 1``,
+    is reported by the strict numerics checks.
 
     Returns an ``(len(x), len(knots) - degree - 1)`` array whose rows sum to
     one (partition of unity).
@@ -72,27 +90,35 @@ def bspline_design(
     eps = 1e-12 * max(1.0, abs(hi))
     xc = np.clip(x, lo, hi - eps if hi > lo else lo)
 
-    # Degree-0 bases: indicator of the half-open knot interval.
-    n0 = len(knots) - 1
-    basis = np.zeros((len(xc), n0))
-    interval = np.clip(np.searchsorted(knots, xc, side="right") - 1, 0, n0 - 1)
-    basis[np.arange(len(xc)), interval] = 1.0
-
-    # Cox–de Boor elevation to the requested degree.
+    # Knot interval j of each row (clamped, so NaN rows index in range):
+    # its window holds bases j - degree .. j, supported on knots
+    # j - degree .. j + degree + 1.  Windows are stored one row per basis
+    # offset, one column per point.
+    j = np.searchsorted(knots, xc, side="right") - 1
+    j = np.clip(j, degree, n_bases - 1)
+    near = knots[np.arange(-degree, degree + 2)[:, None] + j]
+    window = np.ones((1, len(xc)))
     with numerics_guard("bspline_design (Cox-de Boor recursion)"):
         for d in range(1, degree + 1):
-            n_d = n0 - d
-            new = np.zeros((len(xc), n_d))
-            for i in range(n_d):
-                denom_l = knots[i + d] - knots[i]
-                denom_r = knots[i + d + 1] - knots[i + 1]
-                if denom_l > 0:
-                    new[:, i] += (xc - knots[i]) / denom_l * basis[:, i]
-                if denom_r > 0:
-                    new[:, i] += (knots[i + d + 1] - xc) / denom_r * basis[:, i + 1]
-            basis = new
+            # Degree d-1 basis i has support [t_i, t_i+d); it feeds the
+            # left term of basis i and the right term of basis i-1.
+            t_lo = near[degree - d + 1 : degree + 1]
+            t_hi = near[degree + 1 : degree + d + 1]
+            span = t_hi - t_lo
+            wide = span > 0
+            right = np.divide(
+                t_hi - xc, span, out=np.zeros_like(span), where=wide
+            ) * window
+            left = np.divide(
+                xc - t_lo, span, out=np.zeros_like(span), where=wide
+            ) * window
+            window = np.zeros((d + 1, len(xc)))
+            window[:d] = right
+            window[1:] += left
 
-    basis = basis[:, :n_bases]
+    basis = np.zeros((len(xc), n_bases))
+    first = np.arange(len(xc)) * n_bases + j - degree
+    basis.reshape(-1)[np.arange(degree + 1)[:, None] + first] = window
     assert_all_finite(basis, "bspline_design")
     return basis
 

@@ -14,7 +14,9 @@ the design matrix and a block-diagonal piece of the penalty:
 All non-intercept terms are *centered*: their design columns have the
 training mean subtracted, which pins each component at zero mean (the
 paper's ``E[s_j(x_j)] = 0`` identifiability constraint) and leaves the
-constant to the intercept.
+constant to the intercept.  :class:`Term` does the centering once for
+every term; a subclass supplies what it learns from the training rows
+(``_learn``) and its raw basis (``_basis``).
 """
 
 from __future__ import annotations
@@ -42,10 +44,17 @@ class Term:
     def fit_design(self, X: np.ndarray) -> np.ndarray:
         """Learn data-dependent pieces and return the centered training block.
 
-        Knots, levels and centering means come from ``X``; the block is
-        ``design(X)`` built from the same single basis evaluation.
+        The term learns its knots or levels from ``X`` (:meth:`_learn`),
+        evaluates its raw basis once (:meth:`_basis`) and keeps that
+        block's column means as the centering of every later design.
         """
-        raise NotImplementedError
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        values = X[:, list(self.features)]
+        self._learn(values)
+        raw = self._basis(values)
+        self.col_means_ = raw.mean(axis=0)
+        self._fitted = True
+        return raw - self.col_means_
 
     def fit(self, X: np.ndarray) -> "Term":
         """Learn data-dependent pieces (domains, levels, centering means)."""
@@ -58,6 +67,16 @@ class Term:
         ``values`` has shape ``(n, len(self.features))`` (or ``(n,)`` for a
         single-feature term).
         """
+        self._check_fitted()
+        values = np.asarray(values, dtype=np.float64)
+        return self._basis(values.reshape(-1, len(self.features))) - self.col_means_
+
+    def _learn(self, values: np.ndarray) -> None:
+        """Learn knots or levels from ``(n, len(self.features))`` values."""
+        raise NotImplementedError
+
+    def _basis(self, values: np.ndarray) -> np.ndarray:
+        """Uncentered basis block for ``(n, len(self.features))`` values."""
         raise NotImplementedError
 
     def design(self, X: np.ndarray) -> np.ndarray:
@@ -170,18 +189,12 @@ class SplineTerm(Term):
         self.name = name
         self._fitted = False
 
-    def fit_design(self, X: np.ndarray) -> np.ndarray:
-        x = np.asarray(X, dtype=np.float64)[:, self.features[0]]
+    def _learn(self, values: np.ndarray) -> None:
+        x = values[:, 0]
         self.knots_ = uniform_knots(float(x.min()), float(x.max()), self.n_splines, self.degree)
-        raw = bspline_design(x, self.knots_, self.degree)
-        self.col_means_ = raw.mean(axis=0)
-        self._fitted = True
-        return raw - self.col_means_
 
-    def design_for(self, values: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        values = np.asarray(values, dtype=np.float64).ravel()
-        return bspline_design(values, self.knots_, self.degree) - self.col_means_
+    def _basis(self, values: np.ndarray) -> np.ndarray:
+        return bspline_design(values[:, 0], self.knots_, self.degree)
 
     def penalty(self) -> np.ndarray:
         return difference_penalty(self.n_splines, self.penalty_order)
@@ -203,22 +216,18 @@ class FactorTerm(Term):
         self.name = name
         self._fitted = False
 
-    def fit_design(self, X: np.ndarray) -> np.ndarray:
-        x = np.asarray(X, dtype=np.float64)[:, self.features[0]]
-        self.levels_ = np.unique(x)
+    def _learn(self, values: np.ndarray) -> None:
+        self.levels_ = np.unique(values[:, 0])
         if len(self.levels_) < 2:
             raise ValueError(
                 f"factor feature {self.features[0]} has a single level; "
                 "a constant term is redundant with the intercept"
             )
-        raw = self._one_hot(x)
-        self.col_means_ = raw.mean(axis=0)
-        self._fitted = True
-        return raw - self.col_means_
 
-    def _one_hot(self, x: np.ndarray) -> np.ndarray:
+    def _basis(self, values: np.ndarray) -> np.ndarray:
         # Unseen levels produce an all-zero row: the term contributes only
         # its centering offset, a sane fallback for out-of-vocabulary input.
+        x = values[:, 0]
         idx = np.searchsorted(self.levels_, x)
         idx = np.clip(idx, 0, len(self.levels_) - 1)
         match = self.levels_[idx] == x
@@ -226,11 +235,6 @@ class FactorTerm(Term):
         rows = np.nonzero(match)[0]
         out[rows, idx[rows]] = 1.0
         return out
-
-    def design_for(self, values: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        values = np.asarray(values, dtype=np.float64).ravel()
-        return self._one_hot(values) - self.col_means_
 
     def penalty(self) -> np.ndarray:
         # Ridge penalty keeps the (centered, hence rank-deficient) one-hot
@@ -275,29 +279,17 @@ class TensorTerm(Term):
         self.name = name
         self._fitted = False
 
-    def fit_design(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        self.knots_ = []
-        for f in self.features:
-            x = X[:, f]
-            self.knots_.append(
-                uniform_knots(float(x.min()), float(x.max()), self.n_splines, self.degree)
-            )
-        raw = self._raw_design(X[:, list(self.features)])
-        self.col_means_ = raw.mean(axis=0)
-        self._fitted = True
-        return raw - self.col_means_
+    def _learn(self, values: np.ndarray) -> None:
+        self.knots_ = [
+            uniform_knots(float(x.min()), float(x.max()), self.n_splines, self.degree)
+            for x in values.T
+        ]
 
-    def _raw_design(self, values: np.ndarray) -> np.ndarray:
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    def _basis(self, values: np.ndarray) -> np.ndarray:
         b_i = bspline_design(values[:, 0], self.knots_[0], self.degree)
         b_j = bspline_design(values[:, 1], self.knots_[1], self.degree)
         # Row-wise outer product, flattened: column (a, b) -> a * n + b.
         return np.einsum("na,nb->nab", b_i, b_j).reshape(len(values), -1)
-
-    def design_for(self, values: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        return self._raw_design(values) - self.col_means_
 
     def penalty(self) -> np.ndarray:
         p = difference_penalty(self.n_splines, self.penalty_order)

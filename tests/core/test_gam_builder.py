@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import GEFConfig, build_gam, build_terms, is_categorical
-from repro.gam import FactorTerm, SplineTerm, TensorTerm
+from repro.core.errors import SelectionError
+from repro.gam import FactorTerm, LinearTerm, SplineTerm, TensorTerm
 
 
 @pytest.fixture
@@ -90,3 +91,49 @@ class TestBuildGam:
     def test_empty_features_rejected(self, thresholds):
         with pytest.raises(ValueError):
             build_gam([], [], thresholds, GEFConfig(), is_classifier=False)
+
+
+class TestLadderRungs:
+    """Every degradation-ladder rung comes from the one ``build_gam``."""
+
+    def test_univariate_only_drops_factors_and_tensors(self, thresholds):
+        gam = build_gam(
+            [0, 1], [(0, 2)], thresholds, GEFConfig(), is_classifier=False,
+            feature_names=["age", "sex", "bmi"], rung="univariate-only",
+        )
+        assert [type(t) for t in gam.terms[1:]] == [SplineTerm, SplineTerm]
+        assert [t.label for t in gam.terms[1:]] == ["s(age)", "s(sex)"]
+        assert all(t.n_splines == GEFConfig().n_splines for t in gam.terms[1:])
+        assert gam.link.name == "identity"
+
+    def test_univariate_only_ignores_linear_component_type(self, thresholds):
+        cfg = GEFConfig(component_type="linear")
+        gam = build_gam(
+            [0], [], thresholds, cfg, is_classifier=True, rung="univariate-only"
+        )
+        assert [type(t) for t in gam.terms[1:]] == [SplineTerm]
+        assert gam.link.name == "logit"
+
+    def test_linear_rung_one_coefficient_per_feature(self, thresholds):
+        gam = build_gam(
+            [0, 1, 2], [(0, 2)], thresholds, GEFConfig(), is_classifier=True,
+            rung="linear",
+        )
+        assert [type(t) for t in gam.terms[1:]] == [LinearTerm] * 3
+        assert [t.label for t in gam.terms[1:]] == ["l(x0)", "l(x1)", "l(x2)"]
+        assert gam.link.name == "logit"
+
+    def test_drop_tensor_rung_builds_the_given_pairs(self, thresholds):
+        full = build_gam([0, 1], [(0, 2)], thresholds, GEFConfig(), False)
+        dropped = build_gam(
+            [0, 1], [], thresholds, GEFConfig(), False, rung="drop-tensor"
+        )
+        assert [t.label for t in dropped.terms] == [t.label for t in full.terms[:-1]]
+
+    def test_unknown_rung_rejected(self, thresholds):
+        with pytest.raises(SelectionError, match="unknown degradation rung"):
+            build_gam([0], [], thresholds, GEFConfig(), False, rung="quadratic")
+
+    def test_degraded_rungs_reject_empty_features(self, thresholds):
+        with pytest.raises(SelectionError):
+            build_gam([], [], thresholds, GEFConfig(), False, rung="linear")

@@ -217,7 +217,6 @@ def _cmd_serve(args) -> int:
             FleetConfig(
                 workers=args.workers,
                 replication=args.replication or args.workers,
-                worker_threads=args.worker_threads,
                 quorum=args.quorum,
             ),
         )
@@ -487,8 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--replication", type=int, default=0,
                        help="replicas per model across the fleet "
                             "(0 = replicate to every worker)")
-    serve.add_argument("--worker-threads", type=int, default=4,
-                       help="request threads inside each fleet worker")
     serve.add_argument("--quorum", type=int, default=1,
                        help="minimum up workers before the fleet degrades "
                             "to in-proc serving")

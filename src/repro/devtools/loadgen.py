@@ -618,14 +618,15 @@ def fleet_obs_smoke(
     Runs the identical deterministic request stream twice — once against
     a single-process :class:`~repro.serve.app.ServeApp`, once against a
     fully-replicated ``workers``-process fleet — each on a fresh metrics
-    registry, and checks that the *fleet-aggregated* worker counters
-    exactly equal the single-process totals (``predict.rows``,
-    ``serve.requests.predict``, and the ``serve.batch_rows`` histogram
-    sum; bucket shapes legitimately differ with flush boundaries, row
-    totals cannot).  The fleet run also exports a merged multi-process
-    trace validated against the Chrome schema and a ``/metrics`` body
-    validated against the Prometheus schema.  Returns a JSON-ready
-    report with an overall ``ok`` flag.
+    registry, and checks that the fleet's totals exactly equal the
+    single-process ones: ``predict.rows`` aggregated over the workers,
+    which run the engine, and ``serve.requests.predict`` and the
+    ``serve.batch_rows`` histogram sum from the front end, which parses
+    and batches every request (bucket shapes legitimately differ with
+    flush boundaries, row totals cannot).  The fleet run also exports a
+    merged multi-process trace validated against the Chrome schema and a
+    ``/metrics`` body validated against the Prometheus schema.  Returns a
+    JSON-ready report with an overall ``ok`` flag.
     """
     from ..obs.trace import (
         disable_tracing,
@@ -686,9 +687,10 @@ def fleet_obs_smoke(
         try:
             fleet_cell = workload(fleet_app)
             answered = fleet_app.fleet.sync_obs()
-            fleet = predict_totals(
+            fleet = predict_totals(obs_metrics.get_metrics().snapshot())
+            fleet["predict.rows"] = predict_totals(
                 fleet_app.fleet.aggregator.fleet_snapshot()
-            )
+            )["predict.rows"]
             prom_samples = obs_metrics.validate_prometheus_text(
                 fleet_app._metrics_text()
             )

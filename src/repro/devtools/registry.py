@@ -137,9 +137,9 @@ _ENTRIES = (
         "never install hooks",
     ),
     # repro.obs — the observability layer's installed tracer / metrics
-    # registry / observer tuple plus the synthetic clock offset, all
-    # replaced whole under their module's _state_lock (or
-    # _observers_lock); instrumentation hot paths read lock-free.
+    # registry plus the synthetic clock offset, all replaced whole under
+    # their module's _state_lock; instrumentation hot paths read
+    # lock-free.
     GlobalEntry(
         module="repro.obs.trace", name="_tracer",
         discipline="lock", lock="_state_lock",
@@ -162,13 +162,6 @@ _ENTRIES = (
         ),
         rationale="one None-check per instrumented site; the registry "
         "object is internally locked",
-    ),
-    GlobalEntry(
-        module="repro.obs.profile", name="_observers",
-        discipline="lock", lock="_observers_lock",
-        atomic_reads=("notify_span_start", "notify_span_end"),
-        rationale="iterates an immutable tuple replaced whole under the "
-        "lock; notify never sees a half-built tuple",
     ),
     # repro.serve.http — the process-wide server handle installed by the
     # `repro serve` CLI, swapped whole under http._state_lock.  All other

@@ -503,7 +503,7 @@ class AdhocTimingRule(LintRule):
 
     #: Module prefixes forming the instrumented pipeline.
     #: ``repro.obs.trace`` is the timing authority and exempt; the other
-    #: obs modules (metrics, summary, profile, slo, drift) must go
+    #: obs modules (metrics, summary, slo, drift) must go
     #: through its pipeline clock like everything else.  devtools, cli
     #: and the xai baselines are harness code outside the traced
     #: pipeline.  Exact module names work as prefixes here (startswith).
@@ -514,7 +514,6 @@ class AdhocTimingRule(LintRule):
         "repro.ledger.",
         "repro.obs.drift",
         "repro.obs.metrics",
-        "repro.obs.profile",
         "repro.obs.slo",
         "repro.obs.summary",
         "repro.serve.",

@@ -1,6 +1,6 @@
 """repro.obs — zero-dependency observability for the GEF pipeline.
 
-Five cooperating layers (DESIGN.md §10, §15), all **off by default** and
+Four cooperating layers (DESIGN.md §10, §15), all **off by default** and
 costing one ``None``-check per instrumentation site when disabled:
 
 * :mod:`repro.obs.trace` — structured tracing.  :func:`span` opens a
@@ -17,9 +17,6 @@ costing one ``None``-check per instrumentation site when disabled:
   API, plus :class:`MetricsAggregator` — restart-safe delta merging of
   worker snapshots into fleet totals and per-worker labeled series
   (:func:`fleet_to_prometheus`).
-* :mod:`repro.obs.profile` — an opt-in observer protocol
-  (``on_span_start`` / ``on_span_end``) so tests, benchmarks and the
-  fault-injection harness can watch the live pipeline.
 * :mod:`repro.obs.slo` — a declarative SLO engine: rules over named
   signals with ``ok/warn/breach`` levels, hysteresis, and a bounded
   alert transition log.
@@ -47,12 +44,6 @@ from .metrics import (
     set_gauge,
     to_prometheus,
     validate_prometheus_text,
-)
-from .profile import (
-    SpanObserver,
-    add_span_observer,
-    clear_span_observers,
-    remove_span_observer,
 )
 from .trace import (
     Span,
@@ -86,11 +77,8 @@ __all__ = [
     "SloEngine",
     "SloRule",
     "Span",
-    "SpanObserver",
     "Tracer",
-    "add_span_observer",
     "advance",
-    "clear_span_observers",
     "current_context",
     "default_slo_config",
     "disable_metrics",
@@ -108,7 +96,6 @@ __all__ = [
     "pid_breakdown",
     "quantile_from_histogram",
     "r_squared",
-    "remove_span_observer",
     "set_gauge",
     "span",
     "summarize_trace",

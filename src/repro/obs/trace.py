@@ -41,8 +41,6 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from .profile import notify_span_end, notify_span_start
-
 __all__ = [
     "Span",
     "Tracer",
@@ -266,7 +264,6 @@ class Tracer:
             trace_id=trace_id,
         )
         stack.append(sp)
-        notify_span_start(sp)
         return sp
 
     def finish(self, span_obj: Span) -> Span:
@@ -283,7 +280,6 @@ class Tracer:
             stack.pop()
         with self._lock:
             self._finished.append(span_obj)
-        notify_span_end(span_obj)
         return span_obj
 
     def span(self, name: str, **attrs) -> _SpanContext:

@@ -194,7 +194,9 @@ class ServeApp:
         )
         self.admission = AdmissionController(self.config.max_inflight)
         self._lock = threading.Lock()
-        self._batchers: dict[str, MicroBatcher] = {}
+        # model_id -> (entry, the micro-batcher scoring that entry): one
+        # lookup gives /predict an engine and the fingerprint it answers.
+        self._served: dict[str, tuple[ModelEntry, MicroBatcher]] = {}
         self._started_s = monotonic()
         self._closed = False
         if self.config.slo is not None:
@@ -313,47 +315,51 @@ class ServeApp:
     def add_model(self, model_id: str, source) -> ModelEntry:
         """Register (or hot-swap) a model and give it a micro-batcher."""
         entry = self.registry.add(model_id, source)
-        return self.install_entry(entry)
-
-    def install_entry(self, entry: ModelEntry) -> ModelEntry:
-        """Wire a micro-batcher onto an already-registered entry.
-
-        Split out of :meth:`add_model` so fleet workers can install
-        entries whose engines were attached from shared memory (see
-        :meth:`~repro.serve.registry.ModelRegistry.add_entry`).
-        """
         batcher = MicroBatcher(
-            entry.predict_raw,
+            self._engine(entry),
             max_batch=self.config.max_batch,
             max_delay_s=self.config.batch_delay_s,
             max_pending=self.config.queue_limit,
             name=entry.model_id,
         )
         with self._lock:
-            old = self._batchers.pop(entry.model_id, None)
-            self._batchers[entry.model_id] = batcher
+            old = self._served.get(entry.model_id)
+            self._served[entry.model_id] = (entry, batcher)
         if old is not None:
-            old.stop(drain=True)
+            old[1].stop(drain=True)
         return entry
+
+    def _engine(self, entry: ModelEntry):
+        """The callable each flush of ``entry``'s micro-batcher runs.
+
+        In-process serving scores on the entry's own engine;
+        :class:`~repro.serve.fleet.FleetApp` overrides this to score on a
+        worker replica.
+        """
+        return entry.predict_raw
 
     def remove_model(self, model_id: str) -> ModelEntry:
         """Unregister a model, draining its batcher first."""
         entry = self.registry.remove(model_id)
         with self._lock:
-            batcher = self._batchers.pop(model_id, None)
-        if batcher is not None:
-            batcher.stop(drain=True)
+            served = self._served.pop(model_id, None)
+        if served is not None:
+            served[1].stop(drain=True)
         if self.drift is not None:
             self.drift.forget(model_id)
         return entry
 
-    def batcher_for(self, model_id: str) -> MicroBatcher:
-        """The micro-batcher serving ``model_id``."""
+    def served(self, model_id: str) -> tuple[ModelEntry, MicroBatcher]:
+        """The ``(entry, micro-batcher)`` pair serving ``model_id``.
+
+        One snapshot of both, so a hot swap can never pair one model's
+        scores with the other model's fingerprint.
+        """
         with self._lock:
-            batcher = self._batchers.get(model_id)
-        if batcher is None:
+            served = self._served.get(model_id)
+        if served is None:
             raise ModelNotFoundError(f"no model {model_id!r} is registered")
-        return batcher
+        return served
 
     def close(self, drain: bool = True) -> None:
         """Drain (or abort) every batcher and refuse further work."""
@@ -361,7 +367,7 @@ class ServeApp:
             if self._closed:
                 return
             self._closed = True
-            batchers = list(self._batchers.values())
+            batchers = [batcher for _, batcher in self._served.values()]
         for batcher in batchers:
             batcher.stop(drain=drain)
         if drain:
@@ -541,12 +547,10 @@ class ServeApp:
 
     def _predict(self, body, deadline: Deadline) -> Response:
         payload = self._parse_json(body)
-        entry = self._entry_for(payload)
+        entry, batcher = self.served(self._entry_for(payload).model_id)
         X = self._rows_for(payload, entry)
         deadline.check("serve.predict")
-        scores = self.batcher_for(entry.model_id).submit(
-            X, timeout_s=deadline.remaining()
-        )
+        scores = batcher.submit(X, timeout_s=deadline.remaining())
         if self.drift is not None:
             self.drift.observe(entry.model_id, X.tolist(), scores.tolist())
         return _json_response(

@@ -1,13 +1,12 @@
 """Multi-process serving fleet: shared-memory forests, crash-only failover.
 
 :class:`Fleet` runs N worker processes (:mod:`repro.serve.worker`), each
-a full :class:`~repro.serve.app.ServeApp` whose models are attached
-zero-copy from ``multiprocessing.shared_memory``
-(:mod:`repro.serve.shm`).  The front end routes requests by model
-fingerprint over a consistent-hash ring — a model's ``replication``
-count picks how many workers hold it (hot models replicated across the
-fleet, cold models sharded onto few), and routing stays stable as
-workers crash and return.
+a bare engine whose models are attached zero-copy from
+``multiprocessing.shared_memory`` (:mod:`repro.serve.shm`).  The front
+end routes row batches by model fingerprint over a consistent-hash ring
+— a model's ``replication`` count picks how many workers hold it (hot
+models replicated across the fleet, cold models sharded onto few), and
+routing stays stable as workers crash and return.
 
 Robustness model (crash-only):
 
@@ -23,9 +22,12 @@ Robustness model (crash-only):
 
 :class:`FleetApp` is a drop-in :class:`~repro.serve.app.ServeApp`: the
 HTTP layer, the load generator and the test suite drive it through the
-same ``handle()`` entry point; only ``/predict`` is fanned out (explain
-and GAM endpoints stay on the front end, which holds the real forest
-objects and the surrogate cache).
+same ``handle()`` entry point.  It changes one thing, the engine that
+each model's micro-batcher calls: ``/predict`` is parsed, admitted,
+batched and encoded on the front end exactly as in-process, and each
+flush sends its rows to a replica as one ``predict`` message
+(:meth:`Fleet.dispatch`).  Explain and GAM endpoints stay on the front
+end, which holds the real forest objects and the surrogate cache.
 """
 
 from __future__ import annotations
@@ -50,11 +52,10 @@ from ..core.errors import (
 from ..obs.metrics import MetricsAggregator, fleet_to_prometheus
 from ..obs.metrics import inc as metric_inc
 from ..obs.trace import current_context, get_tracer, merge_chrome_trace
-from .admission import Deadline
 from .app import Response, ServeApp, ServeConfig, _json_response
 from .registry import ModelEntry
 from .shm import export_model
-from .worker import WorkerOptions, worker_main
+from .worker import worker_main
 
 __all__ = ["Fleet", "FleetApp", "FleetConfig", "HashRing"]
 
@@ -77,7 +78,6 @@ class FleetConfig:
 
     workers: int = 2
     replication: int = 1
-    worker_threads: int = 4
     start_method: str = "spawn"
     vnodes: int = 64
     miss_threshold: int = 3
@@ -129,15 +129,14 @@ class HashRing:
 
 
 class _Pending:
-    """One in-flight fleet request awaiting its worker's response."""
+    """One in-flight fleet predict awaiting its worker's reply."""
 
-    __slots__ = ("event", "status", "body", "content_type", "outcome")
+    __slots__ = ("event", "scores", "error", "outcome")
 
     def __init__(self):
         self.event = threading.Event()
-        self.status = 0
-        self.body = b""
-        self.content_type = ""
+        self.scores = None
+        self.error: BaseException | None = None
         self.outcome = "pending"
 
 
@@ -224,13 +223,12 @@ class _WorkerHandle:
                 break
             kind = message[0]
             if kind == "res":
-                _, rid, status, body, ctype = message
+                _, rid, scores, error = message
                 with self._lock:
                     pending = self._pending.pop(rid, None)
                 if pending is not None:
-                    pending.status = status
-                    pending.body = body
-                    pending.content_type = ctype
+                    pending.scores = scores
+                    pending.error = error
                     pending.outcome = "ok"
                     pending.event.set()
             elif kind == "pong":
@@ -290,12 +288,10 @@ class _WorkerHandle:
 class Fleet:
     """N supervised worker processes serving shared-memory models."""
 
-    def __init__(self, config: FleetConfig | None = None,
-                 serve_config: ServeConfig | None = None):
+    def __init__(self, config: FleetConfig | None = None):
         from .supervisor import Supervisor
 
         self.config = config or FleetConfig()
-        self._serve_config = serve_config or ServeConfig()
         self._ctx = multiprocessing.get_context(self.config.start_method)
         self._lock = threading.Lock()
         self._handles: dict[str, _WorkerHandle] = {}
@@ -323,20 +319,6 @@ class Fleet:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _worker_options(self) -> WorkerOptions:
-        cfg = self._serve_config
-        return WorkerOptions(
-            max_batch=cfg.max_batch,
-            batch_delay_s=cfg.batch_delay_s,
-            queue_limit=cfg.queue_limit,
-            max_inflight=cfg.max_inflight,
-            threads=self.config.worker_threads,
-            # Workers mirror the front end's tracing state at spawn time
-            # (including supervisor respawns, so a restarted worker keeps
-            # contributing spans to the merged trace).
-            trace=get_tracer() is not None,
-        )
-
     def _spawn(self, name: str) -> _WorkerHandle:
         with self._lock:
             bundles = [
@@ -347,7 +329,7 @@ class Fleet:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=worker_main,
-            args=(name, child_conn, bundles, self._worker_options()),
+            args=(name, child_conn, bundles, get_tracer() is not None),
             name=f"repro-fleet-{name}",
             daemon=True,
         )
@@ -536,31 +518,34 @@ class Fleet:
         return candidates[turn % len(candidates)]
 
     def dispatch(
-        self, model_id: str, method: str, path: str, body, deadline: Deadline
-    ) -> Response:
-        """Route one request to a replica of ``model_id``; fail over.
+        self, model_id: str, fingerprint: int, X, timeout_s: float | None
+    ):
+        """Score the rows ``X`` on a replica of ``model_id``; fail over.
 
-        A worker dying mid-request wakes the dispatch with outcome
-        ``"died"`` and the loop retries the next untried alive replica —
-        predict is pure given the fingerprint, so the replay is
-        idempotent.  Raises :class:`WorkerCrashError` when every replica
-        has died (callers with a local registry fall back in-process),
-        :class:`FleetDegradedError` when the fleet is closed or was never
-        started, and :class:`StageTimeoutError` on deadline expiry.
+        Returns the replica's raw scores, or raises the error its
+        ``predict_raw`` raised.  A worker dying mid-request wakes the
+        dispatch with outcome ``"died"`` and the loop retries the next
+        untried alive replica — predict is pure given the fingerprint, so
+        the replay is idempotent.  Raises :class:`ModelNotFoundError`
+        when no replica holds ``model_id`` at ``fingerprint``,
+        :class:`WorkerCrashError` when every replica has died (callers
+        with a local registry fall back in-process),
+        :class:`FleetDegradedError` when the fleet is closed, never
+        started or below quorum, and :class:`StageTimeoutError` when a
+        reply takes longer than ``timeout_s``.
         """
-        with self._lock:
-            serving = self._started and not self._closed
-            record = self._models.get(model_id)
-        if not serving:
+        if not self.active():
             raise FleetDegradedError(
-                "fleet is not serving (closed or never started)"
+                "fleet is not serving (closed, never started or below quorum)"
             )
-        if record is None:
+        with self._lock:
+            record = self._models.get(model_id)
+        if record is None or record["bundle"].fingerprint != fingerprint:
             raise ModelNotFoundError(
-                f"model {model_id!r} is not assigned to the fleet"
+                f"model {model_id!r} with fingerprint {fingerprint} is not "
+                f"assigned to the fleet"
             )
         assigned = record["assigned"]
-        fingerprint = record["bundle"].fingerprint
         tried: set[str] = set()
         dispatched = False
         while True:
@@ -574,21 +559,23 @@ class Fleet:
             tried.add(handle.name)
             rid = next(self._rid)
             pending = _Pending()
-            message = ("req", rid, method, path, body, current_context())
+            message = (
+                "predict", rid, model_id, fingerprint, X, current_context()
+            )
             if not handle.submit(rid, message, pending):
                 continue
             dispatched = True
             metric_inc("fleet.dispatched")
-            if not pending.event.wait(deadline.remaining()):
+            if not pending.event.wait(timeout_s):
                 handle.forget(rid)
                 raise StageTimeoutError(
                     f"fleet request to worker {handle.name} timed out",
                     stage="serve.fleet",
                 )
             if pending.outcome == "ok":
-                return Response(
-                    pending.status, pending.body, pending.content_type
-                )
+                if pending.error is not None:
+                    raise pending.error
+                return pending.scores
             metric_inc("fleet.redispatched")
 
     # ------------------------------------------------------------------
@@ -741,14 +728,17 @@ class Fleet:
 
 
 class FleetApp(ServeApp):
-    """A :class:`ServeApp` whose predict path fans out to a worker fleet.
+    """A :class:`ServeApp` whose micro-batchers score on a worker fleet.
 
     The front end keeps the full single-process app — registry with real
-    forest objects, surrogate cache, admission control — so explain/GAM
-    endpoints work unchanged and predict degrades to in-process serving
-    the moment the fleet is below quorum or a model loses every replica.
+    forest objects, surrogate cache, admission control, one micro-batcher
+    per model — and overrides only the engine each batcher flush calls
+    (:meth:`_engine`): the batch's rows go to a replica in one pipe
+    message.  A batch the fleet cannot take (below quorum, every replica
+    dead, model or fingerprint not on a worker) is scored in-process.
     Responses are bitwise identical either way: workers evaluate the
-    same engine buffers (literally the same physical memory).
+    same engine buffers (literally the same physical memory), and the
+    front end encodes every response.
     """
 
     def __init__(
@@ -757,7 +747,7 @@ class FleetApp(ServeApp):
         fleet_config: FleetConfig | None = None,
     ):
         super().__init__(config)
-        self.fleet = Fleet(fleet_config, serve_config=self.config)
+        self.fleet = Fleet(fleet_config)
 
     def start_fleet(self, supervise_interval_s: float | None = None) -> None:
         """Spawn the worker fleet (see :meth:`Fleet.start`)."""
@@ -775,32 +765,23 @@ class FleetApp(ServeApp):
         self.fleet.remove_model(model_id)
         return entry
 
-    def _predict(self, body, deadline: Deadline) -> Response:
-        if self.fleet.active():
-            payload = self._parse_json(body)
-            entry = self._entry_for(payload)
+    def _engine(self, entry: ModelEntry):
+        """Score each flush of ``entry``'s batcher on a fleet replica."""
+
+        def predict(X):
             try:
-                response = self.fleet.dispatch(
-                    entry.model_id, "POST", "/predict", body, deadline
+                return self.fleet.dispatch(
+                    entry.model_id, entry.fingerprint, X,
+                    self.config.request_timeout_s,
                 )
-                if self.drift is not None and response.status == 200:
-                    # Fleet predicts compute on a worker; feed the drift
-                    # reservoir from the returned scores so the fidelity
-                    # SLO sees the same traffic either way.
-                    self.drift.observe(
-                        entry.model_id,
-                        self._rows_for(payload, entry).tolist(),
-                        response.json().get("predictions", []),
-                    )
-                return response
             except (WorkerCrashError, FleetDegradedError, ModelNotFoundError):
                 # Zero-lost guarantee: the front end holds the same
-                # engines, so a request that outlived every replica is
-                # served here instead of surfacing a 5xx.
+                # engines, so a batch the fleet cannot take is scored
+                # here instead of surfacing a 5xx.
                 metric_inc("fleet.local_fallback")
-        else:
-            metric_inc("fleet.local_fallback")
-        return super()._predict(body, deadline)
+                return entry.predict_raw(X)
+
+        return predict
 
     def _metrics_text(self) -> str:
         """Local exposition plus the fleet-aggregated series.

@@ -107,17 +107,6 @@ class ModelRegistry:
             self._on_register(entry, old)
         return entry
 
-    def add_entry(self, entry: ModelEntry) -> ModelEntry:
-        """Install an already-built :class:`ModelEntry` under its own id.
-
-        Fleet workers use this to register models whose engine encodings
-        were attached from shared memory rather than built from a forest
-        object — the entry is taken as-is, no re-encoding.
-        """
-        with self._lock:
-            self._entries[entry.model_id] = entry
-        return entry
-
     def reload(self, model_id: str) -> ModelEntry:
         """Re-read a file-backed model from its path (hot reload)."""
         entry = self.get(model_id)

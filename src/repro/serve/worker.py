@@ -1,27 +1,33 @@
-"""Fleet worker process: a :class:`ServeApp` over a pipe transport.
+"""Fleet worker process: attached engines behind a pipe.
 
 :func:`worker_main` is the (spawn-picklable) entry point of one fleet
 worker.  The worker attaches its assigned models' bitvector encodings
-from shared memory (:mod:`repro.serve.shm`), installs them into a private
-:class:`~repro.serve.app.ServeApp`, and serves requests received over a
-``multiprocessing`` pipe.  The protocol is deliberately tiny — plain
-tuples, first element the message kind:
+from shared memory (:mod:`repro.serve.shm`) and scores the row batches
+the front end sends it.  Everything else about ``/predict`` — parsing,
+validation, admission, micro-batching, encoding the answer — happens
+once, on the front end, so a worker is a bare engine behind its pipe.
+The protocol is deliberately tiny — plain tuples, first element the
+message kind:
 
 Front end -> worker::
 
-    ("req", rid, method, path, body, ctx)  serve one request (ctx = trace
-                                           context dict or None)
+    ("predict", rid, model_id, fingerprint, X, ctx)
+                                       score the float64 rows X (ctx =
+                                       trace context dict or None)
     ("ping", seq)                      heartbeat probe (answer with pong)
-    ("load", bundle)                   attach + install a SharedModelBundle
-    ("unload", model_id)               remove a model
+    ("load", bundle)                   attach a SharedModelBundle
+    ("unload", model_id)               drop a model
     ("obs-pull", token)                request a fresh observability payload
     ("chaos", flag, value)             fault-injection switch (acked)
     ("stop", drain)                    drain (or abort) and exit
 
 Worker -> front end::
 
-    ("ready", pid, model_ids)          boot finished, models installed
-    ("res", rid, status, body, ctype)  one finished response
+    ("ready", pid, model_ids)          boot finished, models attached
+    ("res", rid, scores, error)        the scores, or None and the
+                                       exception predict raised; a model
+                                       or fingerprint miss is a
+                                       ModelNotFoundError
     ("pong", seq, obs)                 heartbeat answer + piggybacked
                                        observability payload
     ("loaded"|"unloaded", model_id)    model lifecycle ack
@@ -35,10 +41,10 @@ restart's counter reset is detected rather than double counted), and —
 when tracing is on — the tracer epoch plus the finished spans drained
 since the previous payload.  Workers run their spans under a per-pid
 ``span_id_base`` so ids stay globally unique in the merged trace, and
-``("req", ...)`` carries the front end's trace context so worker spans
-join the originating request's trace tree.
+each ``predict`` carries the dispatching thread's trace context, so the
+worker's ``fleet.worker.predict`` span joins the front end's trace tree.
 
-Requests run on a small thread pool so the receive loop stays responsive
+Predicts run on one compute thread so the receive loop stays responsive
 — a worker saturated with slow predicts still answers heartbeats, which
 is exactly what distinguishes *busy* from *hung* for the supervisor.
 The ``chaos`` switches implement the deterministic fleet faults
@@ -52,126 +58,76 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
 
-from ..core.errors import ServeError
+from ..core.errors import ModelNotFoundError
 from ..obs.metrics import enable_metrics, get_metrics
-from ..obs.trace import enable_tracing, get_tracer
-from .app import ServeApp, ServeConfig
-from .registry import ModelEntry
+from ..obs.trace import enable_tracing, get_tracer, span as obs_span
 from .shm import SharedModelBundle, attach_model
 
-__all__ = ["WorkerOptions", "install_shared_model", "worker_main"]
-
-
-@dataclass(frozen=True)
-class WorkerOptions:
-    """Picklable slice of the front end's config a worker needs."""
-
-    max_batch: int = 32
-    batch_delay_s: float = 0.002
-    queue_limit: int = 256
-    max_inflight: int = 1024
-    threads: int = 4
-    trace: bool = False
-
-
-class _SharedForestStub:
-    """Placeholder model object for shared-memory entries.
-
-    Workers serve predict from the attached encoding; the paths that need
-    the original forest object (surrogate fits, the ``"loop"`` engine)
-    are front-end concerns and fail typed if reached in a worker.
-    """
-
-    def __init__(self, model_id: str, n_features: int):
-        self._model_id = model_id
-        self.n_features_ = int(n_features)
-        self.trees_ = None
-
-    def predict_raw(self, X):
-        raise ServeError(
-            f"model {self._model_id!r} is served from shared memory; the "
-            f"original forest object is not available in this worker"
-        )
-
-
-def install_shared_model(
-    app: ServeApp, bundle: SharedModelBundle
-) -> tuple[ModelEntry, object]:
-    """Attach a bundle's encoding and install the model into ``app``.
-
-    Returns the installed entry and the attached shared-memory segment
-    handle (which must stay referenced while the entry is in use).
-    """
-    bitvector, segment = attach_model(bundle)
-    entry = ModelEntry(
-        model_id=bundle.model_id,
-        model=_SharedForestStub(bundle.model_id, bundle.n_features),
-        fingerprint=int(bundle.fingerprint),
-        bitvector=bitvector,
-        path=None,
-        n_features=int(bundle.n_features),
-    )
-    app.registry.add_entry(entry)
-    app.install_entry(entry)
-    return entry, segment
+__all__ = ["worker_main"]
 
 
 class _WorkerRuntime:
     """One worker process's event loop state."""
 
-    def __init__(self, name, conn, bundles, options: WorkerOptions):
-        self._name = name
+    def __init__(self, name, conn, bundles, trace: bool):
         self._conn = conn
         self._send_lock = threading.Lock()
         self._chaos = {"mute_pings": False, "corrupt_pings": False}
-        self._attached: dict[str, object] = {}
-        self._app = ServeApp(
-            ServeConfig(
-                max_batch=options.max_batch,
-                batch_delay_s=options.batch_delay_s,
-                queue_limit=options.queue_limit,
-                max_inflight=options.max_inflight,
-                # The front end owns the request deadline; a second,
-                # skewed clock in the worker would double-time-out.
-                request_timeout_s=None,
-            )
-        )
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, int(options.threads)),
-            thread_name_prefix=f"repro-fleet-{name}",
+        # model_id -> (fingerprint, engine, segment).  A predict holds the
+        # whole tuple, so the segment stays mapped while its engine runs,
+        # even if the model is unloaded meanwhile.
+        self._models: dict[str, tuple] = {}
+        self._compute = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"repro-fleet-{name}"
         )
         # Metrics are always on in a worker: the snapshot is its only
         # path back to the front end's fleet aggregation.  Tracing is
         # opt-in (mirrors the front end); the per-pid span_id_base keeps
         # span ids globally unique in the merged multi-process trace.
         enable_metrics()
-        if options.trace:
+        if trace:
             enable_tracing(span_id_base=os.getpid() * 1_000_000)
         for bundle in bundles:
-            self._install(bundle)
+            self._load(bundle)
 
-    def _install(self, bundle: SharedModelBundle) -> None:
-        _entry, segment = install_shared_model(self._app, bundle)
-        self._attached[bundle.model_id] = segment
+    def _load(self, bundle: SharedModelBundle) -> None:
+        engine, segment = attach_model(bundle)
+        self._models[bundle.model_id] = (
+            int(bundle.fingerprint), engine, segment
+        )
 
     def _send(self, message) -> None:
         with self._send_lock:
             self._conn.send(message)
 
-    def _serve_one(self, rid, method, path, body, ctx=None) -> None:
+    def _score(self, model_id, fingerprint, X):
+        held, engine, _segment = self._models.get(model_id, (None,) * 3)
+        if held != fingerprint:
+            raise ModelNotFoundError(
+                f"worker holds no model {model_id!r} with fingerprint "
+                f"{fingerprint}"
+            )
+        return engine.predict_raw(X)
+
+    def _predict(self, rid, model_id, fingerprint, X, ctx) -> None:
         tracer = get_tracer()
-        if tracer is not None and ctx is not None:
-            with tracer.trace_context(
-                ctx["trace_id"], ctx["parent_span_id"]
-            ):
-                response = self._app.handle(method, path, body)
-        else:
-            response = self._app.handle(method, path, body)
+        joined = (
+            tracer.trace_context(ctx["trace_id"], ctx["parent_span_id"])
+            if tracer is not None and ctx is not None
+            else nullcontext()
+        )
+        scores = error = None
         try:
-            self._send(("res", rid, response.status, response.body,
-                        response.content_type))
+            with joined, obs_span(
+                "fleet.worker.predict", model=model_id, rows=int(len(X))
+            ):
+                scores = self._score(model_id, fingerprint, X)
+        except Exception as exc:  # repro: allow(broad-except) the error is the reply; the front end raises it for the batch
+            error = exc
+        try:
+            self._send(("res", rid, scores, error))
         except (OSError, ValueError, BrokenPipeError):
             # The front end went away mid-response; predict is pure, a
             # restarted front end simply re-dispatches.
@@ -200,7 +156,7 @@ class _WorkerRuntime:
 
     def run(self) -> None:
         """Answer messages until ``stop`` or the pipe closes."""
-        self._send(("ready", os.getpid(), self._app.registry.ids()))
+        self._send(("ready", os.getpid(), sorted(self._models)))
         drain = True
         while True:
             try:
@@ -209,23 +165,18 @@ class _WorkerRuntime:
                 drain = False
                 break
             kind = message[0]
-            if kind == "req":
-                _, rid, method, path, body, ctx = message
-                self._pool.submit(
-                    self._serve_one, rid, method, path, body, ctx
-                )
+            if kind == "predict":
+                self._compute.submit(self._predict, *message[1:])
             elif kind == "ping":
                 self._on_ping(message[1])
             elif kind == "obs-pull":
                 self._send(("obs", message[1], self._obs_payload()))
             elif kind == "load":
-                self._install(message[1])
+                self._load(message[1])
                 self._send(("loaded", message[1].model_id))
             elif kind == "unload":
-                model_id = message[1]
-                self._app.remove_model(model_id)
-                self._attached.pop(model_id, None)
-                self._send(("unloaded", model_id))
+                self._models.pop(message[1], None)
+                self._send(("unloaded", message[1]))
             elif kind == "chaos":
                 _, flag, value = message
                 if flag in self._chaos:
@@ -234,8 +185,7 @@ class _WorkerRuntime:
             elif kind == "stop":
                 drain = bool(message[1])
                 break
-        self._pool.shutdown(wait=drain)
-        self._app.close(drain=drain)
+        self._compute.shutdown(wait=drain, cancel_futures=not drain)
         try:
             self._send(("stopped",))
         except (OSError, ValueError, BrokenPipeError):
@@ -243,9 +193,14 @@ class _WorkerRuntime:
         self._conn.close()
 
 
-def worker_main(name, conn, bundles, options: WorkerOptions) -> None:
-    """Process entry point of fleet worker ``name`` (see module docstring)."""
+def worker_main(name, conn, bundles, trace: bool = False) -> None:
+    """Process entry point of fleet worker ``name`` (see module docstring).
+
+    ``trace`` mirrors the front end's tracing state at spawn time
+    (including supervisor respawns, so a restarted worker keeps
+    contributing spans to the merged trace).
+    """
     try:
-        _WorkerRuntime(name, conn, bundles, options).run()
+        _WorkerRuntime(name, conn, bundles, trace).run()
     except KeyboardInterrupt:  # pragma: no cover - interactive interrupt
         pass

@@ -4,20 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import (
-    clear_span_observers,
-    disable_metrics,
-    disable_tracing,
-)
+from repro.obs import disable_metrics, disable_tracing
 
 
 @pytest.fixture(autouse=True)
 def _obs_clean_slate():
-    """Tracing/metrics/observers are global knobs; reset around each test."""
+    """Tracing and metrics are global knobs; reset around each test."""
     disable_tracing()
     disable_metrics()
-    clear_span_observers()
     yield
     disable_tracing()
     disable_metrics()
-    clear_span_observers()

@@ -1,4 +1,4 @@
-"""Span nesting, attributes, exporters, observers, and the pipeline clock."""
+"""Span nesting, attributes, exporters, and the pipeline clock."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ import json
 import pytest
 
 from repro.obs import (
-    SpanObserver,
     Tracer,
-    add_span_observer,
     enable_tracing,
     disable_tracing,
     get_tracer,
@@ -182,41 +180,3 @@ class TestChromeExport:
                      "pid": 1, "tid": 1}
                 ]}
             )
-
-
-class TestObservers:
-    def test_start_and_end_callbacks_fire_in_order(self):
-        events = []
-
-        class Recorder(SpanObserver):
-            def on_span_start(self, sp):
-                events.append(("start", sp.name))
-
-            def on_span_end(self, sp):
-                events.append(("end", sp.name))
-
-        add_span_observer(Recorder())
-        enable_tracing()
-        with span("outer"):
-            with span("inner"):
-                pass
-        assert events == [
-            ("start", "outer"),
-            ("start", "inner"),
-            ("end", "inner"),
-            ("end", "outer"),
-        ]
-
-    def test_end_callback_sees_final_duration(self):
-        durations = []
-
-        class Probe(SpanObserver):
-            def on_span_end(self, sp):
-                durations.append(sp.duration_s)
-
-        add_span_observer(Probe())
-        clock = FakeClock()
-        tracer = enable_tracing(clock=clock)
-        with tracer.span("work"):
-            clock.tick(1.5)
-        assert durations == [pytest.approx(1.5)]

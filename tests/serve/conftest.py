@@ -21,7 +21,7 @@ from repro.forest import (
     set_prediction_engine,
 )
 from repro.forest.tree import LEAF
-from repro.obs import clear_span_observers, disable_metrics, disable_tracing
+from repro.obs import disable_metrics, disable_tracing
 
 
 @pytest.fixture(autouse=True)
@@ -34,11 +34,9 @@ def _serve_clean_slate():
     """
     disable_tracing()
     disable_metrics()
-    clear_span_observers()
     yield
     disable_tracing()
     disable_metrics()
-    clear_span_observers()
 
 
 @pytest.fixture(scope="session")

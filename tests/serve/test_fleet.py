@@ -8,16 +8,21 @@ read-only tests; spawn cost is paid once.  Tests that mutate fleet state
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.errors import FleetDegradedError, ModelNotFoundError
 from repro.obs import enable_metrics, get_metrics
-from repro.serve import FleetApp, FleetConfig, ServeConfig
-from repro.serve.admission import Deadline
+from repro.obs.trace import advance
+from repro.serve import FleetApp, FleetConfig, ServeApp, ServeConfig
 from repro.serve.fleet import HashRing
 from repro.serve.shm import live_segments
+
+#: Bound for event waits (worker boot, thread joins) — a ceiling for hung
+#: tests, not a pacing sleep.
+WAIT_S = 60.0
 
 
 @pytest.fixture(scope="module")
@@ -72,18 +77,23 @@ class TestFleetServing:
 
     def test_dispatch_spreads_over_replicas(self, fleet_app, serve_rows):
         fleet = fleet_app.fleet
-        deadline = Deadline(30.0)
-        body = _predict_body(serve_rows[:2])
+        entry = fleet_app.registry.get("m")
+        rows = serve_rows[:2]
         for _ in range(4):
-            response = fleet.dispatch("m", "POST", "/predict", body, deadline)
-            assert response.status == 200
+            scores = fleet.dispatch("m", entry.fingerprint, rows, 30.0)
+            assert scores.tolist() == entry.predict_raw(rows).tolist()
         # Round-robin over both replicas: the rotation counter advanced.
-        assert fleet._rr[fleet_app.registry.get("m").fingerprint] >= 4
+        assert fleet._rr[entry.fingerprint] >= 4
 
-    def test_dispatch_unknown_model(self, fleet_app):
+    def test_dispatch_unknown_model(self, fleet_app, serve_rows):
+        with pytest.raises(ModelNotFoundError):
+            fleet_app.fleet.dispatch("ghost", 0, serve_rows[:1], 5.0)
+
+    def test_dispatch_stale_fingerprint(self, fleet_app, serve_rows):
+        fingerprint = fleet_app.registry.get("m").fingerprint
         with pytest.raises(ModelNotFoundError):
             fleet_app.fleet.dispatch(
-                "ghost", "POST", "/predict", "{}", Deadline(5.0)
+                "m", fingerprint + 1, serve_rows[:1], 5.0
             )
 
     def test_healthz_reports_fleet(self, fleet_app):
@@ -107,6 +117,75 @@ class TestFleetServing:
             "POST", "/predict", _predict_body([[0.0] * 9], model="ghost")
         )
         assert response.status == 404
+
+
+class TestFrontBatching:
+    def test_concurrent_predicts_share_one_pipe_message(
+        self, serve_forest, serve_rows
+    ):
+        # A batch window far beyond the test's run time: only advance()
+        # plus kick() can flush it, so both requests join one batch.
+        enable_metrics()
+        local = ServeApp()
+        app = FleetApp(
+            ServeConfig(max_batch=16, batch_delay_s=3600.0),
+            FleetConfig(workers=1, quorum=1),
+        )
+        try:
+            local.add_model("m", serve_forest)
+            app.add_model("m", serve_forest)
+            app.start_fleet()
+            bodies = [
+                _predict_body(serve_rows[:3]), _predict_body(serve_rows[3:8])
+            ]
+            responses = [None, None]
+
+            def send(i):
+                responses[i] = app.handle("POST", "/predict", bodies[i])
+
+            threads = [
+                threading.Thread(target=send, args=(i,)) for i in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            _, batcher = app.served("m")
+            assert batcher.wait_for_depth(2, timeout_s=WAIT_S)
+            advance(3600.0)
+            batcher.kick()
+            for thread in threads:
+                thread.join(WAIT_S)
+            assert get_metrics().counter("fleet.dispatched") == 1
+            assert get_metrics().counter("fleet.local_fallback") == 0
+            for body, response in zip(bodies, responses):
+                assert response.status == 200
+                expected = local.handle("POST", "/predict", body)
+                assert response.body == expected.body
+        finally:
+            app.close(drain=True)
+            local.close(drain=True)
+
+    def test_model_unloaded_on_worker_is_served_locally(
+        self, serve_forest, serve_rows
+    ):
+        enable_metrics()
+        app = FleetApp(ServeConfig(), FleetConfig(workers=1, quorum=1))
+        try:
+            app.add_model("m", serve_forest)
+            app.start_fleet()
+            # Unload behind the front end's back: the front still routes
+            # "m" to w0, which now answers ModelNotFoundError.
+            assert app.fleet.handle("w0").await_ack(
+                ("unloaded", "m"), ("unload", "m"), WAIT_S
+            )
+            rows = serve_rows[:4]
+            response = app.handle("POST", "/predict", _predict_body(rows))
+            assert response.status == 200
+            expected = app.registry.get("m").predict_raw(rows)
+            assert response.json()["predictions"] == expected.tolist()
+            assert get_metrics().counter("fleet.dispatched") == 1
+            assert get_metrics().counter("fleet.local_fallback") == 1
+        finally:
+            app.close(drain=True)
 
 
 class TestFleetModels:
@@ -198,9 +277,9 @@ class TestDegradedServing:
             app.close(drain=True)
         assert set(live_segments()) == before
 
-    def test_dispatch_on_closed_fleet_is_typed(self, serve_forest):
+    def test_dispatch_on_closed_fleet_is_typed(self, serve_forest, serve_rows):
         app = FleetApp(ServeConfig(), FleetConfig(workers=1))
-        app.add_model("m", serve_forest)
+        entry = app.add_model("m", serve_forest)
         app.close(drain=True)
         with pytest.raises(FleetDegradedError):
-            app.fleet.dispatch("m", "POST", "/predict", "{}", Deadline(5.0))
+            app.fleet.dispatch("m", entry.fingerprint, serve_rows[:1], 5.0)

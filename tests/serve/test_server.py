@@ -221,6 +221,30 @@ def test_http_error_statuses(server):
 # ----------------------------------------------------------------------
 # app-level behavior (no sockets needed)
 # ----------------------------------------------------------------------
+def test_predict_fingerprint_names_the_scoring_engine(
+    serve_forest, nan_forest, serve_rows, loop_predict
+):
+    # A registry swap that lands before the batcher swap must not label
+    # the old engine's scores with the new fingerprint.
+    app = ServeApp()
+    try:
+        old = app.add_model("m", serve_forest)
+        new = app.registry.add("m", nan_forest)
+        assert new.fingerprint != old.fingerprint
+        rows = serve_rows[:8]
+        response = app.handle(
+            "POST", "/predict", json.dumps({"rows": rows.tolist()})
+        )
+        assert response.status == 200
+        payload = response.json()
+        assert payload["fingerprint"] == old.fingerprint
+        assert payload["predictions"] == (
+            loop_predict(serve_forest, rows).tolist()
+        )
+    finally:
+        app.close(drain=True)
+
+
 def test_bad_json_maps_to_400(app):
     response = app.handle("POST", "/predict", b"{not json")
     assert response.status == 400

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serve.app import ServeApp
 from repro.serve.fleet import Fleet, FleetConfig
 from repro.serve.registry import ModelRegistry
 from repro.serve.shm import (
@@ -15,7 +14,6 @@ from repro.serve.shm import (
     export_model,
     live_segments,
 )
-from repro.serve.worker import install_shared_model
 
 
 @pytest.fixture()
@@ -70,22 +68,6 @@ class TestExportAttach:
             assert bitvector.fingerprint == entry.fingerprint
             shm.close()
         finally:
-            segment.unlink()
-
-    def test_install_shared_model_serves_predict(
-        self, entry, serve_rows, loop_predict
-    ):
-        bundle, segment = _export(entry)
-        app = ServeApp()
-        try:
-            installed, _shm = install_shared_model(app, bundle)
-            assert installed.fingerprint == entry.fingerprint
-            scores = installed.predict_raw(serve_rows[:16])
-            np.testing.assert_array_equal(
-                scores, loop_predict(entry.model, serve_rows[:16])
-            )
-        finally:
-            app.close(drain=True)
             segment.unlink()
 
 

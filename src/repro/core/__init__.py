@@ -3,6 +3,7 @@
 from .comparison import ConsistencyReport, compare_with_shap
 from .config import (
     INTERACTION_STRATEGY_NAMES,
+    KERNEL_VERSION,
     SAMPLING_STRATEGY_NAMES,
     GEFConfig,
     explain_config_hash,
@@ -114,6 +115,7 @@ __all__ = [
     "GEFConfig",
     "GEFExplanation",
     "INTERACTION_STRATEGY_NAMES",
+    "KERNEL_VERSION",
     "LocalContribution",
     "LocalExplanation",
     "SAMPLING_STRATEGY_NAMES",

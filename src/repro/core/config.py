@@ -22,6 +22,7 @@ from .numerics import get_numerics_mode, set_numerics_mode
 __all__ = [
     "GEFConfig",
     "INTERACTION_STRATEGY_NAMES",
+    "KERNEL_VERSION",
     "SAMPLING_STRATEGY_NAMES",
     "explain_config_hash",
     "get_numerics_mode",
@@ -29,6 +30,18 @@ __all__ = [
     "set_numerics_mode",
     "set_prediction_engine",
 ]
+
+
+#: Version of the fit numerics (basis, knots, Gram, solve, GCV search).
+#: Any change that can move a fitted surrogate's bits bumps it: the ledger
+#: records it with every surrogate, ``ledger verify`` compares bit for bit
+#: only within one version, and a restart never rehydrates a surrogate of
+#: another version.  Surrogates recorded before versioning count as 0.
+#:
+#: 1. One factorization per PIRLS step scores every GCV candidate (working-
+#:    model GCV on the logit link); constant features near 2**48..2**53
+#:    are widened in proportion to their magnitude.
+KERNEL_VERSION = 1
 
 
 def set_prediction_engine(name: str) -> None:

@@ -341,17 +341,10 @@ class GEF:
                     features, rung_pairs, thresholds, cfg,
                     is_classifier, feature_names, rung,
                 )
-                lam_grid = cfg.lam_grid
-                if lam_grid is None:
-                    # The identity-link GCV path is nearly free; the
-                    # logistic path refits per lambda, so use a shorter
-                    # default grid there.
-                    lam_grid = (
-                        np.logspace(-2, 2, 5)
-                        if gam.link.name == "logit"
-                        else default_lam_grid()
-                    )
-                lam_grid = np.asarray(lam_grid, dtype=np.float64)
+                lam_grid = np.asarray(
+                    default_lam_grid() if cfg.lam_grid is None else cfg.lam_grid,
+                    dtype=np.float64,
+                )
                 trial_note = None
                 if trial >= 1:
                     lam_grid = lam_grid * _LAM_ESCALATION

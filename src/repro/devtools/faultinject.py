@@ -8,7 +8,7 @@ Three injection surfaces, all deterministic (no sleeping, no randomness):
   :func:`repro.core.validate.validate_forest` and the ``validate`` stage.
 * :func:`force_kernel_fault` — a context manager that raises a
   :class:`~repro.core.numerics.NumericsError` inside a *named* guarded
-  kernel (``"PIRLS solve"``, ``"GCV scoring (identity path)"``, ...) on
+  kernel (``"PIRLS solve"``, ``"GCV scoring"``, ...) on
   the Nth entry, via the hook in :func:`repro.core.numerics.numerics_guard`.
 * :func:`fail_stage` / :func:`stall_stage` — context managers that kill a
   named pipeline stage with an arbitrary exception, or charge synthetic

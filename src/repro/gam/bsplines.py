@@ -43,18 +43,21 @@ def uniform_knots(lo: float, hi: float, n_splines: int, degree: int = 3) -> np.n
         raise ValueError(f"n_splines must exceed degree ({degree}), got {n_splines}")
     if not np.isfinite(lo) or not np.isfinite(hi):
         raise ValueError("domain bounds must be finite")
-    if hi <= lo:
+    constant = hi <= lo
+    if constant:
         # Degenerate (constant) feature: widen artificially so the basis
         # is well defined; all evaluations clamp to the same point anyway.
-        # From |lo| >= 2**53 on, adding 1.0 rounds back to lo, so widen in
-        # proportion to |lo| instead (well above the float spacing and the
-        # clamping margin of bspline_design).
         hi = lo + 1.0
-        if hi == lo:
-            hi = lo + abs(lo) * 2.0**-32
     n_interior = n_splines - degree
-    step = (hi - lo) / n_interior
-    knots = lo + step * np.arange(-degree, n_interior + degree + 1)
+    offsets = np.arange(-degree, n_interior + degree + 1)
+    knots = lo + (hi - lo) / n_interior * offsets
+    if constant and (
+        np.any(np.diff(knots) <= 0) or hi - lo < 1e-12 * max(1.0, abs(hi))
+    ):
+        # A unit is too fine for a large |lo|: its knots repeat (from about
+        # 2**48) or it falls inside bspline_design's clamping margin (from
+        # about 1e12).  Widen in proportion to |lo|, far above both.
+        knots = lo + abs(lo) * 2.0**-32 / n_interior * offsets
     assert_strictly_increasing(knots, "uniform_knots")
     return knots
 

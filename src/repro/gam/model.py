@@ -12,11 +12,16 @@ Wood, *Generalized Additive Models: an introduction with R* (2006):
 * ``GCV  = n * deviance / (n - edof)^2``
 * ``V_beta = (X'WX + S)^-1 * scale``  (posterior covariance)
 
+One PIRLS serves ``fit`` and the GCV search: each iteration forms the
+working Gram once, factors it once and scores every candidate lambda from
+that factorization (Gu's *performance iteration*, Wood 2006).  ``fit`` is
+the one-candidate case; the identity link takes one iteration.
+
 The training design is built once per fit, one basis evaluation per
-term, and every PIRLS iteration and every GCV lambda candidate reuses it:
-an N-by-p float matrix, about 13 MB for the 16,000 x 101 design of the
-default explain.  Prediction on arbitrary ``X`` streams the design in
-``_ROW_BLOCK``-row blocks and never materializes it.
+term, and every PIRLS iteration reuses it: an N-by-p float matrix, about
+13 MB for the 16,000 x 101 design of the default explain.  Prediction on
+arbitrary ``X`` streams the design in ``_ROW_BLOCK``-row blocks and never
+materializes it.
 """
 
 from __future__ import annotations
@@ -40,9 +45,8 @@ __all__ = ["GAM"]
 
 #: Rows per block for Gram accumulation, the PIRLS linear predictor and
 #: arbitrary-X prediction.  The blocks fix the floating-point summation
-#: order once n exceeds one block, and ``ledger verify`` reproduces a
-#: surrogate's bits, so they stay until a kernel version recorded with
-#: each surrogate lets those bits change.
+#: order once n exceeds one block, so changing them changes fitted bits:
+#: that needs a bump of :data:`repro.core.config.KERNEL_VERSION`.
 _ROW_BLOCK = 16384
 
 
@@ -62,6 +66,56 @@ def _check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ValueError("X and y must be finite (no NaN/inf)")
     return X, y
+
+
+def _gram(D: np.ndarray, w: np.ndarray | None, z: np.ndarray):
+    """``X'WX``, ``X'Wz`` and ``z'Wz`` in row blocks, each block scaled by
+    ``sqrt(w)``; ``w=None`` (identity link) uses the design as it is."""
+    p = D.shape[1]
+    G = np.zeros((p, p))
+    b = np.zeros(p)
+    zwz = 0.0
+    for lo, hi in _blocks(len(D)):
+        d, zb = D[lo:hi], z[lo:hi]
+        if w is not None:
+            root = np.sqrt(w[lo:hi])
+            d, zb = d * root[:, None], zb * root
+        G += d.T @ d
+        b += d.T @ zb
+        zwz += float(zb @ zb)
+    return G, b, zwz
+
+
+def _score(G, b, zwz, n, penalty, ridge, lams):
+    """Coefficients, edof and working-model GCV of every multiplier.
+
+    One Demmler–Reinsch factorization serves every ``lam``: with ``G +
+    ridge*I + kappa*P = K K'`` and ``eigh(K^-1 P K^-T) = U diag(t) U'``,
+    ``V = K^-T U`` turns ``G + ridge*I + lam*P`` into ``diag(d)``, ``d_i =
+    1 + (lam - kappa)*t_i >= rho_i + lam*t_i`` with ``rho_i =
+    ridge*|v_i|^2``.  So ``beta = V (V'b / d)``, ``edof = sum_i (1 -
+    kappa*t_i - rho_i) / d_i`` and ``GCV = n * (z'Wz - 2 beta'b + beta'G
+    beta) / (n - edof)^2``.  Factoring at the middle candidate ``kappa``,
+    not at 0, bounds ``t`` by ``1/kappa``: at 0, ``eigh``'s error on the
+    scale ``|P|/ridge`` of directions the design cannot see moved fitted
+    values by 4e-5 at ``lam = 1000`` on a small tensor GAM (4e-13 here).
+    """
+    kappa = float(lams[len(lams) // 2])
+    C = G + kappa * penalty
+    C[np.diag_indices_from(C)] += ridge
+    K_inv = np.linalg.inv(np.linalg.cholesky(C))
+    t, U = np.linalg.eigh(K_inv @ penalty @ K_inv.T)
+    V = K_inv.T @ U
+    t = np.maximum(t, 0.0)  # P is PSD: negative eigenvalues are rounding
+    rho = ridge * np.einsum("ij,ij->j", V, V)
+    shrink = 1.0 / np.maximum(
+        1.0 + np.outer(t, lams - kappa), rho[:, None] + np.outer(t, lams)
+    )
+    betas = V @ (shrink * (V.T @ b)[:, None])
+    edofs = np.maximum(1.0 - kappa * t - rho, 0.0) @ shrink
+    rss = zwz - 2.0 * (b @ betas) + np.einsum("ik,ik->k", betas, G @ betas)
+    gcvs = n * np.maximum(rss, 0.0) / np.maximum(n - edofs, 1e-8) ** 2
+    return betas, edofs, gcvs
 
 
 class GAM:
@@ -175,13 +229,12 @@ class GAM:
         return lam
 
     def penalty_matrix(self, lam=None) -> np.ndarray:
-        """Block-diagonal penalty ``sum_t lam_t * P_t`` plus a tiny ridge."""
+        """Block-diagonal penalty ``sum_t lam_t * P_t``, without the ridge."""
         lam_terms = self._lam_per_term(lam)
         p = self.n_coefs
         S = np.zeros((p, p))
         for term, sl, lam_t in zip(self.terms, self._term_slices(), lam_terms):
             S[sl, sl] = lam_t * term.penalty()
-        S[np.diag_indices(p)] += self.ridge
         assert_psd_diagonal(S, "GAM.penalty_matrix")
         return S
 
@@ -189,59 +242,72 @@ class GAM:
     # fitting
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GAM":
-        """Fit by PIRLS; records edof, scale, GCV and V_beta in statistics_."""
+        """Fit by PIRLS; records edof, scale, GCV and V_beta in statistics_.
+
+        A scalar ``lam`` is one GCV candidate of the unit penalty.
+        """
         X, y = _check_xy(X, y)
-        return self._pirls(self._fit_design(X), y)
-
-    def _pirls(self, D: np.ndarray, y: np.ndarray) -> "GAM":
-        """PIRLS at the current ``lam`` on a training design from ``_fit_design``."""
-        S = self.penalty_matrix()
-        n, p = D.shape
-
-        # Initialize eta from the observed response (standard GLM start).
-        if self.distribution.name == "binomial":
-            mu = np.clip(y, 0.01, 0.99) * 0.5 + 0.25
+        D = self._fit_design(X)
+        if np.isscalar(self.lam):
+            self._pirls(D, y, self.penalty_matrix(1.0), [self.lam])
         else:
-            mu = np.full(n, float(np.mean(y)))
-        eta = self.link.link(mu)
+            self._pirls(D, y, self.penalty_matrix(), [1.0])
+        return self
 
-        beta = np.zeros(p)
-        deviance_prev = np.inf
-        xtwx = np.zeros((p, p))
+    def _pirls(self, D: np.ndarray, y: np.ndarray, penalty: np.ndarray, lams):
+        """PIRLS on a training design, choosing among ``lams`` every step.
+
+        Each iteration scores every multiplier ``lam`` of ``penalty`` on
+        the working model by GCV and takes the minimizer's coefficients
+        (performance iteration), until the deviance converges.  Sets
+        ``coef_`` and ``statistics_``; returns the selected multiplier and
+        the ``(lam, GCV)`` scores of the final iteration.
+        """
+        n, p = D.shape
+        lams = np.asarray(lams, dtype=np.float64)
         identity_normal = (
             self.link.name == "identity" and self.distribution.name == "normal"
         )
+        if identity_normal:
+            # w = 1 and z = y: the working model is the model itself.
+            w, z = None, y
+        elif self.distribution.name == "binomial":
+            # Initialize eta from the observed response (standard GLM start).
+            eta = self.link.link(np.clip(y, 0.01, 0.99) * 0.5 + 0.25)
+        else:
+            eta = self.link.link(np.full(n, float(np.mean(y))))
+        deviance_prev = np.inf
 
         with obs_span("gam.fit", n=n, p=p), numerics_guard("PIRLS solve"):
             for iteration in range(self.max_iter):
-                mu = self.link.inverse(eta)
-                g_prime = self.link.derivative(mu)
-                w = 1.0 / (g_prime**2 * self.distribution.variance(mu))
-                z = eta + (y - mu) * g_prime
-
-                xtwx[:] = 0.0
-                xtwz = np.zeros(p)
-                for lo, hi in _blocks(n):
-                    d = D[lo:hi]
-                    dw = d * w[lo:hi, None]
-                    xtwx += dw.T @ d
-                    xtwz += dw.T @ z[lo:hi]
-
-                try:
-                    beta = np.linalg.solve(xtwx + S, xtwz)
-                except np.linalg.LinAlgError as exc:
-                    raise FitDivergenceError(
-                        f"PIRLS normal equations singular at iteration "
-                        f"{iteration}: {exc}"
-                    ) from exc
+                if not identity_normal:
+                    mu = self.link.inverse(eta)
+                    g_prime = self.link.derivative(mu)
+                    w = 1.0 / (g_prime**2 * self.distribution.variance(mu))
+                    z = eta + (y - mu) * g_prime
+                with obs_span("gam.gram"):
+                    G, b, zwz = _gram(D, w, z)
+                with obs_span("gcv.score", candidates=len(lams)), numerics_guard(
+                    "GCV scoring"
+                ):
+                    try:
+                        betas, edofs, gcvs = _score(
+                            G, b, zwz, n, penalty, self.ridge, lams
+                        )
+                    except np.linalg.LinAlgError as exc:
+                        raise FitDivergenceError(
+                            f"PIRLS normal equations singular at iteration "
+                            f"{iteration}: {exc}"
+                        ) from exc
+                    assert_all_finite(gcvs, "GCV scores")
+                best = int(np.argmin(gcvs))
+                beta = betas[:, best]
 
                 eta = np.concatenate([D[lo:hi] @ beta for lo, hi in _blocks(n)])
-                mu = self.link.inverse(eta)
-                deviance = self.distribution.deviance(y, mu)
+                deviance = self.distribution.deviance(y, self.link.inverse(eta))
                 if identity_normal or abs(deviance_prev - deviance) < self.tol * (
                     abs(deviance) + self.tol
                 ):
-                    deviance_prev = deviance
                     break
                 deviance_prev = deviance
 
@@ -251,36 +317,25 @@ class GAM:
             # Divergence must surface even with the sanitizer off: a NaN
             # coefficient vector poisons every downstream prediction.
             raise FitDivergenceError("PIRLS produced non-finite coefficients")
-        self.coef_ = beta
-        self._finalize_statistics(xtwx, S, deviance_prev, n)
-        return self
-
-    def _finalize_statistics(
-        self, xtwx: np.ndarray, S: np.ndarray, deviance: float, n: int
-    ) -> None:
-        try:
-            a_inv_xtwx = np.linalg.solve(xtwx + S, xtwx)
-        except np.linalg.LinAlgError as exc:
-            raise FitDivergenceError(
-                f"penalized normal equations singular: {exc}"
-            ) from exc
-        edof = float(np.trace(a_inv_xtwx))
+        lam, edof = float(lams[best]), float(edofs[best])
         if self.distribution.fixed_scale is not None:
             scale = float(self.distribution.fixed_scale)
         else:
             scale = deviance / max(n - edof, 1.0)
-        denom = max(n - edof, 1e-8)
-        gcv = n * deviance / denom**2
+        gcv = n * deviance / max(n - edof, 1e-8) ** 2
         assert_all_finite(np.asarray([edof, scale, gcv]), "GAM statistics")
-        vb = np.linalg.inv(xtwx + S) * scale
+        A = G + lam * penalty
+        A[np.diag_indices(p)] += self.ridge
+        self.coef_ = beta
         self.statistics_ = {
             "edof": edof,
             "scale": scale,
             "deviance": deviance,
             "GCV": gcv,
             "n_samples": n,
-            "cov": vb,
+            "cov": np.linalg.inv(A) * scale,
         }
+        return lam, [(float(l_), float(g_)) for l_, g_ in zip(lams, gcvs)]
 
     # ------------------------------------------------------------------
     # prediction

@@ -19,6 +19,7 @@ from .records import (
     config_from_archive,
     explanation_from_entry,
     forest_from_entry,
+    kernel_version_of,
     latest_surrogate,
     model_entry_for,
     model_lineage,
@@ -26,6 +27,7 @@ from .records import (
     record_event,
     record_model,
     record_surrogate,
+    stale_surrogate,
     surrogate_key,
 )
 from .store import (
@@ -48,6 +50,7 @@ __all__ = [
     "entry_id_for",
     "explanation_from_entry",
     "forest_from_entry",
+    "kernel_version_of",
     "latest_surrogate",
     "model_entry_for",
     "model_lineage",
@@ -57,6 +60,7 @@ __all__ = [
     "record_surrogate",
     "render_diff",
     "render_verify",
+    "stale_surrogate",
     "surrogate_key",
     "term_identity",
     "verify_entry",

@@ -7,11 +7,14 @@ fixes the three record schemas of the versioned serving estate:
   the full :func:`~repro.forest.model_io.forest_to_dict` archive, so a
   rollback (or an audit replay) can rebuild the exact forest from the
   ledger alone.
-* **surrogate** — keyed by ``"{fingerprint}/{config_hash}"``, payload is
-  the full explanation archive including the persisted
-  :class:`~repro.core.stages.StageReport`; verification refits GEF from
-  the recorded forest + config and asserts a bit-for-bit match (timing
-  keys excluded).
+* **surrogate** — keyed by ``"{fingerprint}/{config_hash}/k{kernel}"``,
+  payload is the fit kernel version plus the full explanation archive
+  including the persisted :class:`~repro.core.stages.StageReport`;
+  verification refits GEF from the recorded forest + config and asserts
+  a bit-for-bit match (timing keys excluded) under the same kernel, a
+  tolerance-pinned one across kernels.  Entries written before kernels
+  were versioned have no ``kernel_version`` and the two-part key: they
+  count as kernel 0.
 * **event** — keyed by a lifecycle chain (a model id, ``"slo"``),
   payload records the action, the pipeline-clock timestamp and
   free-form context — the audit trail of hot swaps, rollbacks and SLO
@@ -20,7 +23,7 @@ fixes the three record schemas of the versioned serving estate:
 
 from __future__ import annotations
 
-from ..core.config import GEFConfig, explain_config_hash
+from ..core.config import KERNEL_VERSION, GEFConfig, explain_config_hash
 from ..core.explanation import GEFExplanation
 from ..core.explanation_io import explanation_from_dict, explanation_to_dict
 from ..core.errors import LedgerEntryNotFoundError, LedgerError
@@ -33,6 +36,7 @@ __all__ = [
     "config_from_archive",
     "explanation_from_entry",
     "forest_from_entry",
+    "kernel_version_of",
     "latest_surrogate",
     "model_entry_for",
     "model_lineage",
@@ -40,13 +44,29 @@ __all__ = [
     "record_event",
     "record_model",
     "record_surrogate",
+    "stale_surrogate",
     "surrogate_key",
 ]
 
 
-def surrogate_key(fingerprint: int, config_hash: str) -> str:
-    """The surrogate chain key: forest identity × explain configuration."""
-    return f"{int(fingerprint)}/{config_hash}"
+def surrogate_key(
+    fingerprint: int, config_hash: str, kernel_version: int | None = None
+) -> str:
+    """The surrogate chain key: forest × explain configuration × fit kernel.
+
+    ``kernel_version`` defaults to the current kernel.  Kernel 0 (entries
+    from before kernels were versioned) keeps the two-part key those
+    entries were written under.
+    """
+    if kernel_version is None:
+        kernel_version = KERNEL_VERSION
+    key = f"{int(fingerprint)}/{config_hash}"
+    return key if kernel_version == 0 else f"{key}/k{int(kernel_version)}"
+
+
+def kernel_version_of(entry: LedgerEntry) -> int:
+    """The fit kernel that wrote a surrogate entry (0 when unrecorded)."""
+    return int(entry.payload.get("kernel_version", 0))
 
 
 def record_model(store: LedgerStore, model) -> LedgerEntry:
@@ -75,6 +95,7 @@ def record_surrogate(
     payload = {
         "fingerprint": int(fingerprint),
         "config_hash": config_hash,
+        "kernel_version": KERNEL_VERSION,
         "explanation": explanation_to_dict(explanation),
     }
     key = surrogate_key(fingerprint, config_hash)
@@ -138,8 +159,9 @@ def latest_surrogate(
 ) -> LedgerEntry | None:
     """The newest surrogate entry for a fingerprint (and config hash).
 
-    With ``config_hash`` the lookup is an O(1) chain-head read; without
-    it the newest surrogate of *any* configuration wins.
+    With ``config_hash`` the lookup is an O(1) chain-head read of the
+    current kernel's chain; without it the newest surrogate of *any*
+    configuration and kernel wins.
     """
     if config_hash is not None:
         return store.head("surrogate", surrogate_key(fingerprint, config_hash))
@@ -149,6 +171,21 @@ def latest_surrogate(
         if int(e.payload.get("fingerprint", -1)) == int(fingerprint)
     ]
     return candidates[-1] if candidates else None
+
+
+def stale_surrogate(
+    store: LedgerStore, fingerprint: int, config_hash: str
+) -> LedgerEntry | None:
+    """The newest surrogate for a fingerprint and config hash written by a
+    fit kernel other than the current one, or ``None``."""
+    stale = [
+        e
+        for e in store.entries(kind="surrogate")
+        if int(e.payload.get("fingerprint", -1)) == int(fingerprint)
+        and e.payload.get("config_hash") == config_hash
+        and kernel_version_of(e) != KERNEL_VERSION
+    ]
+    return stale[-1] if stale else None
 
 
 def config_from_archive(archive: dict) -> GEFConfig:

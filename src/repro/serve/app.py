@@ -26,7 +26,9 @@ Endpoints::
 The three versioning endpoints need a ledger
 (``ServeConfig.ledger_path``): every registration and fitted surrogate
 is then written through to the append-only content-addressed store, a
-restart rehydrates warm surrogates from it, and a rollback rebuilds the
+restart rehydrates warm surrogates from it (only those written by the
+current fit kernel; older ones are skipped and counted in
+``ledger.rehydration_stale``), and a rollback rebuilds the
 previous forest from the ledger and re-registers it through the normal
 hot-swap path — under a fleet that is the unlink-while-mapped shared
 memory swap, so traffic is served continuously throughout.
@@ -87,6 +89,7 @@ from ..ledger import (
     record_event,
     record_model,
     record_surrogate,
+    stale_surrogate,
 )
 from .admission import AdmissionController, Deadline
 from .batcher import MicroBatcher
@@ -260,12 +263,18 @@ class ServeApp:
             metric_inc("ledger.write_errors")
         if not self.surrogates.cached(entry.fingerprint):
             try:
+                config_hash = explain_config_hash(self.config.gef)
                 recorded = latest_surrogate(
-                    self.ledger,
-                    entry.fingerprint,
-                    explain_config_hash(self.config.gef),
+                    self.ledger, entry.fingerprint, config_hash
                 )
-                if recorded is not None and self.surrogates.seed(
+                if recorded is None:
+                    # A surrogate from another fit kernel would not be
+                    # what this process fits; leave the cache cold.
+                    if stale_surrogate(
+                        self.ledger, entry.fingerprint, config_hash
+                    ) is not None:
+                        metric_inc("ledger.rehydration_stale")
+                elif self.surrogates.seed(
                     entry.fingerprint, explanation_from_entry(recorded)
                 ):
                     metric_inc("ledger.rehydrations")

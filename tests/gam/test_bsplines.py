@@ -98,6 +98,16 @@ class TestUniformKnots:
         gam = GAM([SplineTerm(0, n_splines=20), SplineTerm(1)]).fit(X, X[:, 1])
         assert np.all(np.isfinite(gam.predict(X)))
 
+    @pytest.mark.parametrize("lo", [2.0**48, 1e13, 2.0**52, -(2.0**53)])
+    def test_degenerate_domain_widened_below_unit_spacing(self, lo, strict_numerics):
+        # lo + 1.0 is representable here, but a unit domain is either cut
+        # into knot steps below the float spacing (repeated knots) or
+        # narrower than bspline_design's clamping margin.
+        knots = uniform_knots(lo, lo, n_splines=20)
+        assert np.all(np.diff(knots) > 0)
+        row = bspline_design(np.array([lo]), knots)
+        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("lo", [0.0, 1.0, -3.5, 1e6, -1e12])
     def test_degenerate_domain_unit_widening_kept(self, lo):
         np.testing.assert_array_equal(

@@ -6,7 +6,8 @@ import pytest
 import repro.gam.terms
 from repro.core.numerics import get_numerics_mode, set_numerics_mode
 from repro.gam import GAM, SplineTerm, TensorTerm, default_lam_grid, gcv_gridsearch
-from repro.obs import disable_tracing, enable_tracing
+from repro.gam.model import _gram, _score
+from repro.obs import disable_metrics, disable_tracing, enable_metrics, enable_tracing
 
 
 @pytest.fixture(scope="module")
@@ -132,17 +133,107 @@ class TestSharedDesign:
         # intercept + 8 spline columns + 25 tensor columns
         assert design.attrs == {"rows": len(X), "cols": 34}
 
-    def test_logit_search_shares_fit_pirls(self, two_feature_data):
-        """A one-candidate logit search reproduces ``fit`` bit for bit."""
+    @pytest.mark.parametrize("link", ["identity", "logit"])
+    def test_fit_equals_one_candidate_search(self, two_feature_data, link):
+        """``fit`` at lambda is the one-candidate search, bit for bit."""
         X, ys = two_feature_data
         terms = lambda: [SplineTerm(0, 8), SplineTerm(1, 8), TensorTerm(0, 1, 5)]
-        searched = GAM(terms(), link="logit").gridsearch(
-            X, ys["logit"], lam_grid=[0.3]
-        )
-        fitted = GAM(terms(), link="logit", lam=0.3).fit(X, ys["logit"])
+        searched = GAM(terms(), link=link).gridsearch(X, ys[link], lam_grid=[0.3])
+        fitted = GAM(terms(), link=link, lam=0.3).fit(X, ys[link])
         np.testing.assert_array_equal(searched.coef_, fitted.coef_)
-        np.testing.assert_array_equal(
-            searched.statistics_["cov"], fitted.statistics_["cov"]
+        for key in ("edof", "scale", "deviance", "GCV", "cov"):
+            np.testing.assert_array_equal(
+                searched.statistics_[key], fitted.statistics_[key]
+            )
+
+
+def _working_model(gam, X, y):
+    """Design, weights and working response of ``gam`` at its GLM start."""
+    D = gam._fit_design(X)
+    if gam.link.name == "identity":
+        return D, None, y
+    mu = np.clip(y, 0.01, 0.99) * 0.5 + 0.25
+    g_prime = gam.link.derivative(mu)
+    w = 1.0 / (g_prime**2 * gam.distribution.variance(mu))
+    return D, w, gam.link.link(mu) + (y - mu) * g_prime
+
+
+class TestCandidateScoring:
+    """Every candidate scored from one factorization, against a direct
+    ``np.linalg.solve`` of its own penalized normal equations."""
+
+    LAMS = np.logspace(-3, 3, 13)
+
+    def _both(self, two_feature_data, link, ridge):
+        X, ys = two_feature_data
+        terms = [SplineTerm(0, 8), SplineTerm(1, 8), TensorTerm(0, 1, 5)]
+        gam = GAM(terms, link=link, ridge=ridge)
+        D, w, z = _working_model(gam, X, ys[link])
+        n = len(z)
+        weights = np.ones(n) if w is None else w
+        G, b, zwz = _gram(D, w, z)
+        P = gam.penalty_matrix(1.0)
+        scored = _score(G, b, zwz, n, P, ridge, self.LAMS)
+        direct = []
+        for lam in self.LAMS:
+            A = G + lam * P + ridge * np.eye(len(G))
+            beta = np.linalg.solve(A, b)
+            edof = np.trace(np.linalg.solve(A, G))
+            rss = np.sum(weights * (z - D @ beta) ** 2)
+            direct.append((beta, edof, n * rss / (n - edof) ** 2))
+        return D, scored, direct
+
+    @pytest.mark.parametrize("link", ["identity", "logit"])
+    def test_matches_direct_solve(self, two_feature_data, link):
+        # A ridge that makes every direction identifiable: both sides are
+        # then accurate far below the 1e-9 compared here.
+        _, (betas, edofs, gcvs), direct = self._both(two_feature_data, link, 1e-3)
+        for k, (beta, edof, gcv) in enumerate(direct):
+            np.testing.assert_allclose(
+                betas[:, k], beta, rtol=0, atol=1e-9 * np.abs(beta).max()
+            )
+            assert edofs[k] == pytest.approx(edof, rel=1e-9)
+            assert gcvs[k] == pytest.approx(gcv, rel=1e-9)
+
+    @pytest.mark.parametrize("link", ["identity", "logit"])
+    def test_matches_direct_solve_at_default_ridge(self, two_feature_data, link):
+        # At ridge 1e-8 the centered blocks and the tensor margins leave
+        # directions only the ridge pins, so coefficients are defined only
+        # up to those; the fitted values and the GCV curve are not.
+        D, (betas, edofs, gcvs), direct = self._both(two_feature_data, link, 1e-8)
+        for k, (beta, edof, gcv) in enumerate(direct):
+            fitted = D @ beta
+            np.testing.assert_allclose(
+                D @ betas[:, k], fitted, rtol=0, atol=1e-9 * np.abs(fitted).max()
+            )
+            assert edofs[k] == pytest.approx(edof, rel=1e-5)
+            assert gcvs[k] == pytest.approx(gcv, rel=1e-7)
+
+
+class TestKernelSpans:
+    @pytest.mark.parametrize("link", ["identity", "logit"])
+    def test_one_gram_and_one_score_per_pirls_iteration(
+        self, two_feature_data, link
+    ):
+        X, ys = two_feature_data
+        tracer = enable_tracing()
+        registry = enable_metrics()
+        try:
+            GAM([SplineTerm(0, 8), TensorTerm(0, 1, 5)], link=link).gridsearch(
+                X, ys[link], lam_grid=default_lam_grid()
+            )
+        finally:
+            disable_tracing()
+            disable_metrics()
+        iters = registry.counter("fit.pirls_iters")
+        assert iters == 1 if link == "identity" else iters > 1
+        assert len(tracer.find("gam.gram")) == iters
+        assert len(tracer.find("gcv.score")) == iters
+        (fit,) = tracer.find("gam.fit")
+        for sp in tracer.find("gam.gram") + tracer.find("gcv.score"):
+            assert sp.parent_id == fit.span_id
+        assert all(
+            sp.attrs["candidates"] == 13 for sp in tracer.find("gcv.score")
         )
 
 

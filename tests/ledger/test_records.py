@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import GEFConfig, explain_config_hash
+from repro.core.config import KERNEL_VERSION, GEFConfig, explain_config_hash
 from repro.core.errors import LedgerEntryNotFoundError, LedgerError
 from repro.forest.tree import forest_fingerprint
 from repro.ledger import (
@@ -12,6 +12,7 @@ from repro.ledger import (
     config_from_archive,
     explanation_from_entry,
     forest_from_entry,
+    kernel_version_of,
     latest_surrogate,
     model_entry_for,
     model_lineage,
@@ -19,6 +20,7 @@ from repro.ledger import (
     record_event,
     record_model,
     record_surrogate,
+    stale_surrogate,
     surrogate_key,
 )
 
@@ -32,6 +34,28 @@ def test_record_model_roundtrip(tmp_path, ledger_forest):
     assert entry.key == str(forest_fingerprint(ledger_forest))
     rebuilt = forest_from_entry(entry)
     assert forest_fingerprint(rebuilt) == forest_fingerprint(ledger_forest)
+
+
+def test_surrogate_entries_record_the_fit_kernel(tmp_path, ledger_forest,
+                                               ledger_explanation):
+    store = LedgerStore(tmp_path)
+    fingerprint = forest_fingerprint(ledger_forest)
+    entry = record_surrogate(store, ledger_explanation, fingerprint)
+    config_hash = explain_config_hash(ledger_explanation.config)
+    assert entry.payload["kernel_version"] == KERNEL_VERSION
+    assert kernel_version_of(entry) == KERNEL_VERSION
+    assert entry.key == f"{fingerprint}/{config_hash}/k{KERNEL_VERSION}"
+    # Entries from before kernels were versioned: kernel 0, two-part key.
+    assert surrogate_key(fingerprint, config_hash, 0) == f"{fingerprint}/{config_hash}"
+    assert stale_surrogate(store, fingerprint, config_hash) is None
+    payload = {k: v for k, v in entry.payload.items() if k != "kernel_version"}
+    legacy = store.append(
+        "surrogate", surrogate_key(fingerprint, config_hash, 0), payload
+    )
+    assert kernel_version_of(legacy) == 0
+    assert stale_surrogate(store, fingerprint, config_hash) == legacy
+    # Lookups by config read the current kernel's chain only.
+    assert latest_surrogate(store, fingerprint, config_hash) == entry
 
 
 def test_record_model_is_idempotent(tmp_path, ledger_forest):

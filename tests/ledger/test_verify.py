@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.config import KERNEL_VERSION
 from repro.core.errors import LedgerError
 from repro.forest.tree import forest_fingerprint
 from repro.ledger import (
@@ -88,3 +89,26 @@ def test_verify_event_entry_raises(ledgered):
     event = record_event(store, "x", "k")
     with pytest.raises(LedgerError):
         verify_entry(store, event.entry_id)
+
+
+def test_verify_across_kernels_beyond_tolerance_names_the_delta(ledgered):
+    store, _, surrogate_entry = ledgered
+    from repro.ledger import surrogate_key
+
+    # A kernel-0 entry whose archive is far from what kernel 1 refits.
+    payload = json.loads(json.dumps(surrogate_entry.payload))
+    del payload["kernel_version"]
+    payload["explanation"]["gam"]["coef"][1] += 0.5
+    legacy = store.append(
+        "surrogate",
+        surrogate_key(payload["fingerprint"], payload["config_hash"], 0),
+        payload,
+    )
+    report = verify_entry(store, legacy.entry_id)
+    assert report["comparison"] == "tolerance"
+    assert report["match"] is False
+    assert report["mismatches"]
+    assert all(p.startswith("$.gam.terms[") for p in report["mismatches"])
+    text = render_verify(report)
+    assert f"kernel 0 → {KERNEL_VERSION}" in text
+    assert "MISMATCH: reproduction exceeds the kernel tolerance" in text

@@ -15,6 +15,7 @@ import pytest
 from repro.core.config import GEFConfig, explain_config_hash
 from repro.devtools.loadgen import run_load
 from repro.forest import GradientBoostingRegressor, forest_fingerprint
+import repro.ledger.records
 from repro.ledger import LedgerStore
 from repro.obs.metrics import enable_metrics, get_metrics
 from repro.obs.slo import SloConfig, SloRule
@@ -140,6 +141,34 @@ class TestRehydration:
             assert status == 200
             assert again["fidelity"] == fitted["fidelity"]
             assert again["ledger_entry"] == fitted["ledger_entry"]
+        finally:
+            second.close(drain=True)
+
+    def test_restart_skips_surrogate_of_another_kernel(
+        self, tmp_path, serve_forest, monkeypatch
+    ):
+        path = tmp_path / "ledger"
+        # The first process ledgers its surrogate as kernel 0 would have.
+        monkeypatch.setattr(repro.ledger.records, "KERNEL_VERSION", 0)
+        first = ServeApp(_ledgered_config(path))
+        first.add_model("demo", serve_forest)
+        status, _ = _handle(first, "POST", "/explain", {"model": "demo"})
+        assert status == 200
+        first.close(drain=True)
+        monkeypatch.undo()
+
+        enable_metrics()
+        second = ServeApp(_ledgered_config(path))
+        second.add_model("demo", serve_forest)
+        try:
+            assert not second.surrogates.cached(forest_fingerprint(serve_forest))
+            counters = get_metrics().snapshot()["counters"]
+            assert counters.get("ledger.rehydration_stale") == 1
+            assert "ledger.rehydrations" not in counters
+            status, payload = _handle(second, "POST", "/explain", {"model": "demo"})
+            assert status == 200
+            # The refit is ledgered on the current kernel's chain.
+            assert payload["ledger_entry"] is not None
         finally:
             second.close(drain=True)
 

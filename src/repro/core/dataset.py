@@ -100,7 +100,8 @@ def generate_dataset(
     if not 0.0 < test_fraction < 1.0:
         raise SamplingError("test_fraction must be in (0, 1)")
     rng = as_generator(random_state)
-    X = sample_instances(domains, n_samples, int(forest.n_features_), rng)
+    with obs_span("sample.generate", rows=int(n_samples), features=len(domains)):
+        X = sample_instances(domains, n_samples, int(forest.n_features_), rng)
     y = _label_with_forest(forest, X, label)
     n_test = max(1, int(round(test_fraction * n_samples)))
     if n_test >= n_samples:

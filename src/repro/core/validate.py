@@ -5,10 +5,11 @@ input, so before any sampling or fitting work is spent the pipeline
 checks that the structure actually is a forest — child indices in range,
 every node reachable from the root exactly once (no orphans, no cycles,
 no diamond sharing), finite thresholds/gains on test nodes, finite leaf
-values, and feature indices inside ``[0, n_features_)``.  All checks are
-vectorized per tree (a bincount over child references plus a level-
-synchronous reachability sweep), so validation is O(total nodes) and
-negligible next to a single D* labelling pass.
+values, and feature indices inside ``[0, n_features_)``.  The trees are
+concatenated once and every check is one forest-wide pass (a bincount
+over child references plus one level-synchronous reachability sweep from
+all roots), so validation is O(total nodes) in a fixed number of numpy
+calls, negligible next to a single D* labelling pass.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ __all__ = ["ForestValidationReport", "validate_forest", "validate_domains"]
 #: Sentinel marking leaves in ``Tree.feature`` (mirrors ``forest.tree.LEAF``;
 #: duplicated here so ``core`` does not import ``forest`` at module load).
 _LEAF = -1
+
+#: Per-node arrays of a tree, ``feature`` first (the others match its length).
+_ARRAYS = ("feature", "threshold", "left", "right", "value", "gain")
 
 
 @dataclass
@@ -42,77 +46,82 @@ class ForestValidationReport:
         )
 
 
-def _fail(tree_index: int, message: str) -> None:
-    raise ForestValidationError(f"tree {tree_index}: {message}", stage="validate")
+def _invalid(message: str) -> ForestValidationError:
+    return ForestValidationError(message, stage="validate")
 
 
-def _validate_tree(index: int, tree, n_features: int) -> tuple[int, int]:
-    """Structural checks of one tree; returns (n_nodes, n_leaves)."""
-    feature = np.asarray(tree.feature)
-    threshold = np.asarray(tree.threshold, dtype=np.float64)
-    left = np.asarray(tree.left)
-    right = np.asarray(tree.right)
-    value = np.asarray(tree.value, dtype=np.float64)
-    gain = np.asarray(tree.gain, dtype=np.float64)
-    n = len(feature)
-    if n == 0:
-        _fail(index, "empty node arrays")
-    for name, arr in (("threshold", threshold), ("left", left),
-                      ("right", right), ("value", value), ("gain", gain)):
-        if len(arr) != n:
-            _fail(index, f"array '{name}' has length {len(arr)}, expected {n}")
+def _scan_trees(trees, n_features: int) -> tuple[str | None, int]:
+    """``(defect, n_leaves)``; ``defect`` is the lowest bad tree's message.
 
+    Node array lengths are checked tree by tree, then the trees before the
+    first ill-shaped one are concatenated and every other check runs over
+    the whole forest at once.  The first of ``checks`` it fails names it.
+    """
+    defect = None
+    for index, tree in enumerate(trees):
+        n = len(tree.feature)
+        lens = [(a, len(getattr(tree, a))) for a in _ARRAYS]
+        bad = [f"array '{a}' has length {k}, expected {n}" for a, k in lens if k != n]
+        if n == 0 or bad:
+            defect = f"tree {index}: " + (bad[0] if n else "empty node arrays")
+            trees = trees[:index]
+            break
+    if not trees:
+        return defect, 0
+    sizes = np.array([len(t.feature) for t in trees])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    tree_id = np.repeat(np.arange(len(trees)), sizes)
+    local, size = np.arange(offsets[-1]) - offsets[tree_id], sizes[tree_id]
+    starts, tree_any = offsets[:-1], np.logical_or.reduceat  # per-tree "any"
+    feature, threshold, left, right, value, gain = (
+        np.concatenate([np.asarray(getattr(t, a)) for t in trees]) for a in _ARRAYS
+    )
     internal = feature != _LEAF
-    leaves = ~internal
-    if not np.all((feature[internal] >= 0) & (feature[internal] < n_features)):
-        bad = feature[internal & ((feature < 0) | (feature >= n_features))]
-        _fail(
-            index,
-            f"split feature index {int(bad[0])} outside [0, {n_features})",
-        )
-    if not np.all(np.isfinite(threshold[internal])):
-        _fail(index, "non-finite split threshold")
-    if not np.all(np.isfinite(gain[internal])):
-        _fail(index, "non-finite split gain")
-    if not np.all(np.isfinite(value[leaves])):
-        _fail(index, "non-finite leaf value")
-
-    if not internal.any():
-        return n, int(leaves.sum())
-
-    children = np.concatenate([left[internal], right[internal]])
-    if not np.all((children >= 0) & (children < n)):
-        bad = children[(children < 0) | (children >= n)]
-        _fail(index, f"dangling child index {int(bad[0])} (tree has {n} nodes)")
+    # Children are range-checked in tree-local ids; only the children of
+    # trees that pass are re-based to global ids and counted.
+    bad_left, bad_right = (internal & ((c < 0) | (c >= size)) for c in (left, right))
+    sound = internal & ~tree_any(bad_left | bad_right, starts)[tree_id]
+    left_g, right_g = left + offsets[tree_id], right + offsets[tree_id]
     # Tree shape: the root is nobody's child, every other node is the
     # child of exactly one internal node.  This excludes back-edges to
     # the root and shared subtrees in one bincount.
-    in_degree = np.bincount(children, minlength=n)
-    if in_degree[0] != 0:
-        _fail(index, "cyclic structure: the root is referenced as a child")
-    multi = np.nonzero(in_degree > 1)[0]
-    if multi.size:
-        _fail(
-            index,
-            f"node {int(multi[0])} is referenced as a child "
-            f"{int(in_degree[multi[0]])} times (cycle or shared subtree)",
-        )
-    # Level-synchronous reachability from the root: with in-degree <= 1
-    # everywhere, any unreached node is an orphan (or sits on a detached
-    # cycle, which the in-degree check above already rules out pairwise).
-    reached = np.zeros(n, dtype=bool)
-    frontier = np.array([0], dtype=np.int64)
-    reached[0] = True
+    children = np.concatenate([left_g[sound], right_g[sound]])
+    in_degree = np.bincount(children, minlength=offsets[-1])
+    root_cycle = (local == 0) & (in_degree > 0)
+    # Level-synchronous reachability from all roots at once, over trees
+    # with a test node that pass the checks above: with in-degree <= 1
+    # the sweep reaches each node once, and an unreached node is an orphan.
+    swept = tree_any(sound, starts) & ~tree_any(root_cycle | (in_degree > 1), starts)
+    reached = ~swept[tree_id]
+    frontier = starts[swept]
     while frontier.size:
+        reached[frontier] = True
         inner = frontier[internal[frontier]]
-        nxt = np.concatenate([left[inner], right[inner]]).astype(np.int64)
-        nxt = nxt[~reached[nxt]]
-        reached[nxt] = True
-        frontier = nxt
-    if not reached.all():
-        orphan = int(np.nonzero(~reached)[0][0])
-        _fail(index, f"orphan node {orphan} is unreachable from the root")
-    return n, int(leaves.sum())
+        frontier = np.concatenate([left_g[inner], right_g[inner]])
+    bad_feature = internal & ((feature < 0) | (feature >= n_features))
+    checks = [
+        (bad_feature, "split feature index {feature} outside [0, {n_features})"),
+        (internal & ~np.isfinite(threshold), "non-finite split threshold"),
+        (internal & ~np.isfinite(gain), "non-finite split gain"),
+        (~internal & ~np.isfinite(value), "non-finite leaf value"),
+        (bad_left, "dangling child index {left} (tree has {size} nodes)"),
+        (bad_right, "dangling child index {right} (tree has {size} nodes)"),
+        (root_cycle, "cyclic structure: the root is referenced as a child"),
+        (in_degree > 1, "node {node} is referenced as a child {degree} times "
+         "(cycle or shared subtree)"),
+        (~reached, "orphan node {node} is unreachable from the root"),
+    ]
+    # Node ids grow with tree ids: a check's first node lies in its lowest
+    # tree, so min() picks the lowest tree, then the earliest check.
+    hits = [(np.flatnonzero(mask), message) for mask, message in checks]
+    firsts = [(tree_id[h[0]], k, h[0]) for k, (h, _) in enumerate(hits) if h.size]
+    if firsts:
+        tree, k, i = min(firsts)
+        defect = f"tree {tree}: " + checks[k][1].format(
+            feature=feature[i], n_features=n_features, left=left[i], right=right[i],
+            size=size[i], node=local[i], degree=in_degree[i],
+        )
+    return defect, int(offsets[-1] - np.count_nonzero(internal))
 
 
 def validate_forest(forest) -> ForestValidationReport:
@@ -127,35 +136,23 @@ def validate_forest(forest) -> ForestValidationReport:
     """
     trees = getattr(forest, "trees_", None)
     if not trees:
-        raise ForestValidationError(
-            "forest is not fitted (empty trees_)", stage="validate"
-        )
+        raise _invalid("forest is not fitted (empty trees_)")
     n_features = getattr(forest, "n_features_", None)
     if n_features is None:
-        raise ForestValidationError(
-            "forest does not report n_features_", stage="validate"
-        )
+        raise _invalid("forest does not report n_features_")
     n_features = int(n_features)
     if n_features < 1:
-        raise ForestValidationError(
-            f"forest reports n_features_ = {n_features}; need >= 1",
-            stage="validate",
-        )
+        raise _invalid(f"forest reports n_features_ = {n_features}; need >= 1")
     init = getattr(forest, "init_score_", 0.0)
     if init is not None and not np.isfinite(float(init)):
-        raise ForestValidationError(
-            "forest init_score_ is not finite", stage="validate"
-        )
-    total_nodes = 0
-    total_leaves = 0
-    for index, tree in enumerate(trees):
-        n, n_leaves = _validate_tree(index, tree, n_features)
-        total_nodes += n
-        total_leaves += n_leaves
+        raise _invalid("forest init_score_ is not finite")
+    defect, n_leaves = _scan_trees(trees, n_features)
+    if defect is not None:
+        raise _invalid(defect)
     return ForestValidationReport(
         n_trees=len(trees),
-        n_nodes=total_nodes,
-        n_leaves=total_leaves,
+        n_nodes=sum(len(t.feature) for t in trees),
+        n_leaves=n_leaves,
         n_features=n_features,
     )
 

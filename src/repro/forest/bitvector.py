@@ -18,7 +18,8 @@ left-subtree bit range.  Evaluating a row against a tree is then:
 1. start from the tree's init vector (low ``n_leaves`` bits set),
 2. AND in the mask of every condition that evaluates false,
 3. the lowest surviving set bit *is* the exit leaf (QuickScorer's
-   theorem), found with ``v & -v`` plus ``frexp``.
+   theorem), isolated with ``v & -v``; its index is the float32
+   exponent of that power of two (see Evaluation).
 
 Conditions are organized per feature and sorted by threshold.  Because
 ``x[f] <= t`` is false exactly when ``t < x[f]``, the false conditions of
@@ -44,9 +45,26 @@ budget or whose prefix tables would exceed :data:`MAX_TABLE_BYTES`
 decline encoding and run through the per-tree loop (see
 :mod:`repro.forest.engines`).
 
-The reduction replays the exact sequential accumulation order of the
-per-tree loop via a cumulative sum, so bitvector and loop outputs are
-bit-for-bit equal.
+Evaluation
+----------
+Rows run in chunks sized by :meth:`BitvectorForest._auto_chunk` to about
+64k (row, tree, word) lanes, so the accumulators stay cache resident
+while the prefix tables stream; working buffers are sized to
+``min(chunk, n_rows)``, so a one-row call allocates one row.  Per chunk:
+
+* **Exit leaf.**  The isolated bit ``2**k`` converts exactly to float32,
+  whose biased exponent ``k + 127`` sits in bits 23..30: view the float32
+  as int32 and shift right by 23.  The ``-127`` is folded into the
+  per-tree leaf offsets, and adding them writes the leaf indices
+  tree-major, ``(T, R)``.
+* **Reduction.**  Leaf values are gathered into one tree-major
+  ``(T + 1, R)`` buffer whose row 0 is the init score, and
+  ``np.cumsum(axis=0)`` sums it: per row that is the loop's own
+  ``((init + v_0) + v_1) + ...`` order, so bitvector and loop outputs
+  are bit-for-bit equal.  :meth:`~BitvectorForest.leaf_value_matrix`
+  copies rows ``1..T`` of the same buffer.  Do not replace the cumsum
+  with ``np.add.reduce(axis=0)``: with one row (``R == 1``) numpy
+  reduces a contiguous axis pairwise, which changes the low bits.
 """
 
 from __future__ import annotations
@@ -262,7 +280,7 @@ class BitvectorForest:
         searched = 0
         for f in range(self.n_features):
             if self.feat_thr[f].size:
-                pos[:, f] = np.searchsorted(self.feat_thr[f], X[:, f], side="left")
+                pos[:, f] = self.feat_thr[f].searchsorted(X[:, f], side="left")
                 searched += 1
         metric_inc("bitvector.searchsorted", searched)
         return pos
@@ -279,22 +297,22 @@ class BitvectorForest:
         dtype = self.init_vec.dtype
         features = [f for f in range(self.n_features) if self.tables[f] is not None]
         single = W == 1
-        if single:
-            acc = np.empty((chunk, T), dtype)
-            buf = np.empty((chunk, T), dtype)
-        else:
-            acc = np.empty((chunk, T, W), dtype)
-            buf = np.empty((chunk, T, W), dtype)
-        low = np.empty((chunk, T), dtype)
-        mant = np.empty((chunk, T), np.float64)
-        expo = np.empty((chunk, T), np.int32)
-        flat = np.empty((chunk, T), np.int64)
-        vals = np.empty((chunk, T))
-        red = np.empty((chunk, T + 1))
-        init_row = self.init_vec[:, 0] if single else self.init_vec
-        leaf_off = self.leaf_offsets
-        pv = self.leaf_values
         n_rows = pos.shape[0]
+        chunk = min(chunk, n_rows)
+        lanes = (chunk, T) if single else (chunk, T, W)
+        acc = np.empty(lanes, dtype)
+        buf = np.empty(lanes, dtype)
+        low = np.empty((chunk, T), dtype)
+        expo = np.empty((chunk, T), np.float32)
+        # Tree-major from the leaf index on: flat buffers reshaped per
+        # chunk to (T, R) and (T + 1, R), so a short last chunk stays
+        # contiguous too.
+        flat = np.empty(T * chunk, np.int64)
+        red = np.empty((T + 1) * chunk)
+        init_row = self.init_vec[:, 0] if single else self.init_vec
+        # 2**k as float32 has biased exponent k + 127 in bits 23..30.
+        leaf_off = (self.leaf_offsets - 127)[:, None]
+        pv = self.leaf_values
         for clo in range(0, n_rows, chunk):
             chi = min(clo + chunk, n_rows)
             R = chi - clo
@@ -302,7 +320,7 @@ class BitvectorForest:
             a[:] = init_row
             for f in features:
                 b = buf[:R]
-                np.take(self.tables[f], pos[clo:chi, f], axis=0, out=b)
+                self.tables[f].take(pos[clo:chi, f], axis=0, out=b)
                 np.bitwise_and(a, b, out=a)
             if single:
                 word = a
@@ -330,34 +348,36 @@ class BitvectorForest:
                     "bitvector exit-leaf invariant violated: a (row, tree) "
                     "pair retained no candidate leaf"
                 )
-            m, e = mant[:R], expo[:R]
-            np.frexp(lb.astype(np.float64), m, e)
-            fl = flat[:R]
-            np.subtract(e, 1, out=e)
-            np.add(e, leaf_off[None, :], out=fl, casting="unsafe")
+            e = expo[:R]
+            np.copyto(e, lb, casting="unsafe")  # exact: lb is a power of two
+            bits = e.view(np.int32)
+            np.right_shift(bits, 23, out=bits)
+            fl = flat[: T * R].reshape(T, R)
+            np.add(bits.T, leaf_off, out=fl)
             if not single:
-                np.add(fl, base, out=fl)
-            v = vals[:R]
-            np.take(pv, fl, out=v)
+                np.add(fl, base.T, out=fl)
+            r = red[: (T + 1) * R].reshape(T + 1, R)
+            r[0] = self.init_score
+            pv.take(fl, out=r[1:])
             if out_values is not None:
-                out_values[:, clo:chi] = v.T
+                out_values[:, clo:chi] = r[1:]
             if out is not None:
-                r = red[:R]
-                r[:, 0] = self.init_score
-                r[:, 1:] = v
-                np.cumsum(r, axis=1, out=r)
-                out[clo:chi] = r[:, -1]
+                np.cumsum(r, axis=0, out=r)
+                out[clo:chi] = r[-1]
 
     def _auto_chunk(self) -> int:
-        """Largest power-of-two chunk keeping ~256k (row, tree, word) lanes.
+        """Largest power-of-two chunk keeping ~64k (row, tree, word) lanes.
 
-        Big forests get small chunks (the accumulator stays cache
-        resident while the prefix tables stream); small forests get big
-        chunks (fewer per-chunk setups and reductions).
+        65,536 lanes keep the accumulators in cache while the prefix
+        tables stream: 256 rows at 200 trees, 512 at 120.  Small forests
+        get big chunks (fewer per-chunk setups), up to 4096 rows.  The
+        chunk never changes a bit: rows are independent, and each row's
+        tree-major cumsum adds its trees in loop order whatever ``R`` is
+        (``np.add.reduce`` would not: it sums one row pairwise).
         """
         lanes = max(self.n_trees * self.n_words, 1)
         chunk = 64
-        while chunk < 4096 and chunk * 2 * lanes <= 262144:
+        while chunk < 4096 and chunk * 2 * lanes <= 65536:
             chunk *= 2
         return chunk
 

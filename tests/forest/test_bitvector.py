@@ -12,7 +12,7 @@ always comparing with ``np.array_equal`` (no tolerances).
 import numpy as np
 import pytest
 
-from repro.core.numerics import strict_enabled
+from repro.core.numerics import NumericsError, strict_enabled
 from repro.forest import (
     BitvectorForest,
     GradientBoostingClassifier,
@@ -409,3 +409,120 @@ class TestChunkingAndThreads:
             encoded.predict_raw(X_test),
             loop_predict_raw(model, X_test),
         )
+
+
+def random_tree(n_leaves, rng, n_features=4, grid=None):
+    """A random binary tree with exactly ``n_leaves`` leaves.
+
+    Thresholds come from ``grid`` so that rows drawn from the same grid
+    sit exactly on split points; leaf values span several magnitudes so
+    a change of summation order shows up in the low bits.
+    """
+    grid = np.linspace(-2.0, 2.0, 33) if grid is None else grid
+    feature, threshold, left, right = [LEAF], [0.0], [-1], [-1]
+    leaves = [0]
+    while len(leaves) < n_leaves:
+        node = leaves.pop(int(rng.integers(len(leaves))))
+        feature[node] = int(rng.integers(n_features))
+        threshold[node] = float(rng.choice(grid))
+        for side in (left, right):
+            side[node] = len(feature)
+            leaves.append(len(feature))
+            feature.append(LEAF)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+    n = len(feature)
+    value = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, size=n)
+    return Tree(
+        feature=np.asarray(feature, np.int32),
+        threshold=np.asarray(threshold),
+        left=np.asarray(left, np.int32),
+        right=np.asarray(right, np.int32),
+        value=value,
+        gain=np.ones(n),
+        n_samples=np.ones(n, np.int64),
+    )
+
+
+class TestKernelEquivalenceSweep:
+    """Every batch shape and mask layout against the per-tree loop."""
+
+    GRID = np.linspace(-2.0, 2.0, 33)
+
+    @pytest.fixture(
+        scope="class",
+        params=[(31, 1, 32), (32, 1, 32), (60, 1, 64), (200, 4, 64)],
+        ids=["uint32-31", "uint32-32", "uint64-60", "multiword-200"],
+    )
+    def forest(self, request):
+        n_leaves, words, bits = request.param
+        rng = np.random.default_rng(n_leaves)
+
+        class Stub:
+            """Minimal forest-protocol carrier for hand-built trees."""
+
+        model = Stub()
+        model.trees_ = [random_tree(n_leaves, rng) for _ in range(37)]
+        model.init_score_ = 0.3125
+        model.n_features_ = 4
+        encoded = BitvectorForest.pack(model.trees_, model.init_score_, 4)
+        assert (encoded.n_words, encoded.word_bits) == (words, bits)
+        return model, encoded
+
+    def _rows(self, n, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.choice(self.GRID, size=(n, 4))
+        X += rng.choice([0.0, 0.0, 1e-9, -1e-9], size=X.shape)
+        specials = [np.nan, np.inf, -np.inf]
+        for i in range(0, n, 3):
+            X[i, i % 4] = specials[i % 3]
+        return X
+
+    def test_every_batch_size_up_to_300(self, forest):
+        model, encoded = forest
+        X = self._rows(300, 0)
+        reference = loop_predict_raw(model, X)  # rows are independent
+        for n in range(1, 301):
+            assert np.array_equal(encoded.predict_raw(X[-n:]), reference[-n:]), n
+
+    def test_chunk_boundaries(self, forest):
+        model, encoded = forest
+        chunk = encoded._auto_chunk()
+        assert chunk * len(model.trees_) * encoded.n_words <= 65536
+        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            X = self._rows(n, n)
+            reference = loop_predict_raw(model, X)
+            assert np.array_equal(encoded.predict_raw(X), reference), n
+            assert np.array_equal(encoded.predict_raw(X, chunk=64), reference), n
+
+    def test_leaf_values_staged_and_rebuilt_engine(self, forest):
+        model, encoded = forest
+        rebuilt = BitvectorForest.from_state(*encoded.export_state())
+        chunk = encoded._auto_chunk()
+        for n in (1, 2, 7, chunk + 1, 2 * chunk + 1):
+            X = self._rows(n, 1000 + n)
+            per_tree = np.stack([tree.predict(X) for tree in model.trees_])
+            reference = loop_predict_raw(model, X)
+            for engine in (encoded, rebuilt):
+                assert np.array_equal(engine.predict_raw(X), reference), n
+                assert np.array_equal(engine.leaf_value_matrix(X), per_tree), n
+                raw = np.full(n, model.init_score_)
+                for stage, values in zip(engine.staged_predict_raw(X), per_tree):
+                    raw = raw + values
+                    assert np.array_equal(stage, raw), n
+
+
+class TestExitLeafInvariant:
+    @pytest.mark.parametrize("n_leaves", [31, 60, 200])
+    def test_zeroed_prefix_word_raises_under_strict(self, n_leaves):
+        assert strict_enabled(), "suite must run under REPRO_NUMERICS=strict"
+        rng = np.random.default_rng(5)
+        trees = [random_tree(n_leaves, rng) for _ in range(3)]
+        encoded = BitvectorForest.pack(trees, 0.0, 4)
+        X = np.full((5, 4), np.inf)  # every condition false: last table row
+        encoded.predict_raw(X)
+        f = next(f for f, table in enumerate(encoded.tables) if table is not None)
+        encoded.tables[f][-1, 1] = 0  # tree 1 keeps no candidate leaf
+        with pytest.raises(NumericsError, match="exit-leaf invariant"):
+            encoded.predict_raw(X)

@@ -89,6 +89,24 @@ class TestPipelineSpans:
         )
 
 
+class TestSampleKernelSpans:
+    def test_generate_and_label_cover_the_sample_stage(self, small_forest):
+        tracer = enable_tracing()
+        try:
+            _small_gef(n_samples=8_000).explain(small_forest)
+        finally:
+            disable_tracing()
+        (stage,) = tracer.find("stage.sample")
+        (generate,) = tracer.find("sample.generate")
+        (label,) = tracer.find("sample.label")
+        (attempt,) = tracer.find("stage.sample.attempt")
+        for kernel in (generate, label):
+            assert kernel.parent_id == attempt.span_id
+        assert generate.attrs["rows"] == label.attrs["rows"] == 8_000
+        covered = generate.duration_s + label.duration_s
+        assert covered >= 0.9 * stage.duration_s
+
+
 class TestPipelineMetrics:
     def test_counters_populated(self, traced_run):
         _, _, registry = traced_run

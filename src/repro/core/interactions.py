@@ -13,8 +13,9 @@ I(f_i, f_j) computed one of four ways:
 * **H-Stat** — Friedman's H^2 statistic estimated from partial dependence
   on a sample of D* (the accurate but expensive reference).
 
-Count-Path and Gain-Path read only the forest structure and run in time
-linear in the forest size; H-Stat needs O(N |F'|^2) forest evaluations.
+Count-Path and Gain-Path read only the forest structure, in O(sum of node
+depths) over one node table (:mod:`repro.core.node_table`) with no
+recursion; H-Stat needs O(N |F'|^2) forest evaluations.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from ..xai.hstat import h_statistic_matrix
 from .errors import SelectionError
 from .feature_selection import forest_feature_gains
+from .node_table import node_table
 
 __all__ = [
     "candidate_pairs",
@@ -62,56 +64,37 @@ def pair_gain_scores(forest, features: list[int]) -> dict[Pair, float]:
     }
 
 
-def _subtree_feature_stats(tree, want_gain: bool) -> dict[Pair, float]:
-    """Ancestor/descendant co-occurrence scores for one tree.
-
-    A postorder walk propagates, per subtree, the multiset of split
-    features (as either counts or lists of gains).  At each internal node
-    the node's feature is paired with every split in its subtree.
-    """
-    scores: dict[Pair, float] = {}
-
-    def recurse(node: int) -> dict[int, list[float] | int]:
-        if tree.is_leaf(node):
-            return {}
-        left = recurse(int(tree.left[node]))
-        right = recurse(int(tree.right[node]))
-        merged: dict[int, list[float] | int] = {}
-        for sub in (left, right):
-            for f, payload in sub.items():
-                if want_gain:
-                    merged.setdefault(f, []).extend(payload)
-                else:
-                    merged[f] = merged.get(f, 0) + payload
-        f_node = int(tree.feature[node])
-        g_node = float(tree.gain[node])
-        for f, payload in merged.items():
-            if f == f_node:
-                continue
-            key = _normalize_pair(f_node, f)
-            if want_gain:
-                contrib = float(sum(min(g_node, g) for g in payload))
-            else:
-                contrib = float(payload)
-            scores[key] = scores.get(key, 0.0) + contrib
-        if want_gain:
-            merged.setdefault(f_node, []).append(g_node)
-        else:
-            merged[f_node] = merged.get(f_node, 0) + 1
-        return merged
-
-    recurse(0)
-    return scores
-
-
 def _path_scores(forest, features: list[int], want_gain: bool) -> dict[Pair, float]:
-    wanted = set(candidate_pairs(features))
-    totals: dict[Pair, float] = {pair: 0.0 for pair in wanted}
-    for tree in forest.trees_:
-        for pair, value in _subtree_feature_stats(tree, want_gain).items():
-            if pair in totals:
-                totals[pair] += value
-    return totals
+    """Count-/Gain-Path over the forest's node table, one level at a time.
+
+    Every test node on an F' feature climbs its ancestors through
+    ``parent`` in lockstep; each step adds the (ancestor, descendant)
+    pairs on F' features onto an |F'| x |F'| grid with one
+    ``np.bincount``.  Same-feature pairs land on the diagonal, which no
+    candidate pair reads.
+    """
+    pairs = candidate_pairs(features)
+    if not pairs:
+        return {}
+    feats = np.unique(np.asarray(features, dtype=np.int64))
+    m = feats.size
+    table = node_table(forest.trees_)
+    slot = np.searchsorted(feats, table.feature)
+    slot[~table.internal | (feats[np.minimum(slot, m - 1)] != table.feature)] = -1
+    desc = np.flatnonzero(slot >= 0)
+    anc = table.parent[desc]
+    grid = np.zeros(m * m)
+    while desc.size:
+        desc, anc = desc[anc >= 0], anc[anc >= 0]
+        hit = slot[anc] >= 0
+        a, d = anc[hit], desc[hit]
+        weights = np.minimum(table.gain[a], table.gain[d]) if want_gain else None
+        grid += np.bincount(slot[a] * m + slot[d], weights, minlength=m * m)
+        anc = table.parent[anc]
+    grid = grid.reshape(m, m)
+    grid = grid + grid.T  # an unordered pair, from either end of the path
+    index = {int(f): k for k, f in enumerate(feats)}
+    return {(i, j): float(grid[index[i], index[j]]) for i, j in pairs}
 
 
 def count_path_scores(forest, features: list[int]) -> dict[Pair, float]:

@@ -105,8 +105,12 @@ def equi_size_domain(thresholds: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise SamplingError("k must be >= 1")
     k = min(k, thresholds.size)
-    chunks = np.array_split(thresholds, k)
-    return np.unique([float(np.mean(c)) for c in chunks])
+    # np.array_split's runs (r of q + 1 values, then k - r of q), each
+    # row mean reducing its contiguous run exactly as np.mean does.
+    q, r = divmod(thresholds.size, k)
+    head = thresholds[: r * (q + 1)].reshape(r, q + 1).mean(axis=1)
+    tail = thresholds[r * (q + 1) :].reshape(k - r, q).mean(axis=1)
+    return np.unique(np.concatenate([head, tail]))
 
 
 def _widen_collapsed(

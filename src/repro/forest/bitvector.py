@@ -10,10 +10,14 @@ per-node branching.
 Encoding
 --------
 Number each tree's leaves left-to-right (in-order), so every subtree's
-leaves form one contiguous bit range.  For an internal node testing
-``x[f] <= t``, a *false* outcome sends the row right, making the left
-subtree's leaves unreachable — so the node's mask is all-ones except the
-left-subtree bit range.  Evaluating a row against a tree is then:
+leaves form one contiguous bit range.  The numbering comes from the
+level sweep of the forest's node table (:mod:`repro.core.node_table`):
+subtree leaf counts bottom-up, then each subtree's first leaf number
+top-down, a fixed number of numpy calls per level for the whole forest.
+For an internal node testing ``x[f] <= t``, a *false* outcome sends the
+row right, making the left subtree's leaves unreachable — so the node's
+mask is all-ones except the left-subtree bit range.  Evaluating a row
+against a tree is then:
 
 1. start from the tree's init vector (low ``n_leaves`` bits set),
 2. AND in the mask of every condition that evaluates false,
@@ -73,10 +77,11 @@ import threading
 
 import numpy as np
 
+from ..core.node_table import node_table
 from ..core.numerics import NumericsError, assert_all_finite, strict_enabled
 from ..obs.metrics import get_metrics, inc as metric_inc, observe as metric_observe
 from ..obs.trace import monotonic as obs_monotonic, span as obs_span
-from .tree import LEAF, Tree, _forest_fingerprint
+from .tree import Tree, _forest_fingerprint
 
 __all__ = [
     "MAX_LEAF_WORDS",
@@ -98,43 +103,9 @@ MAX_LEAF_WORDS = 8
 MAX_TABLE_BYTES = 256 * 1024 * 1024
 
 
-def _leaf_order(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left-to-right leaf numbering and per-node subtree leaf ranges.
-
-    Returns ``(leaf_nodes, lo, hi)``: node ids of the leaves in
-    left-to-right order, and for every node the half-open range
-    ``[lo, hi)`` of leaf numbers its subtree covers.
-    """
-    n = tree.n_nodes
-    feat, left, right = tree.feature, tree.left, tree.right
-    lo = np.zeros(n, dtype=np.int64)
-    hi = np.zeros(n, dtype=np.int64)
-    leaf_nodes: list[int] = []
-    # Iterative DFS: first visit assigns ``lo``, the post-visit (after
-    # both children) assigns ``hi``; leaves get numbered on sight.
-    stack: list[tuple[int, bool]] = [(0, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            hi[node] = len(leaf_nodes)
-            continue
-        lo[node] = len(leaf_nodes)
-        if feat[node] == LEAF:
-            leaf_nodes.append(node)
-            hi[node] = len(leaf_nodes)
-            continue
-        stack.append((node, True))
-        stack.append((int(right[node]), False))
-        stack.append((int(left[node]), False))
-    return np.asarray(leaf_nodes, dtype=np.int64), lo, hi
-
-
-def _range_mask_words(lb: int, le: int, n_words: int, width: int) -> list[int]:
-    """All-ones words with bits ``[lb, le)`` cleared, low word first."""
-    full = (1 << (width * n_words)) - 1
-    mask = full ^ (((1 << (le - lb)) - 1) << lb)
-    word_max = (1 << width) - 1
-    return [(mask >> (width * w)) & word_max for w in range(n_words)]
+#: ``_LOW_BITS[n] == (1 << n) - 1`` for ``0 <= n <= 64``: a lookup, because
+#: numpy shifts a ``uint64`` modulo 64 and ``1 << 64`` would wrap to ``1``.
+_LOW_BITS = np.array([(1 << n) - 1 for n in range(65)], dtype=np.uint64)
 
 
 class BitvectorForest:
@@ -143,19 +114,9 @@ class BitvectorForest:
     Build with :meth:`pack`; it returns ``None`` when the forest cannot
     be encoded (non-finite thresholds, too many leaves per tree, or
     prefix tables over the byte budget), in which case dispatch falls
-    back to the per-tree loop.
+    back to the per-tree loop.  :meth:`pack` and :meth:`from_state` set
+    every attribute.
     """
-
-    def __init__(self):
-        self.n_trees = 0
-        self.n_features = 0
-        self.init_score = 0.0
-        self.fingerprint = 0
-        self.n_words = 1
-        self.word_bits = 64
-        self.feat_thr: list[np.ndarray] = []
-        self.tables: list[np.ndarray | None] = []
-        self.table_bytes = 0
 
     # ------------------------------------------------------------------
     # packing
@@ -167,12 +128,26 @@ class BitvectorForest:
         """Encode ``trees`` into a :class:`BitvectorForest`; ``None`` if unsupported."""
         if not trees or n_features < 1:
             return None
-        max_leaves = 0
-        for tree in trees:
-            internal = tree.feature != LEAF
-            if internal.any() and not np.all(np.isfinite(tree.threshold[internal])):
-                return None
-            max_leaves = max(max_leaves, tree.n_leaves)
+        table = node_table(trees)
+        internal = table.internal
+        if not np.all(np.isfinite(table.threshold[internal])):
+            return None
+        # Number every tree's leaves left to right over the level sweep:
+        # subtree leaf counts bottom-up, then each subtree's first leaf
+        # number ``lo`` top-down.
+        left, right = table.left, table.right
+        count = np.zeros(table.feature.size, np.int64)
+        for level in reversed(table.levels):
+            inner = level[internal[level]]
+            count[level[~internal[level]]] = 1
+            count[inner] = count[left[inner]] + count[right[inner]]
+        lo = np.zeros_like(count)
+        for level in table.levels:
+            inner = level[internal[level]]
+            lo[left[inner]] = lo[inner]
+            lo[right[inner]] = lo[inner] + count[left[inner]]
+        n_leaves = count[table.levels[0]]
+        max_leaves = int(n_leaves.max())
         if max_leaves > 64 * MAX_LEAF_WORDS:
             return None
 
@@ -181,83 +156,58 @@ class BitvectorForest:
         self.n_features = int(n_features)
         self.init_score = float(init_score)
         self.fingerprint = _forest_fingerprint(trees, init_score)
-        if max_leaves <= 32:
-            self.word_bits, self.n_words, dtype = 32, 1, np.uint32
-        elif max_leaves <= 64:
-            self.word_bits, self.n_words, dtype = 64, 1, np.uint64
-        else:
-            self.word_bits, dtype = 64, np.uint64
-            self.n_words = -(-max_leaves // 64)
-        width, n_words = self.word_bits, self.n_words
+        # uint32 up to 32 leaves, then as many uint64 words as needed.
+        self.word_bits = width = 32 if max_leaves <= 32 else 64
+        self.n_words = n_words = -(-max_leaves // 64)
+        dtype = np.uint32 if width == 32 else np.uint64
 
-        # Walk every tree once: leaf order, leaf values, conditions.
-        per_feat_thr: list[list[float]] = [[] for _ in range(n_features)]
-        per_feat_tree: list[list[int]] = [[] for _ in range(n_features)]
-        per_feat_mask: list[list[list[int]]] = [[] for _ in range(n_features)]
-        init_words = np.empty((self.n_trees, n_words), dtype)
-        leaf_parts: list[np.ndarray] = []
-        leaf_off = np.empty(self.n_trees, np.int64)
-        offset = 0
-        n_conditions = 0
-        for ti, tree in enumerate(trees):
-            leaf_nodes, lo, hi = _leaf_order(tree)
-            leaf_parts.append(tree.value[leaf_nodes])
-            leaf_off[ti] = offset
-            offset += leaf_nodes.size
-            n_leaves = leaf_nodes.size
-            init_words[ti] = [
-                (1 << min(max(n_leaves - width * w, 0), width)) - 1
-                for w in range(n_words)
-            ]
-            for node in np.flatnonzero(tree.feature != LEAF):
-                f = int(tree.feature[node])
-                lchild = int(tree.left[node])
-                per_feat_thr[f].append(float(tree.threshold[node]))
-                per_feat_tree[f].append(ti)
-                per_feat_mask[f].append(
-                    _range_mask_words(int(lo[lchild]), int(hi[lchild]), n_words, width)
-                )
-                n_conditions += 1
-        self.leaf_values = np.concatenate(leaf_parts)
-        self.leaf_offsets = leaf_off
-        self.init_vec = init_words
+        self.leaf_offsets = leaf_off = np.concatenate([[0], np.cumsum(n_leaves)[:-1]])
+        leaves = np.flatnonzero(~internal & (count > 0))
+        self.leaf_values = np.empty(int(n_leaves.sum()))
+        self.leaf_values[leaf_off[table.tree[leaves]] + lo[leaves]] = table.value[leaves]
+        # Word w of a leaf range [lb, le) covers bits [lb - w*width, le - w*width).
+        shift = width * np.arange(n_words)
+        self.init_vec = _LOW_BITS[np.clip(n_leaves[:, None] - shift, 0, width)].astype(dtype)
+
+        # A condition's mask clears its left subtree's leaf range.
+        cond = np.flatnonzero(internal)
+        lchild = left[cond]
+        lb = np.clip(lo[lchild][:, None] - shift, 0, width)
+        le = np.clip((lo[lchild] + count[lchild])[:, None] - shift, 0, width)
+        word_max = (1 << width) - 1
+        masks = ~(_LOW_BITS[le] ^ _LOW_BITS[lb]) & np.uint64(word_max)
 
         # Byte budget: every feature's prefix table is (C_f + 1, T, W).
-        itemsize = np.dtype(dtype).itemsize
-        table_bytes = sum(
-            (len(v) + 1) * self.n_trees * n_words * itemsize
-            for v in per_feat_thr
-            if v
-        )
+        per_feature = np.bincount(table.feature[cond], minlength=n_features)
+        rows = cond.size + np.count_nonzero(per_feature)
+        table_bytes = int(rows) * self.n_trees * n_words * np.dtype(dtype).itemsize
         if table_bytes > MAX_TABLE_BYTES:
             return None
-        self.table_bytes = int(table_bytes)
+        self.table_bytes = table_bytes
 
-        # Per-feature prefix-mask tables: scatter each condition's mask at
-        # its sorted position, then one bitwise-AND prefix scan.
+        # Per-feature prefix-mask tables: conditions grouped by feature and
+        # sorted by threshold (ties keep (tree, node) order), each mask
+        # scattered at its sorted position, then one bitwise-AND prefix scan.
+        order = np.lexsort((table.threshold[cond], table.feature[cond]))
+        thr = table.threshold[cond][order]
+        tree_idx = table.tree[cond][order]
+        masks = masks[order].astype(dtype)
+        bounds = np.concatenate([[0], np.cumsum(per_feature)])
         self.feat_thr = []
         self.tables = []
         for f in range(n_features):
-            thr = np.asarray(per_feat_thr[f], dtype=np.float64)
-            if thr.size == 0:
-                self.feat_thr.append(thr)
+            a, b = bounds[f], bounds[f + 1]
+            self.feat_thr.append(thr[a:b])
+            if a == b:
                 self.tables.append(None)
                 continue
-            order = np.argsort(thr, kind="stable")
-            self.feat_thr.append(thr[order])
-            table = np.full(
-                (thr.size + 1, self.n_trees, n_words),
-                (1 << width) - 1,
-                dtype=dtype,
-            )
-            tree_idx = np.asarray(per_feat_tree[f], dtype=np.int64)[order]
-            masks = np.asarray(per_feat_mask[f], dtype=np.uint64)[order].astype(dtype)
-            table[1 + np.arange(thr.size), tree_idx, :] = masks
-            np.bitwise_and.accumulate(table, axis=0, out=table)
+            prefix = np.full((b - a + 1, self.n_trees, n_words), word_max, dtype)
+            prefix[1 + np.arange(b - a), tree_idx[a:b], :] = masks[a:b]
+            np.bitwise_and.accumulate(prefix, axis=0, out=prefix)
             if n_words == 1:
-                table = np.ascontiguousarray(table[:, :, 0])
-            self.tables.append(table)
-        self.n_conditions = int(n_conditions)
+                prefix = np.ascontiguousarray(prefix[:, :, 0])
+            self.tables.append(prefix)
+        self.n_conditions = int(cond.size)
         return self
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import Tree
+from .tree import Tree, accumulate_importance
 
 __all__ = ["dump_tree", "forest_summary"]
 
@@ -67,12 +67,8 @@ def forest_summary(forest, feature_names: list[str] | None = None) -> str:
 
     leaves = np.array([t.n_leaves for t in trees])
     depths = np.array([t.max_depth for t in trees])
-    split_counts = np.zeros(n_features, dtype=np.int64)
-    gain_totals = np.zeros(n_features)
-    for tree in trees:
-        for node in tree.internal_nodes():
-            split_counts[tree.feature[node]] += 1
-            gain_totals[tree.feature[node]] += tree.gain[node]
+    split_counts = accumulate_importance(trees, n_features, "split").astype(np.int64)
+    gain_totals = accumulate_importance(trees, n_features, "gain")
 
     def name(feature: int) -> str:
         if feature_names:

@@ -25,6 +25,8 @@ from typing import Iterator
 
 import numpy as np
 
+from ..core.node_table import node_table
+
 __all__ = ["LEAF", "Tree", "accumulate_importance", "forest_fingerprint"]
 
 #: Sentinel stored in ``Tree.feature`` for leaf nodes.
@@ -94,13 +96,8 @@ class Tree:
 
     @property
     def max_depth(self) -> int:
-        """Depth of the deepest leaf (root has depth 0)."""
-        depth = np.zeros(self.n_nodes, dtype=np.int32)
-        for node in range(self.n_nodes):
-            if not self.is_leaf(node):
-                depth[self.left[node]] = depth[node] + 1
-                depth[self.right[node]] = depth[node] + 1
-        return int(depth.max())
+        """Depth of the deepest leaf (root has depth 0), from the level sweep."""
+        return len(node_table([self]).levels) - 1
 
     @classmethod
     def single_leaf(cls, value: float, n_samples: int = 0) -> "Tree":

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.numerics import set_numerics_mode
-from repro.datasets import make_d_double_prime, make_d_prime
+from repro.datasets import load_census, make_d_double_prime, make_d_prime
 from repro.forest import GradientBoostingClassifier, GradientBoostingRegressor
 
 # The whole suite runs with the numerics sanitizer armed: non-finite
@@ -74,3 +74,31 @@ def small_classifier(classification_data):
     )
     model.fit(X, y)
     return model
+
+
+@pytest.fixture(scope="session")
+def bench_forests():
+    """The benchmark's three forests, trained as ``bench/workloads.py`` does.
+
+    Spline (D', 200 trees), census (classifier, 120 trees, 51 features)
+    and serve (200 trees x 31 leaves, 12 features): the structure-only
+    passes are pinned against their references on the exact forests the
+    benchmark explains and serves.
+    """
+    spline = make_d_prime(n=10_000, seed=0)
+    census = load_census(n=12_000, seed=0)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((3_000, 12))
+    y = 2 * X[:, 0] + np.sin(3 * X[:, 1]) + X[:, 2] * X[:, 3]
+    y = y + 0.1 * rng.standard_normal(3_000)
+    return {
+        "spline": GradientBoostingRegressor(
+            n_estimators=200, num_leaves=32, learning_rate=0.05, random_state=0
+        ).fit(spline.X_train, spline.y_train),
+        "census": GradientBoostingClassifier(
+            n_estimators=120, num_leaves=32, learning_rate=0.1, random_state=0
+        ).fit(census.X_train, census.y_train),
+        "serve": GradientBoostingRegressor(
+            n_estimators=200, num_leaves=31, learning_rate=0.1, random_state=0
+        ).fit(X, y),
+    }

@@ -11,7 +11,54 @@ from repro.core import (
     rank_interactions,
     select_interactions,
 )
-from repro.forest import LEAF, Tree
+from repro.core.validate import validate_forest
+from repro.forest import LEAF, RandomForestRegressor, Tree
+from tests.forest.test_bitvector import random_tree, shuffle_node_ids
+
+
+def reference_path_scores(forest, features, want_gain):
+    """Count-/Gain-Path by the recursive per-tree walk (the reference).
+
+    A postorder walk propagates, per subtree, the multiset of split
+    features (as counts or lists of gains); at each internal node the
+    node's feature is paired with every split in its subtree.
+    """
+    wanted = set(candidate_pairs(features))
+    totals = {pair: 0.0 for pair in wanted}
+    for tree in forest.trees_:
+        scores = {}
+
+        def recurse(node):
+            if tree.is_leaf(node):
+                return {}
+            merged = {}
+            for child in (int(tree.left[node]), int(tree.right[node])):
+                for f, payload in recurse(child).items():
+                    if want_gain:
+                        merged.setdefault(f, []).extend(payload)
+                    else:
+                        merged[f] = merged.get(f, 0) + payload
+            f_node, g_node = int(tree.feature[node]), float(tree.gain[node])
+            for f, payload in merged.items():
+                if f == f_node:
+                    continue
+                key = (min(f_node, f), max(f_node, f))
+                if want_gain:
+                    contrib = float(sum(min(g_node, g) for g in payload))
+                else:
+                    contrib = float(payload)
+                scores[key] = scores.get(key, 0.0) + contrib
+            if want_gain:
+                merged.setdefault(f_node, []).append(g_node)
+            else:
+                merged[f_node] = merged.get(f_node, 0) + 1
+            return merged
+
+        recurse(0)
+        for pair, value in scores.items():
+            if pair in totals:
+                totals[pair] += value
+    return totals
 
 
 def chain_tree():
@@ -176,3 +223,79 @@ class TestRankAndSelect:
         assert len(ranked) == 10
         top4 = {pair for pair, _ in ranked[:4]}
         assert len(top4 & {(0, 1), (0, 4), (1, 4)}) >= 2
+
+
+def _ranking(scores):
+    return [pair for pair, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+
+class TestMatchesRecursiveReference:
+    """The node-table walk against the recursive walk it replaced.
+
+    Count-Path is exactly equal; Gain-Path adds the same terms in another
+    order, so it is pinned to 1e-12 relative with identical rankings.
+    """
+
+    def _assert_matches(self, forest, features):
+        counts = count_path_scores(forest, features)
+        assert counts == reference_path_scores(forest, features, want_gain=False)
+        gains = gain_path_scores(forest, features)
+        reference = reference_path_scores(forest, features, want_gain=True)
+        assert gains.keys() == reference.keys()
+        for pair, expected in reference.items():
+            assert gains[pair] == pytest.approx(expected, rel=1e-12, abs=0.0), pair
+        assert _ranking(gains) == _ranking(reference)
+
+    @pytest.mark.parametrize("name", ["spline", "census", "serve"])
+    def test_bench_forests(self, bench_forests, name):
+        forest = bench_forests[name]
+        self._assert_matches(forest, list(range(forest.n_features_)))
+        self._assert_matches(forest, [0, 3, 4])
+
+    def test_random_forest(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((600, 6))
+        y = X[:, 0] * X[:, 1] + np.sin(X[:, 2]) + X[:, 3] * X[:, 4]
+        forest = RandomForestRegressor(
+            n_estimators=15, num_leaves=40, random_state=0
+        ).fit(X, y)
+        self._assert_matches(forest, list(range(6)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_trees_with_shuffled_ids(self, seed):
+        rng = np.random.default_rng(seed)
+        trees = []
+        for _ in range(9):
+            tree = random_tree(int(rng.integers(1, 60)), rng, n_features=5)
+            tree.gain = rng.exponential(size=tree.n_nodes) * (tree.feature != LEAF)
+            trees.append(shuffle_node_ids(tree, rng))
+        forest = FakeForest(trees, 5)
+        validate_forest(forest)
+        self._assert_matches(forest, [0, 1, 2, 3, 4])
+        self._assert_matches(forest, [1, 3, 4])
+
+    def test_deep_chain_has_closed_form_counts(self):
+        """1,200 test nodes on one path, features alternating 0/1.
+
+        Every (ancestor, descendant) pair an odd distance apart tests
+        two different features: (1200 / 2) ** 2 of them.  A recursive
+        walk overflows the interpreter stack on this tree.
+        """
+        depth = 1200
+        n = 2 * depth + 1
+        feature = np.full(n, LEAF, np.int32)
+        left = np.full(n, -1, np.int32)
+        right = np.full(n, -1, np.int32)
+        feature[:depth] = np.arange(depth) % 2
+        left[:depth] = np.arange(1, depth + 1)
+        right[:depth] = np.arange(depth + 1, n)
+        tree = Tree(
+            feature=feature, threshold=np.arange(n, dtype=np.float64),
+            left=left, right=right, value=np.zeros(n),
+            gain=np.where(feature != LEAF, 1.0, 0.0),
+            n_samples=np.ones(n, np.int64),
+        )
+        forest = FakeForest([shuffle_node_ids(tree, np.random.default_rng(0))], 2)
+        validate_forest(forest)
+        assert count_path_scores(forest, [0, 1]) == {(0, 1): (depth / 2) ** 2}
+        assert gain_path_scores(forest, [0, 1]) == {(0, 1): (depth / 2) ** 2}

@@ -11,6 +11,7 @@ from repro.core import (
     build_sampling_domains,
     equi_size_domain,
     equi_width_domain,
+    feature_thresholds,
     k_means_domain,
     k_quantile_domain,
 )
@@ -119,6 +120,39 @@ class TestEquiSize:
         thresholds = np.array([1.0, 2.0, 3.0])
         domain = equi_size_domain(thresholds, 50)
         np.testing.assert_allclose(domain, [1.0, 2.0, 3.0])
+
+    @staticmethod
+    def _per_run_reference(thresholds, k):
+        """One ``np.mean`` per ``np.array_split`` run (the reference)."""
+        thresholds = np.sort(np.asarray(thresholds, dtype=np.float64))
+        runs = np.array_split(thresholds, min(k, thresholds.size))
+        return np.unique([float(np.mean(run)) for run in runs])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_per_run_means(self, seed):
+        # Run lengths straddle numpy's pairwise-sum blocks (8 and 128).
+        rng = np.random.default_rng(seed)
+        sizes = [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 130, 257, 300, 1031, 2600]
+        for n in sizes:
+            for k in {1, 2, 3, 7, 10, 20, 64, 200, n - 1, n, n + 1, 10 * n}:
+                if k < 1:
+                    continue
+                values = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+                if rng.random() < 0.3:
+                    values = np.round(values, 1)  # repeated thresholds
+                got = equi_size_domain(values, k)
+                expected = self._per_run_reference(values, k)
+                assert got.dtype == expected.dtype, (n, k)
+                assert got.tobytes() == expected.tobytes(), (n, k)
+
+    def test_bitwise_equal_on_forest_thresholds(self, small_forest):
+        for thresholds in feature_thresholds(small_forest):
+            if thresholds.size:
+                for k in (1, 5, 64, 200):
+                    assert (
+                        equi_size_domain(thresholds, k).tobytes()
+                        == self._per_run_reference(thresholds, k).tobytes()
+                    )
 
 
 class TestBuildDomain:

@@ -445,6 +445,29 @@ def random_tree(n_leaves, rng, n_features=4, grid=None):
     )
 
 
+def shuffle_node_ids(tree, rng):
+    """``tree`` with node ids 1.. permuted (the root stays node 0).
+
+    Children then often have smaller ids than their parents, which no
+    structural pass may assume away.
+    """
+    n = tree.n_nodes
+    new_id = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    old_id = np.argsort(new_id)
+    leaf = tree.feature == LEAF
+    left = np.where(leaf, -1, new_id[tree.left])[old_id]
+    right = np.where(leaf, -1, new_id[tree.right])[old_id]
+    return Tree(
+        feature=tree.feature[old_id],
+        threshold=tree.threshold[old_id],
+        left=left.astype(np.int32),
+        right=right.astype(np.int32),
+        value=tree.value[old_id],
+        gain=tree.gain[old_id],
+        n_samples=tree.n_samples[old_id],
+    )
+
+
 class TestKernelEquivalenceSweep:
     """Every batch shape and mask layout against the per-tree loop."""
 
@@ -526,3 +549,145 @@ class TestExitLeafInvariant:
         encoded.tables[f][-1, 1] = 0  # tree 1 keeps no candidate leaf
         with pytest.raises(NumericsError, match="exit-leaf invariant"):
             encoded.predict_raw(X)
+
+
+def reference_pack(trees, init_score, n_features):
+    """The per-tree reference packer: an iterative DFS plus a mask loop.
+
+    Returns the packed state as :meth:`BitvectorForest.export_state`
+    lays it out (arrays, meta minus the fingerprint), or ``None`` for
+    the declines.
+    """
+    max_leaves = max(t.n_leaves for t in trees)
+    for tree in trees:
+        internal = tree.feature != LEAF
+        if internal.any() and not np.all(np.isfinite(tree.threshold[internal])):
+            return None
+    if max_leaves > 64 * bitvector_mod.MAX_LEAF_WORDS:
+        return None
+    if max_leaves <= 32:
+        width, n_words, dtype = 32, 1, np.uint32
+    else:
+        width, n_words, dtype = 64, -(-max_leaves // 64), np.uint64
+    word_max = (1 << width) - 1
+    per_feat = [[] for _ in range(n_features)]  # (threshold, tree, words)
+    leaf_values, leaf_offsets, init_vec = [], [], []
+    for ti, tree in enumerate(trees):
+        lo = np.zeros(tree.n_nodes, np.int64)
+        hi = np.zeros(tree.n_nodes, np.int64)
+        leaves = []
+        stack = [(0, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                hi[node] = len(leaves)
+                continue
+            lo[node] = len(leaves)
+            if tree.feature[node] == LEAF:
+                leaves.append(node)
+                hi[node] = len(leaves)
+                continue
+            stack += [(node, True), (int(tree.right[node]), False),
+                      (int(tree.left[node]), False)]
+        leaf_offsets.append(sum(len(v) for v in leaf_values))
+        leaf_values.append(tree.value[leaves])
+        init_vec.append([
+            (1 << min(max(len(leaves) - width * w, 0), width)) - 1
+            for w in range(n_words)
+        ])
+        for node in np.flatnonzero(tree.feature != LEAF):
+            child = int(tree.left[node])
+            full = (1 << (width * n_words)) - 1
+            mask = full ^ (((1 << int(hi[child] - lo[child])) - 1) << int(lo[child]))
+            words = [(mask >> (width * w)) & word_max for w in range(n_words)]
+            per_feat[tree.feature[node]].append((tree.threshold[node], ti, words))
+    arrays = {
+        "leaf_values": np.concatenate(leaf_values),
+        "leaf_offsets": np.asarray(leaf_offsets, np.int64),
+        "init_vec": np.asarray(init_vec, dtype=np.uint64).astype(dtype),
+    }
+    table_bytes = 0
+    for f, conds in enumerate(per_feat):
+        if not conds:
+            continue
+        order = np.argsort([c[0] for c in conds], kind="stable")
+        conds = [conds[i] for i in order]
+        table = np.full((len(conds) + 1, len(trees), n_words), word_max, dtype)
+        for p, (_, ti, words) in enumerate(conds, start=1):
+            table[p, ti] = words
+        np.bitwise_and.accumulate(table, axis=0, out=table)
+        arrays[f"feat_thr:{f}"] = np.array([c[0] for c in conds], np.float64)
+        arrays[f"table:{f}"] = table[:, :, 0].copy() if n_words == 1 else table
+        table_bytes += table.nbytes
+    if table_bytes > bitvector_mod.MAX_TABLE_BYTES:
+        return None
+    meta = {
+        "n_trees": len(trees),
+        "n_features": n_features,
+        "init_score": float(init_score),
+        "n_words": n_words,
+        "word_bits": width,
+        "table_bytes": table_bytes,
+        "n_conditions": sum(len(c) for c in per_feat),
+    }
+    return arrays, meta
+
+
+class TestPackMatchesReference:
+    """Every packed array byte-equal to the per-tree reference packer."""
+
+    def _assert_packs_equal(self, trees, init_score, n_features):
+        encoded = BitvectorForest.pack(trees, init_score, n_features)
+        reference = reference_pack(trees, init_score, n_features)
+        if reference is None:
+            assert encoded is None
+            return None
+        arrays, meta = encoded.export_state()
+        assert meta.pop("fingerprint") == bitvector_mod._forest_fingerprint(
+            trees, init_score
+        )
+        assert meta == reference[1]
+        assert arrays.keys() == reference[0].keys()
+        for key, expected in reference[0].items():
+            got = arrays[key]
+            assert got.dtype == expected.dtype, key
+            assert got.shape == expected.shape, key
+            assert got.tobytes() == expected.tobytes(), key
+        return encoded
+
+    @pytest.mark.parametrize(
+        "n_leaves, words, bits",
+        [(1, 1, 32), (31, 1, 32), (32, 1, 32), (33, 1, 64), (60, 1, 64),
+         (64, 1, 64), (65, 2, 64), (200, 4, 64), (512, 8, 64)],
+    )
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_random_forests(self, n_leaves, words, bits, shuffled):
+        rng = np.random.default_rng(n_leaves)
+        trees = [
+            random_tree(max(n_leaves - int(rng.integers(3)), 1), rng)
+            for _ in range(13)
+        ]
+        trees[0] = random_tree(n_leaves, rng)
+        if shuffled:
+            trees = [shuffle_node_ids(tree, rng) for tree in trees]
+        encoded = self._assert_packs_equal(trees, 0.125, 4)
+        assert (encoded.n_words, encoded.word_bits) == (words, bits)
+
+    @pytest.mark.parametrize("name", ["spline", "census", "serve"])
+    def test_bench_forests(self, bench_forests, name):
+        model = bench_forests[name]
+        self._assert_packs_equal(model.trees_, model.init_score_, model.n_features_)
+
+    def test_declines_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        wide = [random_tree(513, rng)]
+        assert self._assert_packs_equal(wide, 0.0, 4) is None
+        bad = [random_tree(20, rng), random_tree(20, rng)]
+        bad[1].threshold[np.flatnonzero(bad[1].feature != LEAF)[-1]] = np.nan
+        assert self._assert_packs_equal(bad, 0.0, 4) is None
+        trees = [random_tree(40, rng) for _ in range(5)]
+        encoded = BitvectorForest.pack(trees, 0.0, 4)
+        monkeypatch.setattr(bitvector_mod, "MAX_TABLE_BYTES", encoded.table_bytes)
+        assert self._assert_packs_equal(trees, 0.0, 4) is not None
+        monkeypatch.setattr(bitvector_mod, "MAX_TABLE_BYTES", encoded.table_bytes - 1)
+        assert self._assert_packs_equal(trees, 0.0, 4) is None

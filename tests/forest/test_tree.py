@@ -1,8 +1,11 @@
 """Tests for the array-based Tree structure."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.core.validate import validate_forest
 from repro.forest import LEAF, Tree
 
 
@@ -32,12 +35,46 @@ def make_two_level():
     )
 
 
+def make_descending_chain():
+    """A chain 0 -> 5 -> 4 -> 3 -> 2 of tests on features 0..4.
+
+    Every child below the root has a *smaller* id than its parent, which
+    is a valid tree: nothing may assume children come after parents.
+    """
+    feature = np.full(11, LEAF, np.int32)
+    left = np.full(11, -1, np.int32)
+    right = np.full(11, -1, np.int32)
+    for f, (node, child, leaf) in enumerate(
+        [(0, 5, 1), (5, 4, 6), (4, 3, 7), (3, 2, 8), (2, 9, 10)]
+    ):
+        feature[node], left[node], right[node] = f, child, leaf
+    # Training rows per node: each leaf holds its own count, tests sum.
+    n_samples = np.array([0, 3, 0, 0, 0, 0, 5, 2, 4, 6, 1], np.int64)
+    for node, child, leaf in [(2, 9, 10), (3, 2, 8), (4, 3, 7), (5, 4, 6), (0, 5, 1)]:
+        n_samples[node] = n_samples[child] + n_samples[leaf]
+    return Tree(
+        feature=feature,
+        threshold=np.array([0.5, 0, 0.1, 0.3, 0.7, 0.2, 0, 0, 0, 0, 0]),
+        left=left,
+        right=right,
+        value=np.array([0, -1.0, 0, 0, 0, 0, 2.0, 0.5, -3.0, 4.0, 1.5]),
+        gain=np.where(feature != LEAF, 1.0, 0.0),
+        n_samples=n_samples,
+    )
+
+
 class TestTreeStructure:
     def test_counts(self):
         tree = make_two_level()
         assert tree.n_nodes == 5
         assert tree.n_leaves == 3
         assert tree.max_depth == 2
+
+    def test_max_depth_with_children_before_parents(self):
+        tree = make_descending_chain()
+        validate_forest(SimpleNamespace(trees_=[tree], n_features_=5, init_score_=0.0))
+        assert tree.max_depth == 5
+        assert Tree.single_leaf(1.0).max_depth == 0
 
     def test_single_leaf(self):
         tree = Tree.single_leaf(7.0, n_samples=3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.forest import GradientBoostingRegressor, RandomForestRegressor
 from repro.xai import TreeShapExplainer, expected_tree_value, tree_shap_values
+from tests.forest.test_tree import make_descending_chain
 
 
 def conditional_expectation(tree, x, subset):
@@ -105,6 +106,18 @@ class TestLocalAccuracy:
         assert explainer.expected_value + phi.sum() == pytest.approx(
             forest.predict(x[None, :])[0], abs=1e-8
         )
+
+
+    @pytest.mark.parametrize("x0", [0.0, 1.0])
+    def test_tree_with_children_before_parents(self, x0):
+        """Node ids need not grow with depth: 0 -> 5 -> 4 -> 3 -> 2."""
+        tree = make_descending_chain()
+        for x in (np.array([x0, 0.5, 0.0, 0.0, 0.0]), np.full(5, x0)):
+            phi = tree_shap_values(tree, x, 5)
+            assert phi.sum() + expected_tree_value(tree) == pytest.approx(
+                tree.predict(x[None, :])[0], abs=1e-12
+            )
+            np.testing.assert_allclose(phi, brute_force_shap(tree, x, 5), atol=1e-12)
 
 
 class TestStructuralProperties:

@@ -1,7 +1,7 @@
 """Tier-2 perf smoke: the bitvector engine against the per-tree loop.
 
-Times ``predict_raw`` for the per-tree loop and the traversal-free
-bitvector engine over the (N, T) grid {10k, 100k} x {50, 500} on a deep
+Times the reference per-tree loop (``loop_predict_raw``) and the
+traversal-free bitvector engine's ``predict_raw`` over the (N, T) grid {10k, 100k} x {50, 500} on a deep
 leaf-wise GBDT (num_leaves=31, the paper's forest shape) and writes a
 schema-validated ``BENCH_predict.json`` trajectory artifact at the repo
 root.  The run *fails* if the bitvector engine is not at least ``2x``
@@ -22,12 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.devtools.benchval import validate_bench_predict
-from repro.forest import (
-    GradientBoostingRegressor,
-    bitvector_for,
-    set_prediction_engine,
-)
-from repro.forest.engines import DEFAULT_ENGINE
+from repro.forest import GradientBoostingRegressor, bitvector_for
+from repro.forest.engines import loop_predict_raw
 
 from _report import header, report
 
@@ -66,23 +62,19 @@ def _time_predict(
     model, X: np.ndarray, engine: str, repeats: int = 2
 ) -> tuple[float, np.ndarray]:
     """Best-of-``repeats`` wall time; the minimum filters scheduler noise."""
-    set_prediction_engine(engine)
-    try:
-        if engine == "bitvector":
-            # Warm the encoding once so the timing isolates evaluation.
-            encoded = bitvector_for(model)
-            assert encoded is not None
-            run = lambda: encoded.predict_raw(X)
-        else:
-            run = lambda: model.predict_raw(X)
-        best = np.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            out = run()
-            best = min(best, time.perf_counter() - start)
-        return best, out
-    finally:
-        set_prediction_engine(DEFAULT_ENGINE)
+    if engine == "bitvector":
+        # Warm the encoding once so the timing isolates evaluation.
+        encoded = bitvector_for(model)
+        assert encoded is not None
+        run = lambda: encoded.predict_raw(X)
+    else:
+        run = lambda: loop_predict_raw(model, X)
+    best = np.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = run()
+        best = min(best, time.perf_counter() - start)
+    return best, out
 
 
 def test_perf_predict():

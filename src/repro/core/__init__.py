@@ -7,8 +7,6 @@ from .config import (
     SAMPLING_STRATEGY_NAMES,
     GEFConfig,
     explain_config_hash,
-    get_prediction_engine,
-    set_prediction_engine,
 )
 from .dataset import ExplanationDataset, generate_dataset, sample_instances
 from .errors import (
@@ -142,10 +140,8 @@ __all__ = [
     "forest_split_counts",
     "gain_path_scores",
     "generate_dataset",
-    "get_prediction_engine",
     "get_stage_hook",
     "h_stat_scores",
-    "set_prediction_engine",
     "set_stage_hook",
     "is_categorical",
     "k_means_domain",

@@ -26,9 +26,7 @@ __all__ = [
     "SAMPLING_STRATEGY_NAMES",
     "explain_config_hash",
     "get_numerics_mode",
-    "get_prediction_engine",
     "set_numerics_mode",
-    "set_prediction_engine",
 ]
 
 
@@ -43,28 +41,6 @@ __all__ = [
 #:    are widened in proportion to their magnitude.
 KERNEL_VERSION = 1
 
-
-def set_prediction_engine(name: str) -> None:
-    """Select the forest evaluation engine used by every ``predict_raw``.
-
-    ``"bitvector"`` (the default) evaluates trees traversal-free from
-    QuickScorer-style threshold-sorted bitmasks, falling back to the
-    per-tree loop for forests it cannot encode; ``"loop"`` always runs
-    the per-tree loop.  Outputs are bitwise identical — the knob exists
-    for benchmarking and as the equivalence reference.  Delegates to
-    :mod:`repro.forest.engines`, imported lazily to keep ``repro.core``
-    import-light.
-    """
-    from .. import forest
-
-    forest.set_prediction_engine(name)
-
-
-def get_prediction_engine() -> str:
-    """The currently selected forest evaluation engine name."""
-    from .. import forest
-
-    return forest.get_prediction_engine()
 
 def explain_config_hash(config: "GEFConfig") -> str:
     """A 16-hex-digit content hash of everything a GEF run depends on.

@@ -7,12 +7,13 @@ sampled (so the forest is exercised over its whole decision space); the
 GAM later models only the selected subset F', treating the remainder as
 marginalized noise.
 
-Labelling streams through the selected prediction engine (the bitvector
-engine by default) in bounded row chunks, so D* never holds more than one
-chunk of engine working buffers at a time; rows are independent, so the
-chunked labels are bitwise identical to one whole-matrix call.  Sampling
-itself stays whole-matrix — one ``rng.choice`` per feature — because the
-RNG stream (and therefore D* itself) is pinned by the fidelity tests.
+Labelling streams through the forest's ``predict_raw`` (the bitvector
+engine, or the per-tree loop for forests it declines) in bounded row
+chunks, so D* never holds more than one chunk of engine working buffers
+at a time; rows are independent, so the chunked labels are bitwise
+identical to one whole-matrix call.  Sampling itself stays whole-matrix
+— one ``rng.choice`` per feature — because the RNG stream (and therefore
+D* itself) is pinned by the fidelity tests.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ def _check_forest(forest) -> None:
 def forest_feature_gains(forest) -> np.ndarray:
     """Accumulated split gain per feature across the whole forest."""
     _check_forest(forest)
+    # Per-tree sums on purpose: one bincount moves these F'/Pair-Gain inputs' last bits.
     gains = np.zeros(int(forest.n_features_))
     for tree in forest.trees_:
         gains += tree.feature_gains(len(gains))
@@ -44,11 +45,10 @@ def forest_split_counts(forest) -> np.ndarray:
     The fallback importance for forests whose serialization stripped the
     per-node gains: split frequency still ranks the load-bearing features.
     """
+    from ..forest.tree import accumulate_importance  # core loads before forest
+
     _check_forest(forest)
-    feats = np.concatenate(
-        [t.feature[t.feature != -1] for t in forest.trees_]
-    )
-    return np.bincount(feats, minlength=int(forest.n_features_)).astype(np.float64)
+    return accumulate_importance(forest.trees_, int(forest.n_features_), "split")
 
 
 def select_univariate(

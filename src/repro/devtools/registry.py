@@ -100,17 +100,6 @@ class GlobalEntry:
 
 
 _ENTRIES = (
-    # repro.forest.engines — the engine knob, written under
-    # engines._state_lock.  Reads are lock-free atomic loads on the
-    # dispatch hot path.
-    GlobalEntry(
-        module="repro.forest.engines", name="_engine",
-        discipline="lock", lock="_state_lock",
-        atomic_reads=("get_prediction_engine", "_encoded"),
-        rationale="single atomic load of an interned str on every "
-        "dispatch; stale reads select the previous engine, never a torn "
-        "value",
-    ),
     # repro.core.numerics — sanitizer mode and the kernel fault-injection
     # hook, both guarded by numerics._mode_lock (hot-path reads lock-free).
     GlobalEntry(

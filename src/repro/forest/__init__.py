@@ -9,18 +9,18 @@ the *forest protocol* GEF relies on:
 * ``n_features_`` — input dimensionality;
 * ``predict_raw(X)`` — ``init_score_ + sum of trees``.
 
-Prediction runs on the traversal-free bitvector engine by default
-(QuickScorer-style threshold-sorted bitmasks, see
-:mod:`repro.forest.bitvector`), falling back to the per-tree loop for
-forests the bitvector encoding declines; ``set_prediction_engine("loop")``
-selects the loop, which is bitwise identical but slower.  The knob lives
-in :mod:`repro.forest.engines`.
+GBDTs and random forests inherit one fitted-forest base
+(:class:`~repro.forest.engines.FittedForest`).  Its ``predict_raw`` runs
+the traversal-free bitvector engine (QuickScorer-style threshold-sorted
+bitmasks, see :mod:`repro.forest.bitvector`) and falls back to the
+per-tree loop, :func:`~repro.forest.engines.loop_predict_raw`, for
+forests the encoding declines.  That loop is the reference every engine
+output must equal bitwise.
 """
 
 from .binning import BinMapper
 from .bitvector import BitvectorForest, bitvector_for, invalidate_bitvector
 from .boosting import GradientBoostingClassifier, GradientBoostingRegressor
-from .engines import get_prediction_engine, set_prediction_engine
 from .grower import TreeGrowerParams, grow_tree
 from .losses import LogisticLoss, SquaredLoss, get_loss, sigmoid
 from .multiclass import OneVsRestGBDTClassifier
@@ -59,13 +59,11 @@ __all__ = [
     "forest_to_dict",
     "forests_equal",
     "get_loss",
-    "get_prediction_engine",
     "grow_tree",
     "invalidate_bitvector",
     "kfold_indices",
     "load_forest",
     "save_forest",
-    "set_prediction_engine",
     "sigmoid",
     "train_test_split",
 ]

@@ -17,18 +17,19 @@ import numpy as np
 from .binning import BinMapper
 from .grower import TreeGrowerParams, grow_tree
 from .losses import get_loss
-from .engines import (
-    dispatch_predict_raw,
-    dispatch_staged_predict_raw,
-    invalidate_model_caches,
-)
-from .tree import Tree, accumulate_importance
+from .bitvector import bitvector_for
+from .engines import FittedForest, invalidate_model_caches, loop_staged_predict_raw
+from .tree import Tree
 from .._rng import as_generator
 
 __all__ = ["GradientBoostingRegressor", "GradientBoostingClassifier"]
 
+#: Staged prediction runs the loop above this many (tree, row) leaf
+#: values: the bitvector staged path materializes all of them at once.
+_STAGED_MAX_ELEMENTS = 25_000_000
 
-class _BaseGradientBoosting:
+
+class _BaseGradientBoosting(FittedForest):
     """Shared fitting machinery for the regressor and the classifier."""
 
     _objective: str  # set by subclasses
@@ -161,61 +162,15 @@ class _BaseGradientBoosting:
         invalidate_model_caches(self)
         return self
 
-    @staticmethod
-    def _check_binary_targets(y: np.ndarray) -> None:
-        labels = np.unique(y)
-        if not np.all(np.isin(labels, (0.0, 1.0))):
-            raise ValueError(f"binary targets must be 0/1, got labels {labels}")
-
-    # ------------------------------------------------------------------
-    # prediction and structure access
-    # ------------------------------------------------------------------
-    def predict_raw(self, X: np.ndarray) -> np.ndarray:
-        """Raw additive score ``init + sum_t tree_t(x)``.
-
-        Evaluated by the traversal-free bitvector engine unless the loop
-        is selected or the forest cannot be encoded; the per-tree loop
-        below is the bitwise-identical reference.
-        """
-        self._check_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        engine_out = dispatch_predict_raw(self, X)
-        if engine_out is not None:
-            return engine_out
-        raw = np.full(X.shape[0], self.init_score_)
-        for tree in self.trees_:
-            raw += tree.predict(X)
-        return raw
-
-    @property
-    def n_trees_(self) -> int:
-        """Number of trees in the fitted ensemble."""
-        return len(self.trees_)
-
     def staged_predict_raw(self, X: np.ndarray):
         """Yield the raw score after each boosting stage (learning curve)."""
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        stages = dispatch_staged_predict_raw(self, X)
-        if stages is not None:
-            yield from stages
-            return
-        raw = np.full(X.shape[0], self.init_score_)
-        for tree in self.trees_:
-            raw = raw + tree.predict(X)
-            yield raw.copy()
-
-    def feature_importance(self, importance_type: str = "gain") -> np.ndarray:
-        """Accumulated split gain (or split count) per feature.
-
-        This is the statistic GEF's univariate feature selection sorts by.
-        """
-        self._check_fitted()
-        return accumulate_importance(self.trees_, self.n_features_, importance_type)
-
-    def _check_fitted(self) -> None:
-        if not self.trees_:
-            raise RuntimeError("model is not fitted")
+        encoded = bitvector_for(self)
+        if encoded is None or encoded.n_trees * X.shape[0] > _STAGED_MAX_ELEMENTS:
+            yield from loop_staged_predict_raw(self, X)
+        else:
+            yield from encoded.staged_predict_raw(X)
 
 
 class GradientBoostingRegressor(_BaseGradientBoosting):

@@ -1,95 +1,51 @@
-"""The prediction-engine knob and the two dispatch functions models call.
+"""The fitted-forest base every model shares, and the reference loop.
 
-Two engines exist, both bitwise identical:
+To GEF a GBDT and a random forest are one kind of object: binary
+``x <= v`` trees whose sum plus ``init_score_`` is the raw score.
+:class:`FittedForest` holds what both model families need once fitted —
+``_check_fitted``, ``n_trees_``, ``feature_importance``, the 0/1 target
+check and ``predict_raw``.
 
-* ``bitvector`` — traversal-free QuickScorer-style evaluation
-  (:mod:`repro.forest.bitvector`), the default;
-* ``loop`` — the per-tree loop, implemented by the models themselves and
-  kept as the equivalence reference.
-
-Dispatch returns ``None`` to mean "run the loop": when the loop is
-selected, or when the bitvector encoding declines a forest (non-finite
-thresholds, trees wider than ``64 * MAX_LEAF_WORDS`` leaves, prefix
-tables over ``MAX_TABLE_BYTES``).
-
-Engine selection is a process-wide knob guarded by ``_state_lock``
-(registered in the thread-safety registry); reads on the hot path are
-single atomic loads under the GIL and stay lock-free.
+``predict_raw`` evaluates the traversal-free bitvector encoding
+(:mod:`repro.forest.bitvector`) and runs :func:`loop_predict_raw` for a
+forest the encoding declines (non-finite thresholds, trees wider than
+``64 * MAX_LEAF_WORDS`` leaves, prefix tables over ``MAX_TABLE_BYTES``).
+:func:`loop_predict_raw` and :func:`loop_staged_predict_raw` are the
+per-tree loop, the equivalence reference: every engine must match them
+bitwise.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .bitvector import bitvector_for, invalidate_bitvector
+from .tree import accumulate_importance
 
 __all__ = [
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "dispatch_predict_raw",
-    "dispatch_staged_predict_raw",
-    "get_prediction_engine",
+    "FittedForest",
     "invalidate_model_caches",
-    "set_prediction_engine",
+    "loop_predict_raw",
+    "loop_staged_predict_raw",
 ]
 
-#: Every selectable engine name.
-ENGINES = ("bitvector", "loop")
 
-#: The engine selected at process start.
-DEFAULT_ENGINE = "bitvector"
-
-#: Fall back to the loop for staged prediction above this many
-#: (tree, row) leaf values (the staged path materializes all of them).
-_STAGED_MAX_ELEMENTS = 25_000_000
-
-# Module-state discipline (see repro.devtools.registry): the knob is
-# written under _state_lock; hot-path reads are single atomic loads.
-_state_lock = threading.Lock()
-_engine = DEFAULT_ENGINE
+def loop_predict_raw(model, X) -> np.ndarray:
+    """``init_score_ + sum_t tree_t(x)``, one tree at a time, in tree order."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    raw = np.full(X.shape[0], model.init_score_)
+    for tree in model.trees_:
+        raw += tree.predict(X)
+    return raw
 
 
-def set_prediction_engine(name: str) -> None:
-    """Select the process-wide prediction engine (one of :data:`ENGINES`)."""
-    if name not in ENGINES:
-        raise ValueError(  # repro: allow(raise-outside-taxonomy) harness misuse, not a pipeline failure
-            f"unknown engine {name!r}; choose from {ENGINES}"
-        )
-    global _engine
-    with _state_lock:
-        _engine = name
-
-
-def get_prediction_engine() -> str:
-    """The currently selected prediction engine name."""
-    return _engine
-
-
-def _encoded(model):
-    """The model's bitvector encoding, or ``None`` to run the loop."""
-    if _engine == "loop":
-        return None
-    return bitvector_for(model)
-
-
-def dispatch_predict_raw(model, X):
-    """Bitvector ``predict_raw`` for ``model``, or ``None`` to run the loop."""
-    encoded = _encoded(model)
-    if encoded is None:
-        return None
-    return encoded.predict_raw(X)
-
-
-def dispatch_staged_predict_raw(model, X):
-    """Bitvector staged-prediction generator, or ``None`` to run the loop."""
-    encoded = _encoded(model)
-    if encoded is None:
-        return None
-    if encoded.n_trees * np.atleast_2d(X).shape[0] > _STAGED_MAX_ELEMENTS:
-        return None
-    return encoded.staged_predict_raw(X)
+def loop_staged_predict_raw(model, X):
+    """Yield the loop's running raw score after each tree."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    raw = np.full(X.shape[0], model.init_score_)
+    for tree in model.trees_:
+        raw = raw + tree.predict(X)  # a new array per stage: callers may keep it
+        yield raw
 
 
 def invalidate_model_caches(model) -> None:
@@ -101,3 +57,54 @@ def invalidate_model_caches(model) -> None:
     explicit and cheap.
     """
     invalidate_bitvector(model)
+
+
+class FittedForest:
+    """Structure access and prediction shared by every forest model.
+
+    Subclasses set ``trees_``, ``init_score_`` and ``n_features_`` in
+    ``fit`` and call :func:`invalidate_model_caches` when done.
+    """
+
+    trees_: list
+    init_score_: float
+    n_features_: int | None
+
+    @property
+    def n_trees_(self) -> int:
+        """Number of trees in the fitted ensemble."""
+        return len(self.trees_)
+
+    def predict_raw(self, X: np.ndarray) -> np.ndarray:
+        """Raw additive score ``init_score_ + sum_t tree_t(x)``.
+
+        Evaluated from the bitvector encoding, or by
+        :func:`loop_predict_raw` when the encoding declines the forest;
+        the two are bitwise identical.
+        """
+        self._check_fitted()
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        encoded = bitvector_for(self)
+        if encoded is None:
+            return loop_predict_raw(self, X)
+        return encoded.predict_raw(X)
+
+    def feature_importance(self, importance_type: str = "gain") -> np.ndarray:
+        """Accumulated split gain (or split count) per feature.
+
+        This is the statistic GEF's univariate feature selection sorts by.
+        """
+        self._check_fitted()
+        return accumulate_importance(self.trees_, self.n_features_, importance_type)
+
+    def _check_fitted(self) -> None:
+        if not self.trees_:
+            raise RuntimeError("model is not fitted")  # repro: allow(raise-outside-taxonomy) estimator misuse, not a pipeline failure
+
+    @staticmethod
+    def _check_binary_targets(y: np.ndarray) -> None:
+        labels = np.unique(y)
+        if not np.all(np.isin(labels, (0.0, 1.0))):
+            raise ValueError(  # repro: allow(raise-outside-taxonomy) estimator misuse, not a pipeline failure
+                f"binary targets must be 0/1, got labels {labels}"
+            )

@@ -89,10 +89,8 @@ class OneVsRestGBDTClassifier:
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
         """Per-class raw (log-odds) scores, shape ``(n, n_classes)``.
 
-        Each column is one binary forest's ``predict_raw``; every forest
-        dispatches through the selected prediction engine (bitvector by
-        default), so the multiclass score matrix is a per-class reshape
-        of engine passes.
+        Each column is one binary forest's ``predict_raw``, so the
+        multiclass score matrix is a per-class reshape of engine passes.
         """
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))

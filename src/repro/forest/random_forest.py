@@ -8,7 +8,8 @@ same histogram grower.
 To keep every downstream consumer (GEF, TreeSHAP) working on a single forest
 protocol — ``prediction = init_score_ + sum of trees`` — each tree's leaf
 values are divided by the number of trees at fit time, so that the sum of
-the stored trees *is* the bagged average.
+the stored trees *is* the bagged average, and prediction is the
+:class:`~repro.forest.engines.FittedForest` path the GBDTs use too.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ import numpy as np
 
 from .binning import BinMapper
 from .grower import TreeGrowerParams, grow_tree
-from .losses import sigmoid
-from .engines import dispatch_predict_raw, invalidate_model_caches
-from .tree import Tree, accumulate_importance
+from .engines import FittedForest, invalidate_model_caches
+from .tree import Tree
 from .._rng import as_generator
 
 __all__ = ["RandomForestRegressor", "RandomForestClassifier"]
 
 
-class _BaseRandomForest:
+class _BaseRandomForest(FittedForest):
     """Shared bagging machinery for the RF regressor and classifier."""
 
     def __init__(
@@ -118,8 +118,7 @@ class _BaseRandomForest:
         held-out split.  Rows that every tree saw get NaN.  Requires
         ``bootstrap=True`` and the same ``X`` that was passed to ``fit``.
         """
-        if not self.trees_:
-            raise RuntimeError("model is not fitted")
+        self._check_fitted()
         if not self.bootstrap:
             raise ValueError("OOB predictions require bootstrap=True")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -136,35 +135,6 @@ class _BaseRandomForest:
         with np.errstate(invalid="ignore"):
             return np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
 
-    def predict_raw(self, X: np.ndarray) -> np.ndarray:
-        """Bagged average output, expressed as ``init + sum of trees``.
-
-        The leaf values are pre-divided by ``n_estimators`` at fit time,
-        so any engine's sum reduction *is* the bagged mean (and the
-        classifier's soft vote); the per-tree loop is the last resort.
-        """
-        if not self.trees_:
-            raise RuntimeError("model is not fitted")
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        engine_out = dispatch_predict_raw(self, X)
-        if engine_out is not None:
-            return engine_out
-        raw = np.full(X.shape[0], self.init_score_)
-        for tree in self.trees_:
-            raw += tree.predict(X)
-        return raw
-
-    @property
-    def n_trees_(self) -> int:
-        """Number of trees in the fitted ensemble."""
-        return len(self.trees_)
-
-    def feature_importance(self, importance_type: str = "gain") -> np.ndarray:
-        """Accumulated gain (or split count) per feature across the forest."""
-        if not self.trees_:
-            raise RuntimeError("model is not fitted")
-        return accumulate_importance(self.trees_, self.n_features_, importance_type)
-
 
 class RandomForestRegressor(_BaseRandomForest):
     """Bagged regression trees; prediction is the per-tree mean."""
@@ -179,9 +149,7 @@ class RandomForestClassifier(_BaseRandomForest):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         y = np.asarray(y, dtype=np.float64).ravel()
-        labels = np.unique(y)
-        if not np.all(np.isin(labels, (0.0, 1.0))):
-            raise ValueError(f"binary targets must be 0/1, got labels {labels}")
+        self._check_binary_targets(y)
         return super().fit(X, y)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -191,8 +159,3 @@ class RandomForestClassifier(_BaseRandomForest):
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Hard 0/1 class label at the 0.5 threshold."""
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
-
-
-def forest_logit_proba(raw: np.ndarray) -> np.ndarray:
-    """Convenience re-export of the logistic transform for raw GBDT scores."""
-    return sigmoid(raw)

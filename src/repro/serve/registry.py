@@ -26,7 +26,6 @@ import numpy as np
 
 from ..core.errors import ModelNotFoundError, ServeError
 from ..forest.bitvector import BitvectorForest, bitvector_for
-from ..forest.engines import get_prediction_engine
 from ..forest.model_io import load_forest
 from ..forest.tree import forest_fingerprint
 from ..obs.trace import span as obs_span
@@ -46,14 +45,12 @@ class ModelEntry:
     n_features: int = field(default=0)
 
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
-        """Raw forest scores for ``X`` via the selected prediction engine.
+        """Raw forest scores for ``X``, bitwise equal to ``model.predict_raw``.
 
-        Uses the registry's pre-built bitvector encoding unless the loop
-        is selected or the forest has no encoding, in which case the
-        model's own loop runs.  Both paths are bitwise identical to
-        ``model.predict_raw``.
+        Uses the registry's pre-built bitvector encoding; a forest without
+        one is scored by ``model.predict_raw``.
         """
-        if self.bitvector is not None and get_prediction_engine() != "loop":
+        if self.bitvector is not None:
             return self.bitvector.predict_raw(X)
         return self.model.predict_raw(X)
 

@@ -66,12 +66,12 @@ class TestCommittedRegistry:
 
 class TestLookup:
     def test_is_registered_backward_compat(self):
-        assert is_registered("repro.forest.engines", "_engine")
-        assert not is_registered("repro.forest.engines", "_nonexistent")
+        assert is_registered("repro.core.numerics", "_mode")
+        assert not is_registered("repro.core.numerics", "_nonexistent")
 
     def test_get_entry(self):
-        entry = get_entry("repro.forest.engines", "_engine")
+        entry = get_entry("repro.core.numerics", "_mode")
         assert entry is not None
         assert entry.discipline == "lock"
-        assert entry.lock == "_state_lock"
+        assert entry.lock == "_mode_lock"
         assert get_entry("nowhere", "nothing") is None

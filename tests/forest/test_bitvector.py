@@ -1,8 +1,9 @@
 """Equivalence tests for the traversal-free bitvector evaluation engine.
 
 The bitvector engine must be *bitwise identical* to the per-tree loop on
-every forest shape: that is the contract that lets it be the default
-``predict_raw`` path.  These tests sweep
+every forest shape: that is the contract that lets it be the
+``predict_raw`` path, with :func:`repro.forest.engines.loop_predict_raw`
+as the reference.  These tests sweep
 model families, mask widths (uint32, single-word uint64, multi-word),
 degenerate trees, edge thresholds and special float inputs — all under
 ``REPRO_NUMERICS=strict`` (the suite-wide default from conftest) —
@@ -22,22 +23,16 @@ from repro.forest import (
     RandomForestRegressor,
     Tree,
     bitvector_for,
-    get_prediction_engine,
     invalidate_bitvector,
-    set_prediction_engine,
 )
 from repro.forest import bitvector as bitvector_mod
-from repro.forest.engines import DEFAULT_ENGINE, ENGINES, invalidate_model_caches
+from repro.forest import boosting as boosting_mod
+from repro.forest.engines import (
+    invalidate_model_caches,
+    loop_predict_raw,
+    loop_staged_predict_raw,
+)
 from repro.forest.tree import LEAF
-
-
-def loop_predict_raw(model, X):
-    """Reference per-tree loop, independent of the engine knob."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    raw = np.full(X.shape[0], model.init_score_)
-    for tree in model.trees_:
-        raw += tree.predict(X)
-    return raw
 
 
 def chain_tree(depth, n_features=3):
@@ -78,13 +73,6 @@ def data():
     return X, y, X_test
 
 
-@pytest.fixture(autouse=True)
-def bitvector_engine():
-    set_prediction_engine("bitvector")
-    yield
-    set_prediction_engine(DEFAULT_ENGINE)
-
-
 class TestEquivalence:
     @pytest.mark.parametrize("max_depth", [1, 2, 4, -1])
     def test_gbdt_regressor_bitwise_identical(self, data, max_depth):
@@ -117,7 +105,7 @@ class TestEquivalence:
         clf.fit(X, (y > 0).astype(float))
         assert np.array_equal(clf.predict_raw(X_test), loop_predict_raw(clf, X_test))
 
-    def test_multiclass_bitwise_identical(self):
+    def test_multiclass_bitwise_identical(self, monkeypatch):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((400, 4))
         y = np.argmax(X[:, :3] + 0.3 * rng.standard_normal((400, 3)), axis=1)
@@ -128,10 +116,12 @@ class TestEquivalence:
         assert raw.shape == (150, model.n_classes_)
         for k, forest in enumerate(model.forests_):
             assert np.array_equal(raw[:, k], loop_predict_raw(forest, X_test))
-        set_prediction_engine("loop")
-        proba_loop = model.predict_proba(X_test)
-        set_prediction_engine("bitvector")
-        assert np.array_equal(model.predict_proba(X_test), proba_loop)
+        proba = model.predict_proba(X_test)
+        for forest in model.forests_:
+            monkeypatch.setattr(
+                forest, "predict_raw", lambda X, f=forest: loop_predict_raw(f, X)
+            )
+        assert np.array_equal(proba, model.predict_proba(X_test))
 
     def test_special_float_inputs_under_strict_numerics(self, data):
         X, y, _ = data
@@ -152,8 +142,7 @@ class TestEquivalence:
         model = GradientBoostingRegressor(n_estimators=12, num_leaves=7, random_state=0)
         model.fit(X, y)
         bv_stages = list(model.staged_predict_raw(X_test))
-        set_prediction_engine("loop")
-        loop_stages = list(model.staged_predict_raw(X_test))
+        loop_stages = list(loop_staged_predict_raw(model, X_test))
         assert len(bv_stages) == len(loop_stages) == 12
         for b, l in zip(bv_stages, loop_stages):
             assert np.array_equal(b, l)
@@ -303,6 +292,29 @@ class TestEligibilityAndFallback:
         assert np.array_equal(out, loop_predict_raw(model, X_test))
         assert model.__dict__["_bitvector_state"][1] is None
 
+    @pytest.mark.parametrize(
+        "cls", [GradientBoostingRegressor, GradientBoostingClassifier]
+    )
+    def test_staged_size_fallback_yields_loop_stages(self, data, monkeypatch, cls):
+        X, y, X_test = data
+        if cls is GradientBoostingClassifier:
+            y = (y > 0).astype(float)
+        model = cls(n_estimators=6, num_leaves=7, random_state=0).fit(X, y)
+        monkeypatch.setattr(boosting_mod, "_STAGED_MAX_ELEMENTS", 0)
+
+        def no_bitvector_stages(self, X):
+            raise AssertionError("staged fallback ran the bitvector path")
+
+        monkeypatch.setattr(
+            BitvectorForest, "staged_predict_raw", no_bitvector_stages
+        )
+        assert bitvector_for(model) is not None  # encoded, yet too large
+        stages = list(model.staged_predict_raw(X_test))
+        reference = list(loop_staged_predict_raw(model, X_test))
+        assert len(stages) == len(reference) == 6
+        for got, want in zip(stages, reference):
+            assert np.array_equal(got, want)
+
     def test_decline_is_cached_until_invalidated(self, data, monkeypatch):
         X, y, _ = data
         model = GradientBoostingRegressor(n_estimators=4, num_leaves=7, random_state=0)
@@ -346,30 +358,6 @@ class TestCacheAndInvalidation:
         assert bitvector_for(model) is not None
         invalidate_bitvector(model)
         assert "_bitvector_state" not in model.__dict__
-
-
-class TestEngineKnobAndRegistry:
-    def test_bitvector_is_the_default_engine(self):
-        assert DEFAULT_ENGINE == "bitvector"
-        assert get_prediction_engine() == "bitvector"
-
-    def test_engine_knob_roundtrip(self):
-        assert ENGINES == ("bitvector", "loop")
-        for name in ENGINES:
-            set_prediction_engine(name)
-            assert get_prediction_engine() == name
-        with pytest.raises(ValueError):
-            set_prediction_engine("warp-drive")
-
-    def test_loop_engine_skips_encoding(self, data):
-        X, y, X_test = data
-        model = GradientBoostingRegressor(n_estimators=5, num_leaves=7, random_state=0)
-        model.fit(X, y)
-        set_prediction_engine("loop")
-        out = model.predict_raw(X_test)
-        assert "_bitvector_state" not in model.__dict__
-        set_prediction_engine("bitvector")
-        assert np.array_equal(out, model.predict_raw(X_test))
 
 
 class TestChunkingAndThreads:

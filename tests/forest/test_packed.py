@@ -23,20 +23,13 @@ from repro.forest import (
     RandomForestRegressor,
     Tree,
     bitvector_for,
-    get_prediction_engine,
-    set_prediction_engine,
 )
-from repro.forest.engines import DEFAULT_ENGINE, ENGINES, invalidate_model_caches
+from repro.forest.engines import (
+    invalidate_model_caches,
+    loop_predict_raw,
+    loop_staged_predict_raw,
+)
 from repro.forest.tree import LEAF
-
-
-def loop_predict_raw(model, X):
-    """Reference per-tree loop, independent of the engine knob."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    raw = np.full(X.shape[0], model.init_score_)
-    for tree in model.trees_:
-        raw += tree.predict(X)
-    return raw
 
 
 def repack(encoded):
@@ -64,13 +57,6 @@ def data():
     y = y + 0.1 * rng.standard_normal(800)
     X_test = rng.standard_normal((700, 5))
     return X, y, X_test
-
-
-@pytest.fixture(autouse=True)
-def default_engine():
-    set_prediction_engine(DEFAULT_ENGINE)
-    yield
-    set_prediction_engine(DEFAULT_ENGINE)
 
 
 class TestEquivalence:
@@ -142,8 +128,7 @@ class TestEquivalence:
         model = GradientBoostingRegressor(n_estimators=12, num_leaves=7, random_state=0)
         model.fit(X, y)
         packed_stages = list(packed_model(model).staged_predict_raw(X_test))
-        set_prediction_engine("loop")
-        loop_stages = list(model.staged_predict_raw(X_test))
+        loop_stages = list(loop_staged_predict_raw(model, X_test))
         assert len(packed_stages) == len(loop_stages) == 12
         for p, l in zip(packed_stages, loop_stages):
             assert np.array_equal(p, l)
@@ -249,26 +234,6 @@ class TestCacheAndInvalidation:
 
 
 class TestEngineKnobAndThreads:
-    def test_engine_knob_roundtrip(self):
-        assert get_prediction_engine() == DEFAULT_ENGINE
-        for name in ENGINES:
-            set_prediction_engine(name)
-            assert get_prediction_engine() == name
-        # "packed" is not an engine: the packed state is bitvector buffers.
-        for bad in ("packed", "warp-drive"):
-            with pytest.raises(ValueError):
-                set_prediction_engine(bad)
-
-    def test_loop_engine_skips_packing(self, data):
-        X, y, X_test = data
-        model = GradientBoostingRegressor(n_estimators=5, num_leaves=7, random_state=0)
-        model.fit(X, y)
-        set_prediction_engine("loop")
-        out = model.predict_raw(X_test)
-        assert "_bitvector_state" not in model.__dict__
-        set_prediction_engine("bitvector")
-        assert np.array_equal(out, packed_model(model).predict_raw(X_test))
-
     def test_n_jobs_and_chunking_invariance(self, data):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=20, num_leaves=31, random_state=0)

@@ -17,9 +17,8 @@ from repro.forest import (
     GradientBoostingRegressor,
     forest_from_dict,
     forest_to_dict,
-    get_prediction_engine,
-    set_prediction_engine,
 )
+from repro.forest.engines import loop_predict_raw
 from repro.forest.tree import LEAF
 from repro.obs import disable_metrics, disable_tracing
 
@@ -78,18 +77,9 @@ def serve_rows(serve_data):
 
 @pytest.fixture()
 def loop_predict():
-    """``loop_predict(model, X)``: scores from the per-tree loop engine.
+    """``loop_predict(model, X)``: scores from the per-tree loop.
 
     The loop is the equivalence reference every served answer must match
-    bitwise; the previously selected engine is restored afterwards.
+    bitwise.
     """
-
-    def predict(model, X):
-        previous = get_prediction_engine()
-        set_prediction_engine("loop")
-        try:
-            return model.predict_raw(X)
-        finally:
-            set_prediction_engine(previous)
-
-    return predict
+    return loop_predict_raw

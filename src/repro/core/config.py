@@ -24,6 +24,8 @@ __all__ = [
     "INTERACTION_STRATEGY_NAMES",
     "KERNEL_VERSION",
     "SAMPLING_STRATEGY_NAMES",
+    "config_from_dict",
+    "config_to_dict",
     "explain_config_hash",
     "get_numerics_mode",
     "set_numerics_mode",
@@ -54,10 +56,7 @@ def explain_config_hash(config: "GEFConfig") -> str:
     from the config alone; it hashes to an explicit non-reproducible
     marker so such configs never collide with seeded ones.
     """
-    data = dataclasses.asdict(config)
-    lam_grid = data.get("lam_grid")
-    if lam_grid is not None:
-        data["lam_grid"] = np.asarray(lam_grid).tolist()
+    data = config_to_dict(config)
     if isinstance(data.get("random_state"), np.random.Generator):
         data["random_state"] = "<generator:non-reproducible>"
     payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -130,18 +129,24 @@ class GEFConfig:
         sanity checks) before any pipeline work.  On by default; the cost
         is one vectorized O(nodes) pass.
     max_retries:
-        Recoverable-failure retries per stage (reseeded resampling on a
-        degenerate D*, lambda-grid escalation / ridge bump on a divergent
-        fit) before the stage degrades or fails.
+        Recoverable-failure retries of one step: reseeded resampling on a
+        degenerate D* (the sample stage), and on every rung of the fit's
+        degradation ladder lambda-grid escalation, then a ridge bump (at
+        most two) before the ladder drops to a simpler model.
     retry_backoff:
-        Base seconds of the exponential retry backoff
-        (``backoff * 2**(attempt-1)``); 0 (the default) retries
-        immediately, keeping test runs deterministic and fast.
+        Base seconds of the exponential backoff before a retry on the
+        same step — a sample reseed or a fit retry on the same rung
+        (``backoff * 2**(n-1)`` before the n-th retry of that step; a
+        rung descent waits none).  0 (the default) retries immediately,
+        keeping test runs deterministic and fast.
     stage_timeout:
         Per-stage wall-clock budget in seconds — a scalar applying to
         every stage, a ``{stage_name: seconds}`` mapping, or ``None``
-        (no budgets).  A stage exceeding its budget raises
-        :class:`~repro.core.errors.StageTimeoutError`.
+        (no budgets).  The budget runs from the stage's start and spans
+        all its attempts, retry backoff and synthetic stalls included; a
+        stage exceeding it raises
+        :class:`~repro.core.errors.StageTimeoutError` (the interaction
+        stage falls back to |F''| = 0 instead, unless ``strict``).
     """
 
     n_univariate: int | None = None
@@ -205,3 +210,24 @@ class GEFConfig:
             )
             if any(b is not None and b <= 0 for b in budgets):
                 raise ValueError("stage_timeout budgets must be positive")
+
+
+def config_to_dict(config: GEFConfig) -> dict:
+    """Every :class:`GEFConfig` field in a dict, ``lam_grid`` as a list.
+
+    The one serialized form of a config: explanation archives, ledger
+    entries and :func:`explain_config_hash` all write it, and
+    :func:`config_from_dict` reads it back.
+    """
+    data = dataclasses.asdict(config)
+    if data["lam_grid"] is not None:
+        data["lam_grid"] = np.asarray(data["lam_grid"]).tolist()
+    return data
+
+
+def config_from_dict(data: dict) -> GEFConfig:
+    """Rebuild a :class:`GEFConfig` from :func:`config_to_dict` output."""
+    data = dict(data)
+    if data.get("lam_grid") is not None:
+        data["lam_grid"] = np.asarray(data["lam_grid"])
+    return GEFConfig(**data)

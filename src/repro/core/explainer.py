@@ -8,20 +8,22 @@ inputs are the forest structure and the forest's own query API.
 
 Because that forest is an arbitrary, untrusted artifact, the pipeline is
 wrapped in a resilience layer (DESIGN.md §9): every step runs as a named
-*stage* under an optional wall-clock budget, recoverable failures are
-retried deterministically (reseeded resampling on a degenerate D*,
-lambda-grid escalation and a ridge bump on a divergent fit), and the GAM
-fit falls down a degradation ladder — drop the lowest-ranked tensor term,
-then factor terms, then all the way to a linear (GLM) surrogate — rather
-than crash.  Every decision is recorded in a machine-readable
-:class:`~repro.core.stages.StageReport` attached to the explanation;
-``GEFConfig(strict=True)`` disables all recovery and fails fast with a
-typed :class:`~repro.core.errors.ReproError`.
+*stage* under an optional wall-clock budget, and one attempt loop handles
+every recovery — reseeded resampling on a degenerate D*, lambda-grid
+escalation and a ridge bump on a divergent fit, a degradation ladder that
+drops the lowest-ranked tensor term, then factor terms, then all the way
+to a linear (GLM) surrogate, and |F''| = 0 when interaction selection
+fails — rather than crash.  Every decision is recorded in a
+machine-readable :class:`~repro.core.stages.StageReport` attached to the
+explanation; ``GEFConfig(strict=True)`` disables all recovery and fails
+fast with a typed :class:`~repro.core.errors.ReproError`.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .gam_builder import build_gam
 from .interactions import select_interactions
 from .numerics import NumericsError
 from .sampling import build_sampling_domains
-from .stages import StageAttempt, StageRecord, StageReport, get_stage_hook
+from .stages import StageAttempt, StageReport, get_stage_hook
 from .validate import validate_domains, validate_forest
 
 __all__ = ["GEF"]
@@ -55,45 +57,55 @@ __all__ = ["GEF"]
 #: solves and numerics faults inside the guarded kernels.
 _FIT_FAULTS = (FitDivergenceError, FloatingPointError, np.linalg.LinAlgError)
 
-#: Multiplier of the lambda-grid escalation retry (heavier smoothing
-#: regularizes an ill-conditioned design).
-_LAM_ESCALATION = 100.0
+#: The trials of one ladder rung: (lambda-grid scale, ridge floor, note).
+#: The plain fit, then the grid escalated ×100 (heavier smoothing
+#: regularizes an ill-conditioned design), then a ridge bump on top of it
+#: (1e-4 vs. the 1e-8 default).
+_FIT_TRIALS = (
+    (1.0, 0.0, None),
+    (100.0, 0.0, "lambda grid escalated"),
+    (100.0, 1e-4, "lambda grid escalated + ridge bump"),
+)
 
-#: Ridge floor applied by the ridge-bump retry (vs. the 1e-8 default).
-_RIDGE_BUMP = 1e-4
+#: The step of a stage without a degradation ladder.
+_NO_LADDER = (0, None)
 
 #: Prime stride used to derive deterministic retry seeds.
 _RESEED_STRIDE = 7919
 
 
-def _timeout_for(stage_timeout, stage: str) -> float | None:
-    if stage_timeout is None:
-        return None
-    if isinstance(stage_timeout, dict):
-        budget = stage_timeout.get(stage)
-        return None if budget is None else float(budget)
-    return float(stage_timeout)
-
-
 def _reseed(random_state, attempt: int):
     """Deterministic per-attempt seed for resampling retries."""
-    if isinstance(random_state, np.random.Generator):
+    if attempt == 1 or isinstance(random_state, np.random.Generator):
         return random_state  # a Generator streams fresh draws by itself
     base = 0 if random_state is None else int(random_state)
     return base + _RESEED_STRIDE * (attempt - 1)
 
 
-class _StageRunner:
-    """Executes pipeline stages with budgets, retries and fault hooks.
+def _once(fn) -> list:
+    """The attempts of a stage without recovery: ``fn`` once."""
+    return [(fn, _NO_LADDER, None)]
 
-    ``run`` calls ``fn(attempt)`` (attempt starts at 1) and returns its
-    value.  Exceptions in ``recoverable`` are retried up to the config's
-    ``max_retries`` with deterministic exponential backoff; anything else
-    is recorded and re-raised as (or wrapped into) a typed
-    :class:`ReproError` carrying the stage name.  A stage hook installed
-    via :func:`repro.core.stages.set_stage_hook` runs first and may kill
-    the stage (by raising) or stall it (by returning synthetic seconds
-    that count against the wall-clock budget).
+
+class _StageRunner:
+    """Executes pipeline stages: the pipeline's one attempt loop.
+
+    ``run`` tries ``attempts`` — ``(fn, step, note)`` triples, where
+    ``step`` is the ``(index, rung)`` of the degradation-ladder step the
+    attempt runs and ``note`` the recovery that leads to it — and returns
+    the first ``fn()`` value.  A failure in ``recoverable`` moves on to the
+    next attempt: a ``"retry"`` on the same step (after deterministic
+    exponential backoff), ``"degraded"`` onto a new one.  The runner alone
+    sets the record's status: ``ok`` on the first attempt, ``recovered``
+    on the first step, ``degraded`` (``fallback`` naming the rung)
+    otherwise.  A terminal failure takes ``fallback`` — a
+    ``(name, value, note)`` triple — when given, and is raised as (or
+    wrapped into) a typed :class:`ReproError` carrying the stage name
+    otherwise.  The stage's ``stage_timeout`` budget runs from its start,
+    backoff included.  Strict mode runs the first attempt only and takes
+    no fallback.  A stage hook installed via
+    :func:`repro.core.stages.set_stage_hook` runs before every attempt and
+    may kill it (by raising) or stall it (by returning synthetic seconds).
     """
 
     def __init__(self, config: GEFConfig, report: StageReport, verbose: bool):
@@ -101,10 +113,14 @@ class _StageRunner:
         self.report = report
         self.verbose = verbose
 
-    def run(self, stage: str, fn, recoverable: tuple = ()):
+    def run(self, stage: str, attempts, recoverable: tuple = (), fallback=None):
         cfg = self.config
-        retries = 0 if cfg.strict else cfg.max_retries
-        timeout = _timeout_for(cfg.stage_timeout, stage)
+        budget = cfg.stage_timeout
+        if isinstance(budget, dict):
+            budget = budget.get(stage)
+        attempts = iter(attempts)
+        if cfg.strict:
+            attempts, fallback = itertools.islice(attempts, 1), None
         record = self.report.record(stage)
         # All timing below reads the pipeline clock (repro.obs.trace):
         # synthetic stall seconds charged by fault hooks advance that
@@ -114,13 +130,13 @@ class _StageRunner:
         if tracer is not None:
             stage_span = tracer.start(f"stage.{stage}")
             record.span_id = stage_span.span_id
-        stage_start = monotonic()
+        started = monotonic()
         try:
             return self._attempt_loop(
-                stage, fn, recoverable, retries, timeout, record, stage_span
+                stage, attempts, recoverable, fallback, budget, record, started
             )
         finally:
-            record.duration_s = monotonic() - stage_start
+            record.duration_s = monotonic() - started
             if stage_span is not None:
                 stage_span.set(
                     status=record.status,
@@ -130,106 +146,111 @@ class _StageRunner:
                 tracer.finish(stage_span)
 
     def _attempt_loop(
-        self, stage, fn, recoverable, retries, timeout, record, stage_span
+        self, stage, attempts, recoverable, fallback, budget, record, started
     ):
         tracer = get_tracer()
-        attempt = 0
-        while True:
-            attempt += 1
+        fn, step, _ = next(attempts)
+        first_step = step
+        step_retries = 0
+        for number in itertools.count(1):
             attempt_span = None
             if tracer is not None:
                 attempt_span = tracer.start(
-                    f"stage.{stage}.attempt", attempt=attempt
+                    f"stage.{stage}.attempt", attempt=number, rung=step[1]
                 )
-            penalty = 0.0
             start = monotonic()
             try:
                 hook = get_stage_hook(stage)
                 if hook is not None:
-                    penalty = float(hook(stage) or 0.0)
                     # Synthetic stall seconds enter every downstream
                     # duration through the shared clock offset.
-                    clock_advance(penalty)
-                    if timeout is not None and penalty > timeout:
-                        raise StageTimeoutError(
-                            f"stage '{stage}' stalled for {penalty:.1f}s "
-                            f"(budget {timeout:.1f}s)",
-                            stage=stage,
-                        )
-                value = fn(attempt)
-            except Exception as exc:  # noqa: we always re-raise (typed)
-                attempt_elapsed = monotonic() - start
-                record.elapsed += attempt_elapsed
-                if attempt_span is not None:
-                    attempt_span.set(error=str(exc))
-                    tracer.finish(attempt_span)
-                if (
-                    isinstance(exc, recoverable)
-                    and not isinstance(exc, StageTimeoutError)
-                    and attempt <= retries
-                ):
-                    delay = self.config.retry_backoff * (2 ** (attempt - 1))
-                    metric_inc(f"{stage}.retries")
+                    clock_advance(float(hook(stage) or 0.0))
+                _check_budget(stage, budget, started)
+                value = fn()
+                _check_budget(stage, budget, started)
+            except Exception as exc:
+                duration = _end_attempt(record, tracer, attempt_span, start, exc)
+                upcoming = (
+                    next(attempts, None) if isinstance(exc, recoverable) else None
+                )
+                if upcoming is None and fallback is None:
+                    typed = _typed(exc, stage)
                     record.attempts.append(
-                        StageAttempt(
-                            outcome="retry",
-                            error=str(exc),
-                            note=f"retrying (backoff {delay:g}s)",
-                            duration_s=attempt_elapsed,
-                        )
+                        StageAttempt("failed", str(exc), None, duration)
                     )
-                    if self.verbose:
-                        print(f"[gef] {stage}: retrying after {exc}")
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                if isinstance(exc, ReproError):
-                    typed = exc
-                    if typed.stage is None:
-                        typed.stage = stage
+                    record.status, record.error = "failed", str(typed)
+                    if typed is exc:
+                        raise
+                    raise typed from exc
+                if upcoming is None:
+                    name, value, note = fallback
+                    record.attempts.append(
+                        StageAttempt("degraded", str(exc), note, duration)
+                    )
+                    record.status, record.fallback = "degraded", name
+                    return value
+                fn, next_step, note = upcoming
+                delay = 0.0
+                if next_step == step:
+                    outcome = "retry"
+                    delay = self.config.retry_backoff * 2**step_retries
+                    step_retries += 1
+                    note = f"{note} (backoff {delay:g}s)"
+                    metric_inc(f"{stage}.retries")
                 else:
-                    typed = StageFailureError(
-                        f"stage '{stage}' crashed: "
-                        f"{type(exc).__name__}: {exc}",
-                        stage=stage,
-                    )
+                    outcome, step_retries = "degraded", 0
+                    metric_inc(f"{stage}.rung_descents")
+                    metric_gauge("degrade.rung", next_step[0])
                 record.attempts.append(
-                    StageAttempt(
-                        outcome="failed",
-                        error=str(exc),
-                        duration_s=attempt_elapsed,
-                    )
+                    StageAttempt(outcome, str(exc), note, duration)
                 )
-                record.status = "failed"
-                record.error = str(typed)
-                if typed is exc:
-                    raise
-                raise typed from exc
-            elapsed = monotonic() - start
-            record.elapsed += elapsed
-            if attempt_span is not None:
-                tracer.finish(attempt_span)
-            if timeout is not None and elapsed > timeout:
-                timed_out = StageTimeoutError(
-                    f"stage '{stage}' took {elapsed:.1f}s "
-                    f"(budget {timeout:.1f}s)",
-                    stage=stage,
-                )
-                record.attempts.append(
-                    StageAttempt(
-                        outcome="failed",
-                        error=str(timed_out),
-                        duration_s=elapsed,
-                    )
-                )
-                record.status = "failed"
-                record.error = str(timed_out)
-                raise timed_out
-            record.attempts.append(
-                StageAttempt(outcome="ok", duration_s=elapsed)
-            )
-            record.status = "ok" if attempt == 1 else "recovered"
+                if self.verbose:
+                    print(f"[gef] {stage}: {outcome} after {exc}")
+                if delay > 0:
+                    time.sleep(delay)
+                step = next_step
+                continue
+            duration = _end_attempt(record, tracer, attempt_span, start)
+            record.attempts.append(StageAttempt("ok", duration_s=duration))
+            if number == 1:
+                record.status = "ok"
+            elif step == first_step:
+                record.status = "recovered"
+            else:
+                record.status, record.fallback = "degraded", step[1]
             return value
+
+
+def _end_attempt(record, tracer, attempt_span, start: float, error=None) -> float:
+    """Close an attempt's span and book its duration; returns it."""
+    duration = monotonic() - start
+    record.elapsed += duration
+    if attempt_span is not None:
+        if error is not None:
+            attempt_span.set(error=str(error))
+        tracer.finish(attempt_span)
+    return duration
+
+
+def _typed(exc: Exception, stage: str) -> ReproError:
+    """``exc`` as a typed :class:`ReproError` naming ``stage``."""
+    if isinstance(exc, ReproError):
+        if exc.stage is None:
+            exc.stage = stage
+        return exc
+    return StageFailureError(
+        f"stage '{stage}' crashed: {type(exc).__name__}: {exc}", stage=stage
+    )
+
+
+def _check_budget(stage: str, budget, started: float) -> None:
+    """Raise :class:`StageTimeoutError` once the stage outran its budget."""
+    elapsed = monotonic() - started
+    if budget is not None and elapsed > budget:
+        raise StageTimeoutError(
+            f"stage '{stage}' took {elapsed:.1f}s (budget {budget:.1f}s)",
+            stage=stage,
+        )
 
 
 def _check_dataset(dataset, features: list[int]) -> None:
@@ -293,108 +314,56 @@ class GEF:
             raise TypeError("pass either a config object or keyword overrides")
         self.config = config
 
-    # ------------------------------------------------------------------
-    # stage bodies
-    # ------------------------------------------------------------------
-    def _validate_stage(self, forest, feature_names):
-        if feature_names is not None and len(feature_names) != int(
-            forest.n_features_
-        ):
-            raise ForestValidationError(
-                f"feature_names has {len(feature_names)} entries, "
-                f"forest has {forest.n_features_} features"
-            )
-        return validate_forest(forest)
-
-    def _fit_stage(
-        self,
-        dataset,
-        features,
-        pairs,
-        thresholds,
-        is_classifier,
-        feature_names,
-        record: StageRecord,
-        verbose: bool,
+    def _fit_attempts(
+        self, dataset, features, pairs, thresholds, is_classifier, feature_names
     ):
-        """Fit the surrogate GAM, descending the degradation ladder.
+        """The fit stage's attempts: every rung × trial of the ladder.
 
-        Within every rung up to two recoverable retries run first —
-        lambda-grid escalation, then a ridge bump — before the ladder
-        drops to a simpler model.  In strict mode the first failure
-        raises; on clean inputs the first attempt of the ``full`` rung
-        succeeds and the ladder is a no-op.
+        Each rung is fitted as is, then retried — up to ``max_retries``
+        times, at most twice — with the lambda grid escalated and then a
+        ridge bump, before the ladder drops to a simpler model.  The last
+        attempt (the first in strict mode) raises its divergence as a
+        :class:`FitDivergenceError` naming the exhausted ladder.
         """
         cfg = self.config
-        in_rung_retries = 0 if cfg.strict else min(cfg.max_retries, 2)
+        trials = _FIT_TRIALS[: 1 + min(cfg.max_retries, 2)]
         plan = _rung_plan(pairs)
+        exhausted = "the GAM fit failed on every rung of the degradation ladder"
         if cfg.strict:
-            plan = plan[:1]
-        last_error: Exception | None = None
-        for rung_index, (rung, rung_pairs, note) in enumerate(plan):
-            if rung_index > 0:
-                metric_inc("fit.rung_descents")
-                metric_gauge("degrade.rung", rung_index)
-            for trial in range(1 + in_rung_retries):
-                trial_start = monotonic()
-                gam = build_gam(
-                    features, rung_pairs, thresholds, cfg,
-                    is_classifier, feature_names, rung,
+            exhausted = "the GAM fit diverged (strict mode: no ladder)"
+
+        def fit(rung, rung_pairs, scale, ridge, last):
+            gam = build_gam(
+                features, rung_pairs, thresholds, cfg,
+                is_classifier, feature_names, rung,
+            )
+            gam.ridge = max(gam.ridge, ridge)
+            lam_grid = np.asarray(
+                default_lam_grid() if cfg.lam_grid is None else cfg.lam_grid,
+                dtype=np.float64,
+            )
+            try:
+                gam.gridsearch(
+                    dataset.X_train, dataset.y_train, lam_grid=lam_grid * scale
                 )
-                lam_grid = np.asarray(
-                    default_lam_grid() if cfg.lam_grid is None else cfg.lam_grid,
-                    dtype=np.float64,
+            except _FIT_FAULTS as exc:
+                if not last:
+                    raise
+                raise FitDivergenceError(
+                    f"{exhausted}: {exc}", stage="fit"
+                ) from exc
+            return gam, rung_pairs
+
+        for index, (rung, rung_pairs, rung_note) in enumerate(plan):
+            for trial, (scale, ridge, trial_note) in enumerate(trials):
+                last = cfg.strict or (
+                    index == len(plan) - 1 and trial == len(trials) - 1
                 )
-                trial_note = None
-                if trial >= 1:
-                    lam_grid = lam_grid * _LAM_ESCALATION
-                    trial_note = "lambda grid escalated"
-                if trial >= 2:
-                    gam.ridge = max(gam.ridge, _RIDGE_BUMP)
-                    trial_note = "lambda grid escalated + ridge bump"
-                try:
-                    with obs_span("fit.rung", rung=rung, trial=trial):
-                        gam.gridsearch(
-                            dataset.X_train, dataset.y_train, lam_grid=lam_grid
-                        )
-                except _FIT_FAULTS as exc:
-                    last_error = exc
-                    more_trials = trial < in_rung_retries
-                    more_rungs = rung_index < len(plan) - 1
-                    outcome = (
-                        "retry" if more_trials
-                        else ("degraded" if more_rungs else "failed")
-                    )
-                    record.attempts.append(
-                        StageAttempt(
-                            outcome=outcome,
-                            error=str(exc),
-                            note=(
-                                trial_note if more_trials
-                                else (
-                                    plan[rung_index + 1][2]
-                                    if more_rungs else None
-                                )
-                            ),
-                            duration_s=monotonic() - trial_start,
-                        )
-                    )
-                    if verbose:
-                        print(f"[gef] fit [{rung}] failed: {exc}")
-                    continue
-                if rung != "full":
-                    record.fallback = rung
-                    if note:
-                        record.attempts.append(
-                            StageAttempt(outcome="degraded", note=note)
-                        )
-                return gam, rung_pairs
-        message = "the GAM fit failed on every rung of the degradation ladder"
-        if cfg.strict:
-            message = "the GAM fit diverged (strict mode: no ladder)"
-        raise FitDivergenceError(
-            f"{message}: {last_error}", stage="fit"
-        ) from last_error
+                yield (
+                    partial(fit, rung, rung_pairs, scale, ridge, last),
+                    (index, rung),
+                    trial_note if trial else rung_note,
+                )
 
     # ------------------------------------------------------------------
     # the pipeline
@@ -413,9 +382,16 @@ class GEF:
         :class:`~repro.core.errors.ReproError` subclasses naming the
         failing stage.
         """
+        if feature_names is not None and len(feature_names) != int(
+            forest.n_features_
+        ):
+            raise ForestValidationError(
+                f"feature_names has {len(feature_names)} entries, "
+                f"forest has {forest.n_features_} features",
+                stage="validate",
+            )
         cfg = self.config
-        report = StageReport()
-        runner = _StageRunner(cfg, report, verbose)
+        runner = _StageRunner(cfg, StageReport(), verbose)
         with obs_span(
             "explain",
             n_trees=int(getattr(forest, "n_trees_", 0) or 0),
@@ -423,37 +399,28 @@ class GEF:
             n_samples=int(cfg.n_samples),
         ):
             explanation = self._explain_pipeline(
-                forest, feature_names, verbose, runner, report
+                forest, feature_names, verbose, runner
             )
         return explanation
 
     def _explain_pipeline(
-        self, forest, feature_names, verbose, runner, report
+        self, forest, feature_names, verbose, runner
     ) -> GEFExplanation:
         cfg = self.config
 
         if cfg.validate_inputs:
-            runner.run(
-                "validate", lambda attempt: self._validate_stage(forest, feature_names)
-            )
-        elif feature_names is not None and len(feature_names) != int(
-            forest.n_features_
-        ):
-            raise ForestValidationError(
-                f"feature_names has {len(feature_names)} entries, "
-                f"forest has {forest.n_features_} features"
-            )
+            runner.run("validate", _once(partial(validate_forest, forest)))
 
-        def _select(attempt):
+        def _select():
             thresholds = feature_thresholds(forest)
             features = select_univariate(forest, cfg.n_univariate)
             return thresholds, features
 
-        thresholds, features = runner.run("select", _select)
+        thresholds, features = runner.run("select", _once(_select))
         if verbose:
             print(f"[gef] F' = {features}")
 
-        def _domains(attempt):
+        def _domains():
             domains = build_sampling_domains(
                 forest,
                 cfg.sampling_strategy,
@@ -465,25 +432,26 @@ class GEF:
                 validate_domains(domains, int(forest.n_features_))
             return domains
 
-        domains = runner.run("domains", _domains)
+        domains = runner.run("domains", _once(_domains))
 
         def _sample(attempt):
-            random_state = cfg.random_state
-            if attempt > 1:
-                random_state = _reseed(cfg.random_state, attempt)
             dataset = generate_dataset(
                 forest,
                 domains,
                 n_samples=cfg.n_samples,
                 test_fraction=cfg.test_fraction,
                 label=cfg.label,
-                random_state=random_state,
+                random_state=_reseed(cfg.random_state, attempt),
             )
             _check_dataset(dataset, features)
             return dataset
 
+        reseeds = [
+            (partial(_sample, attempt), _NO_LADDER, "retrying")
+            for attempt in range(1, cfg.max_retries + 2)
+        ]
         dataset = runner.run(
-            "sample", _sample, recoverable=(SamplingError, NumericsError)
+            "sample", reseeds, recoverable=(SamplingError, NumericsError)
         )
         if verbose:
             print(
@@ -494,7 +462,7 @@ class GEF:
         pairs: list[tuple[int, int]] = []
         if cfg.n_interactions > 0:
 
-            def _interactions(attempt):
+            def _interactions():
                 sample = None
                 if cfg.interaction_strategy == "h-stat":
                     sample = dataset.X_train[: cfg.hstat_sample]
@@ -506,46 +474,25 @@ class GEF:
                     sample=sample,
                 )
 
-            try:
-                pairs = runner.run("interactions", _interactions)
-            except ReproError as exc:
-                if cfg.strict:
-                    raise
-                # The Audemard trade: a simpler explanation beats none.
-                record = report["interactions"]
-                record.status = "degraded"
-                record.fallback = "no-interactions"
-                record.attempts.append(
-                    StageAttempt(
-                        outcome="degraded",
-                        error=str(exc),
-                        note="interaction selection failed; |F''| = 0",
-                    )
-                )
-                pairs = []
+            # The Audemard trade: a simpler explanation beats none.
+            pairs = runner.run(
+                "interactions",
+                _once(_interactions),
+                fallback=(
+                    "no-interactions", [], "interaction selection failed; |F''| = 0"
+                ),
+            )
             if verbose:
                 print(f"[gef] F'' = {pairs}")
 
-        is_classifier = hasattr(forest, "predict_proba")
-
-        def _fit(attempt):
-            return self._fit_stage(
-                dataset,
-                features,
-                pairs,
-                thresholds,
-                is_classifier,
-                feature_names,
-                report["fit"],
-                verbose,
-            )
-
-        gam, kept_pairs = runner.run("fit", _fit)
-        fit_record = report["fit"]
-        if fit_record.fallback is not None:
-            fit_record.status = "degraded"
-        elif any(a.outcome == "retry" for a in fit_record.attempts):
-            fit_record.status = "recovered"
+        gam, kept_pairs = runner.run(
+            "fit",
+            self._fit_attempts(
+                dataset, features, pairs, thresholds,
+                hasattr(forest, "predict_proba"), feature_names,
+            ),
+            recoverable=_FIT_FAULTS,
+        )
         if verbose:
             print(f"[gef] GCV selected lam = {gam.lam:g}")
 
@@ -563,5 +510,5 @@ class GEF:
             config=cfg,
             feature_names=feature_names,
             fidelity=fidelity,
-            stage_report=report,
+            stage_report=runner.report,
         )

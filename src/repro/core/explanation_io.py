@@ -10,7 +10,6 @@ synthetic dataset.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..gam.serialization import gam_from_dict, gam_to_dict
-from .config import GEFConfig
+from .config import config_from_dict, config_to_dict
 from .dataset import ExplanationDataset
 from .explanation import GEFExplanation
 from .stages import StageReport
@@ -83,9 +82,6 @@ def explanation_digest(data: dict | GEFExplanation) -> str:
 def explanation_to_dict(explanation: GEFExplanation) -> dict:
     """Serialize an explanation (with a capped D* sample) to a dict."""
     dataset = explanation.dataset
-    config = dataclasses.asdict(explanation.config)
-    if config.get("lam_grid") is not None:
-        config["lam_grid"] = np.asarray(config["lam_grid"]).tolist()
     return {
         "gam": gam_to_dict(explanation.gam),
         "features": list(map(int, explanation.features)),
@@ -97,7 +93,7 @@ def explanation_to_dict(explanation: GEFExplanation) -> dict:
             if explanation.stage_report is not None
             else None
         ),
-        "config": config,
+        "config": config_to_dict(explanation.config),
         "domains": {
             str(f): d.tolist() for f, d in dataset.domains.items()
         },
@@ -110,9 +106,6 @@ def explanation_to_dict(explanation: GEFExplanation) -> dict:
 
 def explanation_from_dict(data: dict) -> GEFExplanation:
     """Rebuild a fully functional explanation from its archive dict."""
-    config_data = dict(data["config"])
-    if config_data.get("lam_grid") is not None:
-        config_data["lam_grid"] = np.asarray(config_data["lam_grid"])
     dataset = ExplanationDataset(
         X_train=np.asarray(data["X_train_sample"], dtype=np.float64),
         y_train=np.asarray(data["y_train_sample"], dtype=np.float64),
@@ -128,7 +121,7 @@ def explanation_from_dict(data: dict) -> GEFExplanation:
         features=[int(f) for f in data["features"]],
         pairs=[tuple(int(v) for v in p) for p in data["pairs"]],
         dataset=dataset,
-        config=GEFConfig(**config_data),
+        config=config_from_dict(data["config"]),
         feature_names=data["feature_names"],
         fidelity=dict(data["fidelity"]),
         stage_report=(

@@ -1,15 +1,17 @@
 """Stage bookkeeping for the resilient GEF pipeline.
 
 The stage runner in :mod:`repro.core.explainer` executes each pipeline
-step (validate → select → domains → sample → interactions → fit) under a
-wall-clock budget with deterministic retries and a degradation ladder.
+step (validate → select → domains → sample → interactions → fit) as a
+list of attempts under one wall-clock budget per stage, with
+deterministic retries, a degradation ladder and fallbacks.
 This module holds the machine-readable record of those decisions — the
 :class:`StageReport` attached to every explanation — plus the hook
 registry the deterministic fault-injection harness
 (:mod:`repro.devtools.faultinject`) uses to kill or stall named stages.
 
 A stage hook is a callable ``hook(stage_name) -> float | None`` invoked
-*before* the stage body runs.  It may raise (killing the stage) or return
+*before* every attempt of the stage body.  It may raise (killing the
+attempt, which the runner then handles like any failure) or return
 a number of synthetic "stalled" seconds that count against the stage's
 wall-clock budget — which is how the chaos suite tests timeouts without
 sleeping.
@@ -65,10 +67,12 @@ def clear_stage_hooks() -> None:
 class StageAttempt:
     """One execution attempt of a stage body.
 
-    ``outcome`` is ``"ok"``, ``"retry"`` (failed but retried), ``"degraded"``
-    (failed and pushed the ladder down a rung) or ``"failed"`` (terminal).
+    ``outcome`` is ``"ok"``, ``"retry"`` (failed but retried on the same
+    step), ``"degraded"`` (failed and pushed the ladder down a rung, or
+    onto the stage's fallback) or ``"failed"`` (terminal).
     ``note`` records the recovery decision taken *after* this attempt —
-    e.g. ``"reseeded rng"`` or ``"lambda grid escalated"``.
+    e.g. ``"lambda grid escalated (backoff 0s)"`` or
+    ``"dropped tensor term te(0,1)"``.
     ``duration_s`` is this attempt's execution time on the pipeline clock
     (:func:`repro.obs.trace.monotonic`), synthetic stall seconds included.
     """

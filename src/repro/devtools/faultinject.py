@@ -230,9 +230,10 @@ def stall_stage(
 ) -> Iterator[list[int]]:
     """Charge synthetic stall seconds against a stage's wall-clock budget.
 
-    The stage runner adds the returned seconds to the attempt's elapsed
-    time *without sleeping*, so timeout handling (``stage_timeout`` in
-    :class:`~repro.core.config.GEFConfig`) is testable deterministically.
+    The stage runner charges the returned seconds to the pipeline clock
+    *without sleeping*, so they count against the stage's budget
+    (``stage_timeout`` in :class:`~repro.core.config.GEFConfig`) and
+    timeout handling is testable deterministically.
     Yields the live attempt counter as a one-element list.
     """
     counter = [0]

@@ -23,7 +23,12 @@ fixes the three record schemas of the versioned serving estate:
 
 from __future__ import annotations
 
-from ..core.config import KERNEL_VERSION, GEFConfig, explain_config_hash
+from ..core.config import (
+    KERNEL_VERSION,
+    GEFConfig,
+    config_from_dict,
+    explain_config_hash,
+)
 from ..core.explanation import GEFExplanation
 from ..core.explanation_io import explanation_from_dict, explanation_to_dict
 from ..core.errors import LedgerEntryNotFoundError, LedgerError
@@ -190,12 +195,7 @@ def stale_surrogate(
 
 def config_from_archive(archive: dict) -> GEFConfig:
     """Rebuild the :class:`GEFConfig` recorded in an explanation archive."""
-    import numpy as np
-
-    config_data = dict(archive)
-    if config_data.get("lam_grid") is not None:
-        config_data["lam_grid"] = np.asarray(config_data["lam_grid"])
-    return GEFConfig(**config_data)
+    return config_from_dict(archive)
 
 
 def model_lineage(store: LedgerStore, model_id: str) -> list[dict]:

@@ -9,10 +9,12 @@ are flat dotted strings following the site that owns them::
     predict.rows            counter   rows evaluated by the bitvector engine
     pack.count              counter   forests encoded by the bitvector engine
     pack.seconds            histogram encode times
-    sample.retries          counter   sample-stage retry attempts
+    sample.retries          counter   sample-stage reseeds (retries)
     sample.domains_widened  counter   collapsed domains rescued by widening
     fit.pirls_iters         counter   PIRLS iterations across all fits
     fit.gcv_candidates      counter   lambda candidates scored by GCV
+    fit.retries             counter   fit retries on the same ladder rung
+                                      (lambda escalation, ridge bump)
     fit.rung_descents       counter   degradation-ladder rungs descended
     degrade.rung            gauge     deepest ladder rung index reached
     serve.requests          counter   HTTP requests handled (plus a

@@ -427,14 +427,18 @@ class ServeApp:
         return self.registry.get(str(model_id))
 
     @staticmethod
-    def _rows_for(payload: dict, entry: ModelEntry) -> np.ndarray:
+    def _numeric(value, name: str) -> np.ndarray:
+        try:
+            return np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise BadRequestError(f"{name} must be numeric: {exc}") from exc
+
+    @classmethod
+    def _rows_for(cls, payload: dict, entry: ModelEntry) -> np.ndarray:
         rows = payload.get("rows")
         if rows is None:
             raise BadRequestError('payload needs a "rows" matrix')
-        try:
-            X = np.asarray(rows, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise BadRequestError(f"rows must be numeric: {exc}") from exc
+        X = cls._numeric(rows, "rows")
         if X.ndim == 1:
             X = X[None, :]
         if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != entry.n_features:
@@ -658,6 +662,22 @@ class ServeApp:
     def _explain(self, body, deadline: Deadline) -> Response:
         payload = self._parse_json(body)
         entry = self._entry_for(payload)
+        # Bad input answers 400 before it can cost a surrogate fit.
+        instance = payload.get("instance")
+        if instance is not None:
+            x = self._numeric(instance, "instance").ravel()
+            if x.shape[0] != entry.n_features:
+                raise BadRequestError(
+                    f"instance has {x.shape[0]} values, the model expects "
+                    f"{entry.n_features}"
+                )
+        top = payload.get("top")
+        if top is not None and (
+            isinstance(top, bool) or not isinstance(top, int) or top < 0
+        ):
+            raise BadRequestError(
+                f'"top" must be a non-negative integer, got {top!r}'
+            )
         explanation = self._surrogate_for(entry, deadline)
         report = explanation.stage_report
         config_hash = explain_config_hash(explanation.config)
@@ -680,20 +700,9 @@ class ServeApp:
             result["ledger_entry"] = (
                 recorded.entry_id if recorded is not None else None
             )
-        instance = payload.get("instance")
         if instance is not None:
-            x = np.asarray(instance, dtype=np.float64).ravel()
-            if x.shape[0] != entry.n_features:
-                raise BadRequestError(
-                    f"instance has {x.shape[0]} values, the model expects "
-                    f"{entry.n_features}"
-                )
             with obs_span("serve.local_explain"):
                 local = explanation.local_explanation(x)
-            top = payload.get("top")
-            contributions = local.contributions
-            if top is not None:
-                contributions = contributions[: int(top)]
             result["local"] = {
                 "intercept": local.intercept,
                 "eta": local.eta,
@@ -706,7 +715,7 @@ class ServeApp:
                         "contribution": c.contribution,
                         "interval": list(c.interval),
                     }
-                    for c in contributions
+                    for c in local.contributions[:top]
                 ],
             }
         return _json_response(200, result)

@@ -1,8 +1,12 @@
 """Tests for GEFConfig validation."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.core import GEFConfig
+from repro.core.config import config_from_dict, config_to_dict, explain_config_hash
 
 
 class TestGEFConfig:
@@ -52,3 +56,35 @@ class TestGEFConfig:
             GEFConfig(label="logit")
         for ok in ("auto", "raw", "probability"):
             assert GEFConfig(label=ok).label == ok
+
+
+class TestConfigDict:
+    def test_round_trip(self):
+        cfg = GEFConfig(
+            lam_grid=np.logspace(-3, 3, 7), stage_timeout={"fit": 2.0}
+        )
+        data = config_to_dict(cfg)
+        assert data["lam_grid"] == np.logspace(-3, 3, 7).tolist()
+        assert json.loads(json.dumps(data)) == data
+        back = config_from_dict(data)
+        np.testing.assert_array_equal(back.lam_grid, cfg.lam_grid)
+        assert config_to_dict(back) == data
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (GEFConfig(), "0476b00c759a06da"),
+            (
+                GEFConfig(
+                    lam_grid=np.logspace(-3, 3, 7),
+                    stage_timeout={"fit": 2.0},
+                    n_interactions=2,
+                ),
+                "4f4af1b63a68e702",
+            ),
+            (GEFConfig(random_state=np.random.default_rng(0)), "00d3823a3487e217"),
+        ],
+    )
+    def test_hash_is_pinned(self, config, digest):
+        """Ledger keys depend on these digests: they must never drift."""
+        assert explain_config_hash(config) == digest

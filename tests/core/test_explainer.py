@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import GEF, GEFConfig
+from repro.core import GEF, GEFConfig, SamplingError, StageTimeoutError
+from repro.core.errors import StageFailureError
 from repro.metrics import r2_score
 
 
@@ -159,3 +160,134 @@ class TestDataFreeProperty:
         np.testing.assert_allclose(
             original.predict(X), from_clone.predict(X), atol=1e-10
         )
+
+
+class TestStageRunner:
+    """The one attempt loop, driven with synthetic attempts."""
+
+    @staticmethod
+    def _run(attempts, recoverable=(SamplingError,), fallback=None, **config):
+        from repro.core.explainer import _StageRunner
+        from repro.core.stages import StageReport
+
+        report = StageReport()
+        runner = _StageRunner(GEFConfig(**config), report, verbose=False)
+        value = runner.run(
+            "s", attempts, recoverable=recoverable, fallback=fallback
+        )
+        return value, report["s"]
+
+    @staticmethod
+    def _failing(message="injected"):
+        def fn():
+            raise SamplingError(message)
+
+        return fn
+
+    def test_first_attempt_is_ok(self):
+        value, record = self._run([(lambda: 7, (0, None), None)])
+        assert value == 7
+        assert record.status == "ok"
+        assert record.fallback is None
+        assert [a.outcome for a in record.attempts] == ["ok"]
+
+    def test_retry_on_the_same_step_recovers(self):
+        value, record = self._run(
+            [
+                (self._failing(), (0, "full"), None),
+                (lambda: 1, (0, "full"), "retrying"),
+            ]
+        )
+        assert value == 1
+        assert record.status == "recovered"
+        assert record.fallback is None
+        assert [(a.outcome, a.note) for a in record.attempts] == [
+            ("retry", "retrying (backoff 0s)"),
+            ("ok", None),
+        ]
+
+    def test_new_step_degrades_with_its_rung(self):
+        value, record = self._run(
+            [
+                (self._failing(), (0, "full"), None),
+                (lambda: 2, (1, "linear"), "linear fallback"),
+            ]
+        )
+        assert value == 2
+        assert record.status == "degraded"
+        assert record.fallback == "linear"
+        assert [(a.outcome, a.note) for a in record.attempts] == [
+            ("degraded", "linear fallback"),
+            ("ok", None),
+        ]
+
+    def test_unrecoverable_failure_is_wrapped_typed(self):
+        def crash():
+            raise RuntimeError("boom")
+
+        with pytest.raises(StageFailureError) as excinfo:
+            self._run(
+                [(crash, (0, None), None), (lambda: 1, (0, None), "retrying")]
+            )
+        assert excinfo.value.stage == "s"
+
+    def test_exhausted_attempts_raise_the_last_error(self):
+        with pytest.raises(SamplingError, match="second") as excinfo:
+            self._run(
+                [
+                    (self._failing("first"), (0, None), None),
+                    (self._failing("second"), (0, None), "retrying"),
+                ]
+            )
+        assert excinfo.value.stage == "s"
+
+    def test_fallback_replaces_a_terminal_failure(self):
+        value, record = self._run(
+            [(self._failing(), (0, None), None)],
+            recoverable=(),
+            fallback=("nothing", [], "gave up"),
+        )
+        assert value == []
+        assert record.status == "degraded"
+        assert record.fallback == "nothing"
+        assert record.error is None
+        assert [(a.outcome, a.note) for a in record.attempts] == [
+            ("degraded", "gave up")
+        ]
+
+    def test_strict_keeps_the_first_attempt_and_no_fallback(self):
+        with pytest.raises(SamplingError):
+            self._run(
+                [
+                    (self._failing(), (0, None), None),
+                    (lambda: 1, (0, None), "retrying"),
+                ],
+                fallback=("nothing", [], "gave up"),
+                strict=True,
+            )
+
+    def test_attempts_are_drawn_lazily(self):
+        drawn = []
+
+        def attempts():
+            for n in range(5):
+                drawn.append(n)
+                yield (lambda: n, (0, None), None)
+
+        value, _ = self._run(attempts())
+        assert value == 0
+        assert drawn == [0]
+
+    def test_retry_backoff_counts_against_the_budget(self):
+        attempts = [
+            (self._failing(), (0, None), None),
+            (self._failing(), (0, None), "retrying"),
+            (lambda: 1, (0, None), "retrying"),
+        ]
+        with pytest.raises(StageTimeoutError) as excinfo:
+            self._run(
+                attempts, retry_backoff=0.02, stage_timeout={"s": 0.03}
+            )
+        assert excinfo.value.stage == "s"
+        value, _ = self._run(attempts, stage_timeout={"s": 0.03})
+        assert value == 1

@@ -25,7 +25,7 @@ from repro.core import (
     get_stage_hook,
 )
 from repro.core.errors import StageFailureError
-from repro.core.stages import STAGE_NAMES
+from repro.core.stages import STAGE_NAMES, set_stage_hook
 from repro.devtools import (
     FOREST_FAULTS,
     corrupt_forest,
@@ -34,6 +34,7 @@ from repro.devtools import (
     stall_stage,
 )
 from repro.forest import GradientBoostingRegressor
+from repro.obs.trace import advance as clock_advance
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,10 @@ def forest():
     )
     model.fit(X, y)
     return model
+
+
+def _attempts(record) -> list[tuple[str, str | None]]:
+    return [(a.outcome, a.note) for a in record.attempts]
 
 
 def _gef(**overrides) -> GEF:
@@ -110,6 +115,34 @@ def test_persistent_kernel_fault_exhausts_ladder(forest):
     assert "ladder" in str(excinfo.value)
 
 
+def test_fit_retry_note_names_the_next_recovery(forest):
+    with force_kernel_fault("GCV", count=1):
+        explanation = _gef().explain(forest)
+    record = explanation.stage_report["fit"]
+    assert _attempts(record) == [
+        ("retry", "lambda grid escalated (backoff 0s)"),
+        ("ok", None),
+    ]
+    assert "injected numerics fault" in record.attempts[0].error
+
+
+def test_fit_ladder_attempt_list(forest):
+    """One attempt per rung × trial; no marker after the degraded one."""
+    with force_kernel_fault("GCV", count=3):
+        explanation = _gef().explain(forest)
+    record = explanation.stage_report["fit"]
+    assert _attempts(record) == [
+        ("retry", "lambda grid escalated (backoff 0s)"),
+        ("retry", "lambda grid escalated + ridge bump (backoff 0s)"),
+        ("degraded", "dropped tensor term te(0,1)"),
+        ("ok", None),
+    ]
+    assert all(
+        "injected numerics fault" in a.error for a in record.attempts[:-1]
+    )
+    assert record.error is None
+
+
 def test_strict_mode_fails_fast(forest):
     with pytest.raises(FitDivergenceError) as excinfo:
         with force_kernel_fault("GCV", count=1):
@@ -146,6 +179,27 @@ def test_stall_beyond_budget_times_out(forest):
             gef.explain(forest)
     assert excinfo.value.stage == "sample"
     assert "budget" in str(excinfo.value)
+
+
+def test_budget_spans_every_attempt_of_a_stage(forest):
+    """Three 3 s sample attempts overrun a 5 s budget although none does
+    alone: the budget runs from the stage's start."""
+    calls = [0]
+
+    def hook(stage):
+        calls[0] += 1
+        clock_advance(3.0)
+        if calls[0] <= 2:
+            raise SamplingError("injected degenerate D*")
+
+    set_stage_hook("sample", hook)
+    try:
+        with pytest.raises(StageTimeoutError) as excinfo:
+            _gef(stage_timeout={"sample": 5.0}).explain(forest)
+    finally:
+        set_stage_hook("sample", None)
+    assert excinfo.value.stage == "sample"
+    assert calls[0] == 3
 
 
 def test_stall_within_budget_passes(forest):
@@ -195,6 +249,10 @@ def test_interactions_failure_degrades_to_univariate(forest):
     assert record.fallback == "no-interactions"
     assert explanation.pairs == []
     assert np.isfinite(explanation.fidelity["r2"])
+    assert _attempts(record) == [
+        ("degraded", "interaction selection failed; |F''| = 0")
+    ]
+    assert "injected failure" in record.attempts[0].error
 
 
 def test_interactions_failure_strict_raises(forest):

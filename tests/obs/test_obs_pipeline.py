@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import GEF, load_explanation, save_explanation
 from repro.core.stages import StageReport
-from repro.devtools.faultinject import stall_stage
+from repro.devtools.faultinject import force_kernel_fault, stall_stage
 from repro.forest.engines import invalidate_model_caches
 from repro.obs import (
     disable_metrics,
@@ -71,6 +71,8 @@ class TestPipelineSpans:
         assert fit.parent_id == root.span_id
         (attempt,) = tracer.find("stage.fit.attempt")
         assert attempt.parent_id == fit.span_id
+        assert attempt.attrs["rung"] == "full"
+        assert tracer.find("fit.rung") == []
 
     def test_span_coverage_meets_acceptance_floor(self, traced_run):
         _, tracer, registry = traced_run
@@ -123,7 +125,32 @@ class TestPipelineMetrics:
     def test_clean_run_takes_no_retries(self, traced_run):
         _, _, registry = traced_run
         assert registry.counter("sample.retries") == 0.0
+        assert registry.counter("fit.retries") == 0.0
         assert registry.counter("fit.rung_descents") == 0.0
+
+    def test_fit_ladder_reports_one_attempt_span_per_trial(self, small_forest):
+        """Every rung × trial is a ``stage.fit.attempt`` span naming its
+        rung; same-rung retries and rung descents are counted apart."""
+        tracer = enable_tracing()
+        registry = enable_metrics()
+        try:
+            with force_kernel_fault("GCV", count=3):
+                _small_gef(n_interactions=1).explain(small_forest)
+        finally:
+            disable_tracing()
+            disable_metrics()
+        (fit,) = tracer.find("stage.fit")
+        attempts = tracer.find("stage.fit.attempt")
+        assert [a.attrs["rung"] for a in attempts] == [
+            "full", "full", "full", "drop-tensor"
+        ]
+        assert [a.attrs["attempt"] for a in attempts] == [1, 2, 3, 4]
+        assert all(a.parent_id == fit.span_id for a in attempts)
+        assert fit.attrs["status"] == "degraded"
+        assert fit.attrs["fallback"] == "drop-tensor"
+        assert registry.counter("fit.retries") == 2.0
+        assert registry.counter("fit.rung_descents") == 1.0
+        assert registry.gauge("degrade.rung") == 1.0
 
 
 class TestStageRecordTiming:

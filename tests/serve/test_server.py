@@ -259,6 +259,34 @@ def test_wrong_shape_maps_to_400(app):
     assert "columns" in response.json()["error"]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("instance", "abc"),
+        ("instance", [["a", "b"]]),
+        ("top", "two"),
+        ("top", "2"),
+        ("top", 1.5),
+        ("top", True),
+        ("top", -1),
+    ],
+)
+def test_explain_bad_instance_or_top_maps_to_400(app, serve_rows, field, value):
+    payload = {"instance": serve_rows[0].tolist(), field: value}
+    response = app.handle("POST", "/explain", json.dumps(payload).encode())
+    assert response.status == 400
+    assert response.json()["kind"] == "bad-request"
+    assert field in response.json()["error"]
+    assert len(app.surrogates) == 0  # rejected before any surrogate fit
+
+
+def test_explain_top_zero_keeps_no_contributions(app, serve_rows):
+    payload = {"instance": serve_rows[0].tolist(), "top": 0}
+    response = app.handle("POST", "/explain", json.dumps(payload).encode())
+    assert response.status == 200
+    assert response.json()["local"]["contributions"] == []
+
+
 def test_admission_full_maps_to_429(serve_forest):
     enable_metrics()
     app = ServeApp(ServeConfig(max_inflight=1, gef=GEFConfig(**_GEF_SMALL)))

@@ -254,15 +254,22 @@ def _check_budget(stage: str, budget, started: float) -> None:
 
 
 def _check_dataset(dataset, features: list[int]) -> None:
-    """Reject a degenerate D* (recoverable: the sample stage reseeds)."""
+    """Reject a degenerate D* (recoverable: the sample stage reseeds).
+
+    Domains are strictly increasing, so a selected feature is constant
+    in the training split exactly when its codes there are all equal.  A
+    feature without codes is checked on its values.
+    """
     y = np.concatenate([dataset.y_train, dataset.y_test])
-    if y.size and float(np.ptp(y)) == 0.0:  # repro: allow(float-eq) exact degeneracy sentinel; test_degenerate_dataset_is_retried
+    if y.size and y.min() == y.max():
         raise SamplingError(
             "degenerate D*: the forest labels every sampled instance "
             "identically"
         )
+    codes = getattr(dataset, "codes_train", None) or {}
     for f in features:
-        if float(np.ptp(dataset.X_train[:, f])) == 0.0:  # repro: allow(float-eq) exact degeneracy sentinel; test_degenerate_dataset_is_retried
+        column = codes[f] if f in codes else dataset.X_train[:, f]
+        if column.min() == column.max():
             raise SamplingError(
                 f"degenerate D*: selected feature {f} is constant in the "
                 f"training split"
@@ -344,7 +351,10 @@ class GEF:
             )
             try:
                 gam.gridsearch(
-                    dataset.X_train, dataset.y_train, lam_grid=lam_grid * scale
+                    dataset.X_train,
+                    dataset.y_train,
+                    lam_grid=lam_grid * scale,
+                    coding=dataset.coding("train"),
                 )
             except _FIT_FAULTS as exc:
                 if not last:
@@ -497,7 +507,7 @@ class GEF:
             print(f"[gef] GCV selected lam = {gam.lam:g}")
 
         with obs_span("fidelity", rows=int(len(dataset.X_test))):
-            y_hat = gam.predict_mu(dataset.X_test)
+            y_hat = gam.predict_mu(dataset.X_test, dataset.coding("test"))
             fidelity = {
                 "rmse": rmse(dataset.y_test, y_hat),
                 "r2": r2_score(dataset.y_test, y_hat),

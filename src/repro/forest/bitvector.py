@@ -31,6 +31,9 @@ feature ``f`` for a row are a *prefix* of that sorted order, located with
 one ``np.searchsorted`` per feature.  NaN and ``+inf`` sort past every
 threshold (every condition false — always right) and ``-inf`` before all
 of them (always left), matching IEEE comparison semantics bit-for-bit.
+On D*, whose columns are codes into sampling domains of at most ``k``
+values, :meth:`BitvectorForest.digitize` searches each domain value once
+and gathers the positions by code.
 
 To turn the per-row prefix into one AND per feature, packing
 precomputes, for every feature, a **prefix-mask table**: row ``p`` holds,
@@ -213,24 +216,37 @@ class BitvectorForest:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def digitize(self, X: np.ndarray) -> np.ndarray:
+    def digitize(self, X: np.ndarray, coding=None) -> np.ndarray:
         """False-condition prefix lengths per (row, feature).
 
         One ``searchsorted`` per feature with conditions: the result
         counts thresholds strictly below the row value — exactly the
         conditions that evaluate false (ties are true, matching
         ``x <= t``; NaN sorts past everything and goes all-right).
+        ``coding`` is ``None`` or a ``(domains, codes)`` pair of
+        per-feature dicts with ``X[:, f] == domains[f][codes[f]]`` (D*):
+        a coded feature searches its domain values once and gathers
+        their positions by code, with the same result.
         """
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
         if X.shape[1] != self.n_features:
             raise ValueError(  # repro: allow(raise-outside-taxonomy) harness misuse, not a pipeline failure
                 f"X has {X.shape[1]} features, forest expects {self.n_features}"
             )
+        domains, codes = coding if coding is not None else ({}, {})
         pos = np.zeros(X.shape, np.int64)
         searched = 0
-        for f in range(self.n_features):
-            if self.feat_thr[f].size:
-                pos[:, f] = self.feat_thr[f].searchsorted(X[:, f], side="left")
+        with obs_span("bitvector.digitize", rows=int(X.shape[0])):
+            for f in range(self.n_features):
+                thr = self.feat_thr[f]
+                if not thr.size:
+                    continue
+                if f in codes:
+                    thr.searchsorted(domains[f], side="left").take(
+                        codes[f], out=pos[:, f]
+                    )
+                else:
+                    pos[:, f] = thr.searchsorted(X[:, f], side="left")
                 searched += 1
         metric_inc("bitvector.searchsorted", searched)
         return pos
@@ -336,6 +352,7 @@ class BitvectorForest:
         X: np.ndarray,
         out_values: np.ndarray | None = None,
         chunk: int | None = None,
+        coding=None,
     ) -> np.ndarray | None:
         if chunk is None:
             chunk = self._auto_chunk()
@@ -343,26 +360,32 @@ class BitvectorForest:
             raise ValueError(  # repro: allow(raise-outside-taxonomy) harness misuse, not a pipeline failure
                 "chunk must be a positive power of two"
             )
-        pos = self.digitize(X)
+        pos = self.digitize(X, coding)
         N = pos.shape[0]
         out = None if out_values is not None else np.empty(N)
         if N:
-            self._eval_rows(pos, out, out_values, chunk)
+            with obs_span("bitvector.eval", rows=int(N)):
+                self._eval_rows(pos, out, out_values, chunk)
         if out is not None:
             assert_all_finite(out, "bitvector predict reduction")
         if out_values is not None:
             assert_all_finite(out_values, "bitvector leaf-value matrix")
         return out
 
-    def predict_raw(self, X: np.ndarray, chunk: int | None = None) -> np.ndarray:
-        """``init + sum of trees`` for every row, bitwise equal to the loop."""
+    def predict_raw(
+        self, X: np.ndarray, chunk: int | None = None, coding=None
+    ) -> np.ndarray:
+        """``init + sum of trees`` for every row, bitwise equal to the loop.
+
+        ``coding`` codes ``X`` by domain value (see :meth:`digitize`).
+        """
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
         metric_inc("predict.rows", X.shape[0])
         with obs_span(
             "bitvector.predict", rows=int(X.shape[0]), trees=int(self.n_trees)
         ):
             metric_inc("bitvector.mask_words", self.n_words)
-            return self._evaluate(X, chunk=chunk)
+            return self._evaluate(X, chunk=chunk, coding=coding)
 
     def leaf_value_matrix(self, X: np.ndarray) -> np.ndarray:
         """Per-tree leaf values, shape ``(n_trees, n_rows)`` (staged helper)."""

@@ -188,11 +188,11 @@ class GradientBoostingClassifier(_BaseGradientBoosting):
 
     _objective = "binary"
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Probability of the positive class."""
+    def predict_proba(self, X: np.ndarray, coding=None) -> np.ndarray:
+        """Probability of the positive class (``coding`` as in ``predict_raw``)."""
         from .losses import sigmoid
 
-        return sigmoid(self.predict_raw(X))
+        return sigmoid(self.predict_raw(X, coding))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Hard 0/1 class label at the 0.5 probability threshold."""

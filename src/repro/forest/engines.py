@@ -75,19 +75,22 @@ class FittedForest:
         """Number of trees in the fitted ensemble."""
         return len(self.trees_)
 
-    def predict_raw(self, X: np.ndarray) -> np.ndarray:
+    def predict_raw(self, X: np.ndarray, coding=None) -> np.ndarray:
         """Raw additive score ``init_score_ + sum_t tree_t(x)``.
 
         Evaluated from the bitvector encoding, or by
         :func:`loop_predict_raw` when the encoding declines the forest;
-        the two are bitwise identical.
+        the two are bitwise identical.  ``coding`` optionally codes ``X``
+        by sampling-domain value (D*, see
+        :meth:`~repro.forest.bitvector.BitvectorForest.digitize`); it
+        saves work and never changes a bit.
         """
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         encoded = bitvector_for(self)
         if encoded is None:
             return loop_predict_raw(self, X)
-        return encoded.predict_raw(X)
+        return encoded.predict_raw(X, coding=coding)
 
     def feature_importance(self, importance_type: str = "gain") -> np.ndarray:
         """Accumulated split gain (or split count) per feature.

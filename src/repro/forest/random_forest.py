@@ -152,9 +152,10 @@ class RandomForestClassifier(_BaseRandomForest):
         self._check_binary_targets(y)
         return super().fit(X, y)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Positive-class probability: the bagged mean of leaf fractions."""
-        return np.clip(self.predict_raw(X), 0.0, 1.0)
+    def predict_proba(self, X: np.ndarray, coding=None) -> np.ndarray:
+        """Positive-class probability: the bagged mean of leaf fractions
+        (``coding`` as in ``predict_raw``)."""
+        return np.clip(self.predict_raw(X, coding), 0.0, 1.0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Hard 0/1 class label at the 0.5 threshold."""

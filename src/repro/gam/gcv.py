@@ -27,8 +27,11 @@ def default_lam_grid() -> np.ndarray:
     return np.logspace(-3, 3, 13)
 
 
-def gcv_gridsearch(gam, X, y, lam_grid=None, verbose: bool = False):
+def gcv_gridsearch(gam, X, y, lam_grid=None, verbose: bool = False, coding=None):
     """Fit ``gam`` at the GCV-minimizing lambda of the grid.
+
+    ``coding`` codes ``X`` as in :meth:`GAM._design
+    <repro.gam.model.GAM._design>` (D*'s training rows).
 
     Returns the same ``gam`` instance, fitted at the selected lambda and
     with ``statistics_['lam_path']`` recording the (lambda, GCV) curve of
@@ -45,7 +48,7 @@ def gcv_gridsearch(gam, X, y, lam_grid=None, verbose: bool = False):
 
     metric_inc("fit.gcv_candidates", len(lam_grid))
     with obs_span("gam.gcv", candidates=int(len(lam_grid))):
-        D = gam._fit_design(X)
+        D = gam._fit_design(X, coding)
         lam, lam_path = gam._pirls(D, y, gam.penalty_matrix(1.0), lam_grid)
     gam.lam = lam
     gam.statistics_["lam_path"] = lam_path

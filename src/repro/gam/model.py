@@ -17,11 +17,16 @@ working Gram once, factors it once and scores every candidate lambda from
 that factorization (Gu's *performance iteration*, Wood 2006).  ``fit`` is
 the one-candidate case; the identity link takes one iteration.
 
-The training design is built once per fit, one basis evaluation per
-term, and every PIRLS iteration reuses it: an N-by-p float matrix, about
-13 MB for the 16,000 x 101 design of the default explain.  Prediction on
-arbitrary ``X`` streams the design in ``_ROW_BLOCK``-row blocks and never
-materializes it.
+The training design is built once per fit and every PIRLS iteration
+reuses it: an N-by-p float matrix, about 13 MB for the 16,000 x 101
+design of the default explain, allocated once and filled term by term.
+:meth:`GAM._design` is the one assembly path.  Each term's marginal
+bases are evaluated once per distinct value of a coded column — on D*,
+once per sampling-domain value (at most ``k`` rows per feature, not N)
+— and gathered by code; an uncoded column (``GAM.fit`` on real data, an
+archived dataset, prediction on arbitrary ``X``) is its own values under
+the identity coding.  Prediction on arbitrary ``X`` streams the design
+in ``_ROW_BLOCK``-row blocks and never materializes it.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from ..obs.metrics import inc as metric_inc
 from ..obs.trace import span as obs_span
 from .distributions import get_distribution
 from .links import get_link
-from .terms import InterceptTerm, Term
+from .terms import InterceptTerm, Term, coded_columns
 
 __all__ = ["GAM"]
 
@@ -184,14 +189,36 @@ class GAM:
         """Total number of model coefficients across all terms."""
         return sum(t.n_coefs for t in self.terms)
 
-    def _design(self, X: np.ndarray) -> np.ndarray:
-        """Design rows of fitted terms for arbitrary ``X``."""
-        return np.hstack([term.design(X) for term in self.terms])
+    def _design(self, X: np.ndarray, coding=None, fit: bool = False) -> np.ndarray:
+        """The centered design of ``X``, one preallocated matrix.
 
-    def _fit_design(self, X: np.ndarray) -> np.ndarray:
+        ``coding`` is ``None`` or a ``(domains, codes)`` pair with ``X[:,
+        f] == domains[f][codes[f]]`` (see
+        :func:`~repro.gam.terms.coded_columns`): the marginal bases are
+        evaluated on each coded feature's domain values and gathered by
+        code, with the same bytes as an evaluation on every row.  ``fit``
+        first learns every term's knots or levels from the values seen
+        and keeps each block's column means as its centering.
+        """
+        columns = [coded_columns(X, coding, term.features) for term in self.terms]
+        rows = sum(len(values) for cols in columns for values, _ in cols)
+        with obs_span("gam.basis", rows=rows):
+            if fit:
+                for term, cols in zip(self.terms, columns):
+                    term.learn(cols)
+            tables = [term.tables(cols) for term, cols in zip(self.terms, columns)]
+        D = np.empty((len(X), self.n_coefs))
+        with obs_span("gam.assemble"):
+            for term, cols, tabs, sl in zip(
+                self.terms, columns, tables, self._term_slices()
+            ):
+                term.fill(tabs, cols, D[:, sl], fit)
+        return D
+
+    def _fit_design(self, X: np.ndarray, coding=None) -> np.ndarray:
         """Fit every term on ``X`` and return the full training design."""
         with obs_span("gam.design", rows=len(X)) as sp:
-            D = np.hstack([term.fit_design(X) for term in self.terms])
+            D = self._design(X, coding, fit=True)
             sp.set(cols=D.shape[1])
         return D
 
@@ -344,18 +371,26 @@ class GAM:
         if self.coef_ is None:
             raise RuntimeError("GAM is not fitted")
 
-    def predict_eta(self, X: np.ndarray) -> np.ndarray:
-        """Linear predictor (link scale)."""
+    def predict_eta(self, X: np.ndarray, coding=None) -> np.ndarray:
+        """Linear predictor (link scale).
+
+        ``coding`` codes ``X`` as in :meth:`_design` (D*'s test rows);
+        the result is bitwise the same as without it.
+        """
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         eta = np.empty(len(X))
         for lo, hi in _blocks(len(X)):
-            eta[lo:hi] = self._design(X[lo:hi]) @ self.coef_
+            block = coding
+            if coding is not None:
+                domains, codes = coding
+                block = (domains, {f: c[lo:hi] for f, c in codes.items()})
+            eta[lo:hi] = self._design(X[lo:hi], block) @ self.coef_
         return eta
 
-    def predict_mu(self, X: np.ndarray) -> np.ndarray:
+    def predict_mu(self, X: np.ndarray, coding=None) -> np.ndarray:
         """Response mean: inverse link of the linear predictor."""
-        return self.link.inverse(self.predict_eta(X))
+        return self.link.inverse(self.predict_eta(X, coding))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Alias for :meth:`predict_mu` (pyGAM-compatible)."""
@@ -488,12 +523,17 @@ class GAM:
         y: np.ndarray,
         lam_grid: np.ndarray | None = None,
         verbose: bool = False,
+        coding=None,
     ) -> "GAM":
         """Pick the shared lambda minimizing GCV, then keep the best fit.
 
         Mirrors the paper's Generalized Cross Validation step with a single
-        lambda shared by all terms.
+        lambda shared by all terms.  ``coding`` codes ``X`` as in
+        :meth:`_design` (D*'s training rows); the fit is bitwise the same
+        as without it.
         """
         from .gcv import gcv_gridsearch
 
-        return gcv_gridsearch(self, X, y, lam_grid=lam_grid, verbose=verbose)
+        return gcv_gridsearch(
+            self, X, y, lam_grid=lam_grid, verbose=verbose, coding=coding
+        )

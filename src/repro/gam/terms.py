@@ -14,9 +14,20 @@ the design matrix and a block-diagonal piece of the penalty:
 All non-intercept terms are *centered*: their design columns have the
 training mean subtracted, which pins each component at zero mean (the
 paper's ``E[s_j(x_j)] = 0`` identifiability constraint) and leaves the
-constant to the intercept.  :class:`Term` does the centering once for
-every term; a subclass supplies what it learns from the training rows
-(``_learn``) and its raw basis (``_basis``).
+constant to the intercept.
+
+A term's block is built from one *marginal* basis per feature.  Each
+feature arrives as a *coded column* ``(values, codes)`` with ``x ==
+values[codes]``: a feature of D* carries its sampling domain and the
+codes drawn into it, so every marginal basis is evaluated once per
+domain value and gathered by code; any other column is its own values
+with ``codes=None`` (the identity coding).  Every basis here is a
+function of each row's value alone, so both codings give the same bytes.
+:class:`Term` learns (:meth:`Term.learn`), evaluates (:meth:`Term.tables`)
+and gathers, combines and centers (:meth:`Term.fill`) for every term; a
+subclass supplies what it learns from the values seen in training
+(``_learn``), its marginal bases (``_marginal``) and, for a tensor, how
+the gathered marginals combine (``_combine``).
 """
 
 from __future__ import annotations
@@ -32,7 +43,30 @@ __all__ = [
     "SplineTerm",
     "FactorTerm",
     "TensorTerm",
+    "coded_columns",
 ]
+
+
+def coded_columns(X: np.ndarray, coding, features) -> list[tuple]:
+    """The ``(values, codes)`` column of each of ``features`` in ``X``.
+
+    ``coding`` is ``None`` or a ``(domains, codes)`` pair of per-feature
+    dicts with ``X[:, f] == domains[f][codes[f]]`` (D*'s sampling domains
+    and the codes drawn into them).  A feature it codes yields its domain
+    and codes; any other yields its column of ``X`` and ``codes=None``.
+    """
+    domains, codes = coding if coding is not None else ({}, {})
+    return [
+        (domains[f], codes[f]) if f in codes else (X[:, f], None)
+        for f in features
+    ]
+
+
+def _seen(values: np.ndarray, codes: np.ndarray | None) -> np.ndarray:
+    """The distinct values a coded column takes (its values, uncoded)."""
+    if codes is None:
+        return values
+    return values[np.bincount(codes, minlength=len(values)) > 0]
 
 
 class Term:
@@ -41,20 +75,47 @@ class Term:
     #: indices of the raw features this term reads (empty for intercept)
     features: tuple[int, ...] = ()
 
-    def fit_design(self, X: np.ndarray) -> np.ndarray:
+    def learn(self, columns: list[tuple]) -> None:
+        """Learn knots or levels from the training ``(values, codes)`` columns."""
+        self._learn([_seen(values, codes) for values, codes in columns])
+
+    def tables(self, columns: list[tuple]) -> list[np.ndarray]:
+        """The marginal basis of each feature on its column's ``values``."""
+        return [
+            self._marginal(m, np.asarray(values, dtype=np.float64))
+            for m, (values, _) in enumerate(columns)
+        ]
+
+    def fill(
+        self, tables: list[np.ndarray], columns: list[tuple], out: np.ndarray,
+        fit: bool = False,
+    ) -> None:
+        """Write the centered block into ``out``: the marginal ``tables``
+        gathered by the columns' codes and combined.  ``fit`` keeps the
+        block's column means as the centering of every later design."""
+        raw = self._combine([
+            table if codes is None else table.take(codes, axis=0)
+            for table, (_, codes) in zip(tables, columns)
+        ])
+        if fit:
+            self.col_means_ = raw.mean(axis=0)
+            self._fitted = True
+        np.subtract(raw, self.col_means_, out=out)
+
+    def fit_design(self, X: np.ndarray, coding=None) -> np.ndarray:
         """Learn data-dependent pieces and return the centered training block.
 
-        The term learns its knots or levels from ``X`` (:meth:`_learn`),
-        evaluates its raw basis once (:meth:`_basis`) and keeps that
-        block's column means as the centering of every later design.
+        The term learns its knots or levels from ``X`` (coded by
+        ``coding``, see :func:`coded_columns`), evaluates its marginal
+        bases once and keeps the block's column means as the centering of
+        every later design.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        values = X[:, list(self.features)]
-        self._learn(values)
-        raw = self._basis(values)
-        self.col_means_ = raw.mean(axis=0)
-        self._fitted = True
-        return raw - self.col_means_
+        columns = coded_columns(X, coding, self.features)
+        self.learn(columns)
+        out = np.empty((len(X), self.n_coefs))
+        self.fill(self.tables(columns), columns, out, fit=True)
+        return out
 
     def fit(self, X: np.ndarray) -> "Term":
         """Learn data-dependent pieces (domains, levels, centering means)."""
@@ -68,16 +129,20 @@ class Term:
         single-feature term).
         """
         self._check_fitted()
-        values = np.asarray(values, dtype=np.float64)
-        return self._basis(values.reshape(-1, len(self.features))) - self.col_means_
+        values = np.asarray(values, dtype=np.float64).reshape(-1, len(self.features))
+        marginals = [self._marginal(m, values[:, m]) for m in range(values.shape[1])]
+        return self._combine(marginals) - self.col_means_
 
-    def _learn(self, values: np.ndarray) -> None:
-        """Learn knots or levels from ``(n, len(self.features))`` values."""
+    def _learn(self, seen: list[np.ndarray]) -> None:
+        """Learn knots or levels from the values each feature takes."""
+
+    def _marginal(self, m: int, x: np.ndarray) -> np.ndarray:
+        """Uncentered basis of the term's ``m``-th feature at values ``x``."""
         raise NotImplementedError
 
-    def _basis(self, values: np.ndarray) -> np.ndarray:
-        """Uncentered basis block for ``(n, len(self.features))`` values."""
-        raise NotImplementedError
+    def _combine(self, marginals: list[np.ndarray]) -> np.ndarray:
+        """Uncentered block from the per-row marginal bases."""
+        return marginals[0]
 
     def design(self, X: np.ndarray) -> np.ndarray:
         """Centered design block extracted from a full data matrix."""
@@ -108,9 +173,10 @@ class InterceptTerm(Term):
 
     features = ()
 
-    def fit_design(self, X: np.ndarray) -> np.ndarray:
-        self._fitted = True
-        return self.design(X)
+    def fill(self, tables, columns, out, fit=False) -> None:
+        if fit:
+            self._fitted = True
+        out.fill(1.0)
 
     def design(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -138,7 +204,8 @@ class LinearTerm(Term):
     The GLM building block the paper's section 3.1 contrasts with splines:
     maximally interpretable (one weight) but unable to bend.  Useful when
     the analyst knows a feature's effect is linear, or to build a pure-GLM
-    surrogate from the same term machinery.
+    surrogate from the same term machinery.  Its basis is the value
+    itself, so centering subtracts the training mean.
     """
 
     def __init__(self, feature: int, name: str | None = None):
@@ -146,16 +213,17 @@ class LinearTerm(Term):
         self.name = name
         self._fitted = False
 
-    def fit_design(self, X: np.ndarray) -> np.ndarray:
-        x = np.asarray(X, dtype=np.float64)[:, self.features[0]]
-        self.mean_ = float(x.mean())
-        self._fitted = True
-        return self.design(X)
+    @property
+    def mean_(self) -> float:
+        """The training mean of the feature (the term's centering)."""
+        return float(self.col_means_[0])
 
-    def design_for(self, values: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        values = np.asarray(values, dtype=np.float64).ravel()
-        return (values - self.mean_)[:, None]
+    @mean_.setter
+    def mean_(self, value: float) -> None:
+        self.col_means_ = np.array([float(value)])
+
+    def _marginal(self, m: int, x: np.ndarray) -> np.ndarray:
+        return x[:, None]
 
     def penalty(self) -> np.ndarray:
         return np.zeros((1, 1))
@@ -189,12 +257,12 @@ class SplineTerm(Term):
         self.name = name
         self._fitted = False
 
-    def _learn(self, values: np.ndarray) -> None:
-        x = values[:, 0]
+    def _learn(self, seen: list[np.ndarray]) -> None:
+        (x,) = seen
         self.knots_ = uniform_knots(float(x.min()), float(x.max()), self.n_splines, self.degree)
 
-    def _basis(self, values: np.ndarray) -> np.ndarray:
-        return bspline_design(values[:, 0], self.knots_, self.degree)
+    def _marginal(self, m: int, x: np.ndarray) -> np.ndarray:
+        return bspline_design(x, self.knots_, self.degree)
 
     def penalty(self) -> np.ndarray:
         return difference_penalty(self.n_splines, self.penalty_order)
@@ -216,18 +284,17 @@ class FactorTerm(Term):
         self.name = name
         self._fitted = False
 
-    def _learn(self, values: np.ndarray) -> None:
-        self.levels_ = np.unique(values[:, 0])
+    def _learn(self, seen: list[np.ndarray]) -> None:
+        self.levels_ = np.unique(seen[0])
         if len(self.levels_) < 2:
             raise ValueError(
                 f"factor feature {self.features[0]} has a single level; "
                 "a constant term is redundant with the intercept"
             )
 
-    def _basis(self, values: np.ndarray) -> np.ndarray:
+    def _marginal(self, m: int, x: np.ndarray) -> np.ndarray:
         # Unseen levels produce an all-zero row: the term contributes only
         # its centering offset, a sane fallback for out-of-vocabulary input.
-        x = values[:, 0]
         idx = np.searchsorted(self.levels_, x)
         idx = np.clip(idx, 0, len(self.levels_) - 1)
         match = self.levels_[idx] == x
@@ -243,7 +310,8 @@ class FactorTerm(Term):
 
     @property
     def n_coefs(self) -> int:
-        self._check_fitted()
+        if not hasattr(self, "levels_"):  # known once the levels are learned
+            self._check_fitted()
         return len(self.levels_)
 
     @property
@@ -255,7 +323,7 @@ class TensorTerm(Term):
     """Penalized tensor product of two marginal spline bases.
 
     The design is the row-wise Khatri–Rao product of the two univariate
-    B-spline designs, and the penalty is the standard additive tensor
+    B-spline designs (each gathered by code on D*), and the penalty is the standard additive tensor
     penalty ``P_i (x) I + I (x) P_j``.
     """
 
@@ -279,17 +347,19 @@ class TensorTerm(Term):
         self.name = name
         self._fitted = False
 
-    def _learn(self, values: np.ndarray) -> None:
+    def _learn(self, seen: list[np.ndarray]) -> None:
         self.knots_ = [
             uniform_knots(float(x.min()), float(x.max()), self.n_splines, self.degree)
-            for x in values.T
+            for x in seen
         ]
 
-    def _basis(self, values: np.ndarray) -> np.ndarray:
-        b_i = bspline_design(values[:, 0], self.knots_[0], self.degree)
-        b_j = bspline_design(values[:, 1], self.knots_[1], self.degree)
+    def _marginal(self, m: int, x: np.ndarray) -> np.ndarray:
+        return bspline_design(x, self.knots_[m], self.degree)
+
+    def _combine(self, marginals: list[np.ndarray]) -> np.ndarray:
+        b_i, b_j = marginals
         # Row-wise outer product, flattened: column (a, b) -> a * n + b.
-        return np.einsum("na,nb->nab", b_i, b_j).reshape(len(values), -1)
+        return np.einsum("na,nb->nab", b_i, b_j).reshape(len(b_i), -1)
 
     def penalty(self) -> np.ndarray:
         p = difference_penalty(self.n_splines, self.penalty_order)

@@ -85,3 +85,43 @@ class TestGenerateDataset:
     def test_test_fraction_validation(self, small_forest, domains):
         with pytest.raises(ValueError):
             generate_dataset(small_forest, domains, 100, test_fraction=0.0)
+
+
+class TestSamplingByCode:
+    """D* is drawn as codes into the domains, on the same RNG stream."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_choice_of_values_is_choice_of_codes(self, seed):
+        for size in range(2, 201):
+            domain = np.sort(np.random.default_rng(size).standard_normal(size))
+            by_value = np.random.default_rng(seed).choice(domain, 257)
+            codes = np.random.default_rng(seed).choice(len(domain), 257)
+            assert by_value.tobytes() == domain[codes].tobytes(), size
+
+    def test_codes_decode_to_the_instances(self, small_forest, domains):
+        ds = generate_dataset(small_forest, domains, 600, random_state=3)
+        for split, X in (("train", ds.X_train), ("test", ds.X_test)):
+            doms, codes = ds.coding(split)
+            assert doms is ds.domains
+            assert set(codes) == set(domains)
+            for f, c in codes.items():
+                assert c.dtype == np.uint8  # k = 12 codes fit one byte
+                assert X[:, f].tobytes() == domains[f][c].tobytes()
+
+    def test_code_dtype_widens_with_the_domain(self, small_forest):
+        domains = {0: np.linspace(0.0, 1.0, 300), 1: np.linspace(0.0, 1.0, 3)}
+        ds = generate_dataset(small_forest, domains, 50, random_state=0)
+        assert ds.codes_train[0].dtype == np.uint16
+        assert ds.codes_train[1].dtype == np.uint8
+        X = np.concatenate([ds.X_test, ds.X_train])
+        ref = np.random.default_rng(0)
+        np.testing.assert_array_equal(X[:, 0], ref.choice(domains[0], 50))
+        np.testing.assert_array_equal(X[:, 1], ref.choice(domains[1], 50))
+
+    def test_coded_labels_equal_value_labels(self, small_forest, small_classifier):
+        for forest, label in ((small_forest, "raw"), (small_classifier, "probability")):
+            domains = build_sampling_domains(forest, "equi-size", k=40)
+            ds = generate_dataset(forest, domains, 900, label=label, random_state=1)
+            query = forest.predict_proba if label == "probability" else forest.predict_raw
+            assert ds.y_train.tobytes() == query(ds.X_train).tobytes()
+            assert ds.y_test.tobytes() == query(ds.X_test).tobytes()

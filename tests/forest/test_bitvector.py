@@ -679,3 +679,62 @@ class TestPackMatchesReference:
         assert self._assert_packs_equal(trees, 0.0, 4) is not None
         monkeypatch.setattr(bitvector_mod, "MAX_TABLE_BYTES", encoded.table_bytes - 1)
         assert self._assert_packs_equal(trees, 0.0, 4) is None
+
+
+class TestCodedPositions:
+    """Positions gathered by code equal ``digitize(X)`` on the coded rows.
+
+    D*'s columns are codes into sampling domains; the coded path searches
+    each domain value once and gathers by code.  The domains here mix the
+    forest's own thresholds (a row sitting exactly on a threshold must
+    count it as true, i.e. go left) with the points between and beyond
+    them.
+    """
+
+    @staticmethod
+    def _coded(model, rng, n=3_000):
+        encoded = bitvector_for(model)
+        domains, codes = {}, {}
+        for f, thr in enumerate(encoded.feat_thr):
+            if not thr.size:
+                continue
+            mids = (thr[:-1] + thr[1:]) / 2
+            domain = np.unique(np.concatenate([thr, mids, [thr[0] - 1, thr[-1] + 1]]))
+            domains[f] = domain
+            codes[f] = rng.integers(len(domain), size=n).astype(
+                np.min_scalar_type(len(domain) - 1)
+            )
+        X = np.zeros((n, model.n_features_))
+        for f, c in codes.items():
+            X[:, f] = domains[f][c]
+        return encoded, X, (domains, codes)
+
+    @pytest.mark.parametrize("name", ["spline", "census", "serve"])
+    def test_bench_forests(self, bench_forests, name):
+        model = bench_forests[name]
+        encoded, X, coding = self._coded(model, np.random.default_rng(5))
+        domains, codes = coding
+        # Some rows sit exactly on a threshold: ties must go left.
+        on_threshold = [
+            np.isin(X[:, f], encoded.feat_thr[f]).any() for f in codes
+        ]
+        assert all(on_threshold)
+        np.testing.assert_array_equal(
+            encoded.digitize(X, coding), encoded.digitize(X)
+        )
+        np.testing.assert_array_equal(
+            model.predict_raw(X, coding), loop_predict_raw(model, X)
+        )
+
+    def test_partial_coding_and_probabilities(self, bench_forests):
+        """Uncoded features are digitized by value beside coded ones, and
+        ``predict_proba`` forwards the coding bit for bit."""
+        model = bench_forests["census"]
+        encoded, X, (domains, codes) = self._coded(model, np.random.default_rng(6))
+        half = dict(list(codes.items())[::2])
+        np.testing.assert_array_equal(
+            encoded.digitize(X, (domains, half)), encoded.digitize(X)
+        )
+        np.testing.assert_array_equal(
+            model.predict_proba(X, (domains, half)), model.predict_proba(X)
+        )

@@ -233,7 +233,7 @@ class TestCacheAndInvalidation:
         assert np.array_equal(repack(fresh).predict_raw(X_test), loop_predict_raw(model, X_test))
 
 
-class TestEngineKnobAndThreads:
+class TestChunkingAndRoundtrip:
     def test_n_jobs_and_chunking_invariance(self, data):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=20, num_leaves=31, random_state=0)

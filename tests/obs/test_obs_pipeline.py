@@ -109,6 +109,62 @@ class TestSampleKernelSpans:
         assert covered >= 0.9 * stage.duration_s
 
 
+class TestLabelAndDesignKernelSpans:
+    """The forest and GAM kernels account for their layers: digitize and
+    eval cover D* labelling, basis evaluation and assembly cover the
+    training design, and the basis runs once per domain value."""
+
+    @pytest.fixture(scope="class")
+    def tracer(self, small_forest):
+        tracer = enable_tracing()
+        try:
+            _small_gef(n_samples=8_000).explain(small_forest)
+        finally:
+            disable_tracing()
+        return tracer
+
+    @staticmethod
+    def _covered(tracer, parent, kernels):
+        inside = [
+            s for s in tracer.spans()
+            if s.name in kernels and parent.start_s <= s.start_s <= parent.end_s
+        ]
+        assert {s.name for s in inside} == set(kernels)
+        return sum(s.duration_s for s in inside)
+
+    def test_digitize_and_eval_cover_the_labelling(self, tracer):
+        (label,) = tracer.find("sample.label")
+        (predict,) = tracer.find("bitvector.predict")
+        assert predict.parent_id == label.span_id
+        for kernel in ("bitvector.digitize", "bitvector.eval"):
+            (span,) = [
+                s for s in tracer.find(kernel) if s.parent_id == predict.span_id
+            ]
+            assert span.attrs["rows"] == 8_000
+        covered = self._covered(
+            tracer, label, ("bitvector.digitize", "bitvector.eval")
+        )
+        assert covered >= 0.9 * label.duration_s
+
+    def test_basis_and_assembly_cover_the_design(self, tracer):
+        (design,) = tracer.find("gam.design")
+        for kernel in ("gam.basis", "gam.assemble"):
+            assert [
+                s for s in tracer.find(kernel) if s.parent_id == design.span_id
+            ]
+        covered = self._covered(tracer, design, ("gam.basis", "gam.assemble"))
+        assert covered >= 0.9 * design.duration_s
+
+    def test_basis_rows_are_domain_values(self, tracer):
+        """k = 50 points per feature: the training basis evaluates at most
+        50 rows per (term, feature), not the 6,400 training rows."""
+        (design,) = tracer.find("gam.design")
+        (basis,) = [
+            s for s in tracer.find("gam.basis") if s.parent_id == design.span_id
+        ]
+        assert 0 < basis.attrs["rows"] <= 3 * 50
+
+
 class TestPipelineMetrics:
     def test_counters_populated(self, traced_run):
         _, _, registry = traced_run

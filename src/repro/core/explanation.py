@@ -103,14 +103,18 @@ class GEFExplanation:
         explains nothing, a wide-ranging one drives the prediction.
         """
         if term_index not in self._importances:
-            term = self.gam.terms[term_index]
-            rows = self.dataset.X_train[:4096]
-            values = rows[:, list(term.features)]
-            if len(term.features) == 1:
-                values = values.ravel()
-            contrib = self.gam.partial_dependence(term_index, values)
-            self._importances[term_index] = float(np.std(contrib))
+            (block,) = self.gam.term_blocks([self._importance_rows(term_index)])
+            self._record_importance(term_index, block)
         return self._importances[term_index]
+
+    def _importance_rows(self, term_index: int) -> tuple[int, np.ndarray]:
+        """The ``term_blocks`` request of a component's importance sample."""
+        features = list(self.gam.terms[term_index].features)
+        return term_index, self.dataset.X_train[:4096][:, features]
+
+    def _record_importance(self, term_index: int, block: np.ndarray) -> None:
+        contrib = self.gam.contribution(term_index, block)
+        self._importances[term_index] = float(np.std(contrib))
 
     # ------------------------------------------------------------------
     # prediction
@@ -138,12 +142,23 @@ class GEFExplanation:
     def global_explanation(
         self, n_points: int = 100, width: float = 0.95
     ) -> list[ComponentCurve]:
-        """All component curves, sorted by decreasing importance."""
+        """All component curves, sorted by decreasing importance.
+
+        One basis sweep evaluates every curve and every importance not
+        measured yet.
+        """
+        indices = self._component_terms()
+        grids = [self._term_grid(self.gam.terms[idx], n_points) for idx in indices]
+        missing = [idx for idx in indices if idx not in self._importances]
+        blocks = self.gam.term_blocks(
+            [*zip(indices, grids), *map(self._importance_rows, missing)]
+        )
+        for idx, block in zip(missing, blocks[len(indices):]):
+            self._record_importance(idx, block)
         curves = []
-        for idx in self._component_terms():
+        for idx, grid, block in zip(indices, grids, blocks):
             term = self.gam.terms[idx]
-            grid = self._term_grid(term, n_points)
-            contrib, intervals = self.gam.partial_dependence(idx, grid, width=width)
+            contrib, intervals = self.gam.contribution(idx, block, width=width)
             curves.append(
                 ComponentCurve(
                     label=term.label,
@@ -151,7 +166,7 @@ class GEFExplanation:
                     grid=grid,
                     contribution=contrib,
                     intervals=intervals,
-                    importance=self.component_importance(idx),
+                    importance=self._importances[idx],
                 )
             )
         curves.sort(key=lambda c: -c.importance)
@@ -175,26 +190,34 @@ class GEFExplanation:
         advantage over point-wise SHAP/LIME values.
         """
         x = np.asarray(x, dtype=np.float64).ravel()
-        contributions = []
-        for idx in self._component_terms():
+        indices = self._component_terms()
+        requests, windows = [], {}
+        for idx in indices:
             term = self.gam.terms[idx]
-            value = x[list(term.features)]
-            pd_input = value[None, :] if len(term.features) > 1 else value[:1]
-            contrib, intervals = self.gam.partial_dependence(idx, pd_input, width=width)
-            window_grid = window_contrib = None
+            requests.append((idx, x[list(term.features)]))
             if isinstance(term, SplineTerm):
-                f = term.features[0]
-                domain = self.dataset.domains[f]
+                value = x[term.features[0]]
+                domain = self.dataset.domains[term.features[0]]
                 span = float(domain.max() - domain.min()) * window_fraction
-                window_grid = np.linspace(
-                    value[0] - span, value[0] + span, window_points
-                )
-                window_contrib = self.gam.partial_dependence(idx, window_grid)
+                windows[idx] = np.linspace(value - span, value + span, window_points)
+                requests.append((idx, windows[idx]))
+        # One basis sweep for every instance row and window; each block
+        # keeps its own matmul, so the contributions are those of one
+        # partial_dependence call per block.
+        blocks = iter(self.gam.term_blocks(requests))
+        contributions = []
+        for idx in indices:
+            term = self.gam.terms[idx]
+            contrib, intervals = self.gam.contribution(idx, next(blocks), width)
+            window_grid = windows.get(idx)
+            window_contrib = None
+            if window_grid is not None:
+                window_contrib = self.gam.contribution(idx, next(blocks))
             contributions.append(
                 LocalContribution(
                     label=term.label,
                     features=tuple(term.features),
-                    value=value,
+                    value=x[list(term.features)],
                     contribution=float(contrib[0]),
                     interval=(float(intervals[0, 0]), float(intervals[0, 1])),
                     window_grid=window_grid,

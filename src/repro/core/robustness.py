@@ -58,6 +58,15 @@ def _spline_terms(explanation: GEFExplanation):
             yield idx, term
 
 
+def _scan(gam, idx: int, grid: np.ndarray, value: np.ndarray):
+    """Contribution deltas of term ``idx`` over ``grid`` from its
+    contribution at the one-element ``value``, and that base contribution:
+    both from one basis sweep."""
+    blocks = gam.term_blocks([(idx, grid), (idx, value)])
+    contrib, base = (gam.contribution(idx, block) for block in blocks)
+    return contrib - base[0], base[0]
+
+
 def sensitivity_profile(
     explanation: GEFExplanation,
     x: np.ndarray,
@@ -79,9 +88,7 @@ def sensitivity_profile(
         domain = explanation.dataset.domains[feature]
         budget = budget_fraction * float(domain.max() - domain.min())
         grid = np.linspace(x[feature] - budget, x[feature] + budget, n_points)
-        contrib = explanation.gam.partial_dependence(idx, grid)
-        base = explanation.gam.partial_dependence(idx, x[feature : feature + 1])[0]
-        deltas = contrib - base
+        deltas, _ = _scan(explanation.gam, idx, grid, x[feature : feature + 1])
         out.append(
             FeatureSensitivity(
                 feature=feature,
@@ -175,9 +182,7 @@ def minimal_shift(
             if low > high:
                 continue
         grid = np.linspace(low, high, n_points)
-        contrib = explanation.gam.partial_dependence(idx, grid)
-        base = explanation.gam.partial_dependence(idx, x[feature : feature + 1])[0]
-        deltas = contrib - base
+        deltas, base = _scan(explanation.gam, idx, grid, x[feature : feature + 1])
         achieved = deltas >= delta if delta > 0 else deltas <= delta
         if not achieved.any():
             continue

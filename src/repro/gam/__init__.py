@@ -5,7 +5,7 @@ terms, tensor-product interactions, identity/logit links, PIRLS fitting,
 GCV smoothing selection and Bayesian credible intervals.
 """
 
-from .bsplines import bspline_design, difference_penalty, uniform_knots
+from .bsplines import bspline_design, bspline_sweep, difference_penalty, uniform_knots
 from .diagnostics import GamDiagnostics, diagnose
 from .distributions import BinomialDistribution, NormalDistribution, get_distribution
 from .gcv import default_lam_grid, gcv_gridsearch
@@ -36,6 +36,7 @@ __all__ = [
     "TensorTerm",
     "Term",
     "bspline_design",
+    "bspline_sweep",
     "default_lam_grid",
     "difference_penalty",
     "gam_from_dict",

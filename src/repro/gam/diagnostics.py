@@ -74,21 +74,17 @@ def diagnose(gam: GAM, X: np.ndarray, y: np.ndarray) -> GamDiagnostics:
         "max": float(resid.max()),
     }
 
-    shares: dict[str, float] = {}
-    variances = []
-    labels = []
-    for idx, term in enumerate(gam.terms):
-        if isinstance(term, InterceptTerm):
-            continue
-        values = X[:, list(term.features)]
-        if len(term.features) == 1:
-            values = values.ravel()
-        contrib = gam.partial_dependence(idx, values)
-        variances.append(float(np.var(contrib)))
-        labels.append(term.label)
-    total = sum(variances)
-    for label, var in zip(labels, variances):
-        shares[label] = var / total if total > 0 else 0.0
+    contribs = gam.decompose(X)
+    variances = {
+        term.label: float(np.var(contribs[term.label]))
+        for term in gam.terms
+        if not isinstance(term, InterceptTerm)
+    }
+    total = sum(variances.values())
+    shares = {
+        label: var / total if total > 0 else 0.0
+        for label, var in variances.items()
+    }
 
     stats = gam.statistics_
     return GamDiagnostics(

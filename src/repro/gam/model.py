@@ -27,6 +27,18 @@ once per sampling-domain value (at most ``k`` rows per feature, not N)
 archived dataset, prediction on arbitrary ``X``) is its own values under
 the identity coding.  Prediction on arbitrary ``X`` streams the design
 in ``_ROW_BLOCK``-row blocks and never materializes it.
+
+Every evaluation makes one basis sweep
+(:func:`~repro.gam.bsplines.bspline_sweep`) for all of its B-spline
+marginals: ``_design`` for the fit, fidelity's coded test rows and
+prediction, and :meth:`GAM.term_blocks` for the blocks of several
+terms, each at its own values — a local explanation's instance rows and
+spline windows, a global explanation's curves.  The results are
+byte-equal to one evaluation per term and marginal: the sweep gives each
+element the same arithmetic, and every contribution keeps its own
+matmul at the shape a per-term call used (:meth:`GAM.contribution` on
+one request's block), since a gemv over more rows need not give the
+same bits.
 """
 
 from __future__ import annotations
@@ -44,7 +56,13 @@ from ..obs.metrics import inc as metric_inc
 from ..obs.trace import span as obs_span
 from .distributions import get_distribution
 from .links import get_link
-from .terms import InterceptTerm, Term, coded_columns
+from .terms import (
+    InterceptTerm,
+    Term,
+    centered_blocks,
+    coded_columns,
+    marginal_tables,
+)
 
 __all__ = ["GAM"]
 
@@ -201,12 +219,7 @@ class GAM:
         and keeps each block's column means as its centering.
         """
         columns = [coded_columns(X, coding, term.features) for term in self.terms]
-        rows = sum(len(values) for cols in columns for values, _ in cols)
-        with obs_span("gam.basis", rows=rows):
-            if fit:
-                for term, cols in zip(self.terms, columns):
-                    term.learn(cols)
-            tables = [term.tables(cols) for term, cols in zip(self.terms, columns)]
+        tables = marginal_tables(self.terms, columns, learn=fit)
         D = np.empty((len(X), self.n_coefs))
         with obs_span("gam.assemble"):
             for term, cols, tabs, sl in zip(
@@ -436,6 +449,46 @@ class GAM:
         )
         return float(self.coef_[self._term_slices()[idx]][0])
 
+    def term_blocks(self, requests) -> list[np.ndarray]:
+        """Centered design blocks of several terms, each at its own values.
+
+        ``requests`` is a sequence of ``(term_index, values)`` pairs, with
+        ``values`` shaped as for :meth:`partial_dependence`; a term may
+        appear more than once.  Every marginal basis of every request
+        comes from one basis sweep.
+        """
+        self._check_fitted()
+        terms, values = [], []
+        for term_index, vals in requests:
+            term = self.terms[term_index]
+            if isinstance(term, InterceptTerm):
+                raise ValueError(
+                    "partial dependence of the intercept is a constant"
+                )
+            terms.append(term)
+            values.append(
+                np.asarray(vals, dtype=np.float64).reshape(-1, len(term.features))
+            )
+        return centered_blocks(terms, values)
+
+    def contribution(
+        self, term_index: int, block: np.ndarray, width: float | None = None
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """Contribution of one term from its centered ``block`` (see
+        :meth:`term_blocks`), with the Bayesian credible interval as an
+        ``(n, 2)`` array when ``width`` is given (e.g. ``0.95``)."""
+        sl = self._term_slices()[term_index]
+        contrib = block @ self.coef_[sl]
+        if width is None:
+            return contrib
+        if not 0.0 < width < 1.0:
+            raise ValueError("width must be in (0, 1)")
+        vb = self.statistics_["cov"][sl, sl]
+        se = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", block, vb, block), 0.0))
+        z = float(ndtri(0.5 + width / 2.0))
+        intervals = np.stack([contrib - z * se, contrib + z * se], axis=1)
+        return contrib, intervals
+
     def partial_dependence(
         self,
         term_index: int,
@@ -443,6 +496,9 @@ class GAM:
         width: float | None = None,
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Contribution of one term at the given raw feature values.
+
+        The one-request case of :meth:`term_blocks` and
+        :meth:`contribution`.
 
         Parameters
         ----------
@@ -458,22 +514,8 @@ class GAM:
         -------
         contribution, or (contribution, intervals) when ``width`` is set.
         """
-        self._check_fitted()
-        term = self.terms[term_index]
-        if isinstance(term, InterceptTerm):
-            raise ValueError("partial dependence of the intercept is a constant")
-        sl = self._term_slices()[term_index]
-        d = term.design_for(np.asarray(values, dtype=np.float64))
-        contrib = d @ self.coef_[sl]
-        if width is None:
-            return contrib
-        if not 0.0 < width < 1.0:
-            raise ValueError("width must be in (0, 1)")
-        vb = self.statistics_["cov"][sl, sl]
-        se = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", d, vb, d), 0.0))
-        z = float(ndtri(0.5 + width / 2.0))
-        intervals = np.stack([contrib - z * se, contrib + z * se], axis=1)
-        return contrib, intervals
+        (block,) = self.term_blocks([(term_index, values)])
+        return self.contribution(term_index, block, width)
 
     def decompose(self, X: np.ndarray) -> dict[str, np.ndarray]:
         """Per-term contributions for a batch, on the link scale.
@@ -481,14 +523,17 @@ class GAM:
         Returns a mapping from term label to an ``(n,)`` contribution
         array (the intercept maps to a constant array).  The arrays sum
         to :meth:`predict_eta` exactly — the additive decomposition that
-        makes a GAM an explanation.
+        makes a GAM an explanation.  One basis sweep serves every term.
         """
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out: dict[str, np.ndarray] = {}
-        for term, sl in zip(self.terms, self._term_slices()):
-            out[term.label] = term.design(X) @ self.coef_[sl]
-        return out
+        blocks = centered_blocks(
+            self.terms, [X[:, list(term.features)] for term in self.terms]
+        )
+        return {
+            term.label: block @ self.coef_[sl]
+            for term, block, sl in zip(self.terms, blocks, self._term_slices())
+        }
 
     def term_labels(self) -> list[str]:
         """Labels of all terms, in coefficient order."""

@@ -23,18 +23,25 @@ codes drawn into it, so every marginal basis is evaluated once per
 domain value and gathered by code; any other column is its own values
 with ``codes=None`` (the identity coding).  Every basis here is a
 function of each row's value alone, so both codings give the same bytes.
-:class:`Term` learns (:meth:`Term.learn`), evaluates (:meth:`Term.tables`)
-and gathers, combines and centers (:meth:`Term.fill`) for every term; a
-subclass supplies what it learns from the values seen in training
-(``_learn``), its marginal bases (``_marginal``) and, for a tensor, how
-the gathered marginals combine (``_combine``).
+:func:`marginal_tables` learns (:meth:`Term.learn`) and evaluates every
+marginal of several terms — all B-spline marginals in one
+:func:`~repro.gam.bsplines.bspline_sweep` — and :meth:`Term.fill`
+gathers, combines and centers each term's block; a subclass supplies
+what it learns from the values seen in training (``_learn``), the knots
+of a B-spline marginal (``_spline``) or else its marginal basis
+(``_marginal``) and, for a tensor, how the gathered marginals combine
+(``_combine``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bsplines import bspline_design, difference_penalty, uniform_knots
+from ..obs.trace import span as obs_span
+from .bsplines import bspline_sweep, difference_penalty, uniform_knots
+
+# Not used here, but bench/layers.py wraps repro.gam.terms.bspline_design.
+from .bsplines import bspline_design  # noqa: F401
 
 __all__ = [
     "Term",
@@ -44,6 +51,8 @@ __all__ = [
     "FactorTerm",
     "TensorTerm",
     "coded_columns",
+    "marginal_tables",
+    "centered_blocks",
 ]
 
 
@@ -69,6 +78,53 @@ def _seen(values: np.ndarray, codes: np.ndarray | None) -> np.ndarray:
     return values[np.bincount(codes, minlength=len(values)) > 0]
 
 
+def marginal_tables(terms, columns, learn: bool = False) -> list[list[np.ndarray]]:
+    """The marginal basis of each term's features on its columns' ``values``.
+
+    ``columns`` holds one list of ``(values, codes)`` columns per term.
+    Every B-spline marginal of every term comes from one
+    :func:`~repro.gam.bsplines.bspline_sweep`; factor and linear
+    marginals come from their term's ``_marginal``.  ``learn`` first
+    learns each term's knots or levels from its columns.
+    """
+    rows = sum(len(values) for cols in columns for values, _ in cols)
+    marginals = sum(len(cols) for cols in columns)
+    with obs_span("gam.basis", rows=rows, marginals=marginals):
+        if learn:
+            for term, cols in zip(terms, columns):
+                term.learn(cols)
+        tables = [[None] * len(cols) for cols in columns]
+        slots, splines = [], []
+        for t, (term, cols) in enumerate(zip(terms, columns)):
+            for m, (values, _) in enumerate(cols):
+                values = np.asarray(values, dtype=np.float64)
+                spline = term._spline(m)
+                if spline is None:
+                    tables[t][m] = term._marginal(m, values)
+                else:
+                    slots.append((t, m))
+                    splines.append((values, *spline))
+        for (t, m), table in zip(slots, bspline_sweep(splines)):
+            tables[t][m] = table
+    return tables
+
+
+def centered_blocks(terms, values) -> list[np.ndarray]:
+    """The centered block of each term at its own ``(n, n_features)`` values.
+
+    One :func:`marginal_tables` call evaluates every marginal.
+    """
+    columns = [[(v[:, m], None) for m in range(v.shape[1])] for v in values]
+    blocks = []
+    for term, cols, tables, v in zip(
+        terms, columns, marginal_tables(terms, columns), values
+    ):
+        block = np.empty((len(v), term.n_coefs))
+        term.fill(tables, cols, block)
+        blocks.append(block)
+    return blocks
+
+
 class Term:
     """Base class: a block of design columns plus its penalty matrix."""
 
@@ -78,13 +134,6 @@ class Term:
     def learn(self, columns: list[tuple]) -> None:
         """Learn knots or levels from the training ``(values, codes)`` columns."""
         self._learn([_seen(values, codes) for values, codes in columns])
-
-    def tables(self, columns: list[tuple]) -> list[np.ndarray]:
-        """The marginal basis of each feature on its column's ``values``."""
-        return [
-            self._marginal(m, np.asarray(values, dtype=np.float64))
-            for m, (values, _) in enumerate(columns)
-        ]
 
     def fill(
         self, tables: list[np.ndarray], columns: list[tuple], out: np.ndarray,
@@ -112,9 +161,9 @@ class Term:
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         columns = coded_columns(X, coding, self.features)
-        self.learn(columns)
+        (tables,) = marginal_tables([self], [columns], learn=True)
         out = np.empty((len(X), self.n_coefs))
-        self.fill(self.tables(columns), columns, out, fit=True)
+        self.fill(tables, columns, out, fit=True)
         return out
 
     def fit(self, X: np.ndarray) -> "Term":
@@ -130,11 +179,15 @@ class Term:
         """
         self._check_fitted()
         values = np.asarray(values, dtype=np.float64).reshape(-1, len(self.features))
-        marginals = [self._marginal(m, values[:, m]) for m in range(values.shape[1])]
-        return self._combine(marginals) - self.col_means_
+        return centered_blocks([self], [values])[0]
 
     def _learn(self, seen: list[np.ndarray]) -> None:
         """Learn knots or levels from the values each feature takes."""
+
+    def _spline(self, m: int) -> tuple[np.ndarray, int] | None:
+        """Knots and degree of the ``m``-th feature's B-spline basis, or
+        ``None`` when its basis is the term's own ``_marginal``."""
+        return None
 
     def _marginal(self, m: int, x: np.ndarray) -> np.ndarray:
         """Uncentered basis of the term's ``m``-th feature at values ``x``."""
@@ -143,11 +196,6 @@ class Term:
     def _combine(self, marginals: list[np.ndarray]) -> np.ndarray:
         """Uncentered block from the per-row marginal bases."""
         return marginals[0]
-
-    def design(self, X: np.ndarray) -> np.ndarray:
-        """Centered design block extracted from a full data matrix."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return self.design_for(X[:, list(self.features)])
 
     def penalty(self) -> np.ndarray:
         """Smoothness penalty for this term's coefficients (unscaled)."""
@@ -177,10 +225,6 @@ class InterceptTerm(Term):
         if fit:
             self._fitted = True
         out.fill(1.0)
-
-    def design(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return np.ones((X.shape[0], 1))
 
     def design_for(self, values: np.ndarray) -> np.ndarray:
         values = np.atleast_1d(values)
@@ -261,8 +305,8 @@ class SplineTerm(Term):
         (x,) = seen
         self.knots_ = uniform_knots(float(x.min()), float(x.max()), self.n_splines, self.degree)
 
-    def _marginal(self, m: int, x: np.ndarray) -> np.ndarray:
-        return bspline_design(x, self.knots_, self.degree)
+    def _spline(self, m: int) -> tuple[np.ndarray, int]:
+        return self.knots_, self.degree
 
     def penalty(self) -> np.ndarray:
         return difference_penalty(self.n_splines, self.penalty_order)
@@ -353,8 +397,8 @@ class TensorTerm(Term):
             for x in seen
         ]
 
-    def _marginal(self, m: int, x: np.ndarray) -> np.ndarray:
-        return bspline_design(x, self.knots_[m], self.degree)
+    def _spline(self, m: int) -> tuple[np.ndarray, int]:
+        return self.knots_[m], self.degree
 
     def _combine(self, marginals: list[np.ndarray]) -> np.ndarray:
         b_i, b_j = marginals

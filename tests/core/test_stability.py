@@ -64,7 +64,7 @@ class TestLinearTermInGam:
         rng = np.random.default_rng(1)
         X = rng.uniform(3, 5, (500, 1))
         term = LinearTerm(0).fit(X)
-        design = term.design(X)
+        design = term.design_for(X[:, list(term.features)])
         assert abs(design.mean()) < 1e-10
 
     def test_label(self):

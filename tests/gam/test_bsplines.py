@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.numerics import NumericsError, get_numerics_mode, set_numerics_mode
-from repro.gam import GAM, SplineTerm, bspline_design, difference_penalty, uniform_knots
+from repro.gam import (
+    GAM,
+    SplineTerm,
+    bspline_design,
+    bspline_sweep,
+    difference_penalty,
+    uniform_knots,
+)
 
 
 def reference_design(x, knots, degree):
@@ -38,6 +45,41 @@ def reference_design(x, knots, degree):
                 new[:, i] += (knots[i + d + 1] - xc) / denom_r * basis[:, i + 1]
         basis = new
     return basis[:, :n_bases]
+
+
+def window_reference(x, knots, degree=3):
+    """One marginal's basis from its own window recursion: the
+    per-marginal oracle of :func:`bspline_sweep`, which must give every
+    marginal these bytes whatever else shares its sweep."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    knots = np.asarray(knots, dtype=np.float64)
+    n_bases = len(knots) - degree - 1
+    lo = knots[degree]
+    hi = knots[-degree - 1]
+    eps = 1e-12 * max(1.0, abs(hi))
+    xc = np.clip(x, lo, hi - eps if hi > lo else lo)
+    j = np.searchsorted(knots, xc, side="right") - 1
+    j = np.clip(j, degree, n_bases - 1)
+    near = knots[np.arange(-degree, degree + 2)[:, None] + j]
+    window = np.ones((1, len(xc)))
+    for d in range(1, degree + 1):
+        t_lo = near[degree - d + 1 : degree + 1]
+        t_hi = near[degree + 1 : degree + d + 1]
+        span = t_hi - t_lo
+        wide = span > 0
+        right = np.divide(
+            t_hi - xc, span, out=np.zeros_like(span), where=wide
+        ) * window
+        left = np.divide(
+            xc - t_lo, span, out=np.zeros_like(span), where=wide
+        ) * window
+        window = np.zeros((d + 1, len(xc)))
+        window[:d] = right
+        window[1:] += left
+    basis = np.zeros((len(xc), n_bases))
+    first = np.arange(len(xc)) * n_bases + j - degree
+    basis.reshape(-1)[np.arange(degree + 1)[:, None] + first] = window
+    return basis
 
 
 def probe_points(knots, degree):
@@ -230,6 +272,66 @@ class TestWindowKernelOracle:
         knots = uniform_knots(0.0, 1.0, 9, degree)
         with pytest.raises(NumericsError):
             bspline_design(np.array([0.25, np.nan]), knots, degree)
+
+
+def mixed_marginals(degrees):
+    """Marginals of several sizes and of each of ``degrees``: uniform knot
+    vectors, a collapsed one, repeated knots and a 0-row marginal, probed
+    inside, on and outside their domains and at ``±inf``."""
+    rng = np.random.default_rng(sum(degrees))
+    marginals = []
+    for i, degree in enumerate(degrees):
+        for n_splines in (degree + 1, 5, 7, 12, 20):
+            knots = uniform_knots(-1.0 - i, 2.0 + i, n_splines, degree)
+            marginals.append((probe_points(knots, degree), knots, degree))
+        collapsed = np.full(9 + degree + 1, 1e16)
+        marginals.append((np.array([1e16, 0.0, np.inf, -np.inf]), collapsed, degree))
+        knots = np.sort(rng.uniform(-5.0, 5.0, 12 + degree + 1))
+        knots[4] = knots[3]
+        marginals.append((probe_points(knots, degree), knots, degree))
+        marginals.append((np.empty(0), uniform_knots(0.0, 1.0, 7, degree), degree))
+    order = rng.permutation(len(marginals))
+    return [marginals[i] for i in order]
+
+
+class TestSweep:
+    """One sweep over many marginals is byte-equal to one recursion per
+    marginal, whatever else shares the sweep."""
+
+    @pytest.mark.parametrize("degrees", [(1,), (2,), (3,), (1, 2, 3), (3, 1)])
+    def test_mixed_marginals_match_per_marginal(self, degrees, strict_numerics):
+        marginals = mixed_marginals(degrees)
+        got = bspline_sweep(marginals)
+        assert len(got) == len(marginals)
+        for basis, (x, knots, degree) in zip(got, marginals):
+            want = window_reference(x, knots, degree)
+            assert basis.shape == want.shape
+            assert basis.tobytes() == want.tobytes()
+
+    def test_one_marginal_is_bspline_design(self):
+        for x, knots, degree in mixed_marginals((1, 2, 3)):
+            (basis,) = bspline_sweep([(x, knots, degree)])
+            assert basis.tobytes() == bspline_design(x, knots, degree).tobytes()
+
+    def test_zero_rows_and_no_marginals(self):
+        assert bspline_sweep([]) == []
+        knots = uniform_knots(0.0, 1.0, 7)
+        empty, one = bspline_sweep([(np.empty(0), knots, 3), ([0.5], knots, 3)])
+        assert empty.shape == (0, 7) and one.shape == (1, 7)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_nan_row_raises_under_strict(self, degree, strict_numerics):
+        marginals = mixed_marginals((degree,))
+        i = next(i for i, m in enumerate(marginals) if np.all(np.diff(m[1]) > 0))
+        x, knots, _ = marginals[i]
+        marginals[i] = (np.append(x, np.nan), knots, degree)
+        with pytest.raises(NumericsError):
+            bspline_sweep(marginals)
+
+    def test_knot_vector_too_short_for_any_marginal(self):
+        knots = uniform_knots(0.0, 1.0, 7)
+        with pytest.raises(ValueError):
+            bspline_sweep([([0.5], knots, 3), ([0.5], knots[:6], 3)])
 
 
 class TestDifferencePenalty:

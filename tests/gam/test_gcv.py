@@ -100,22 +100,24 @@ def two_feature_data():
 class TestSharedDesign:
     @pytest.mark.parametrize("link", ["identity", "logit"])
     def test_one_basis_evaluation_per_term(self, two_feature_data, link, monkeypatch):
-        """Each basis is evaluated once per training matrix, for every lambda."""
+        """One basis sweep per training matrix, for every lambda: it covers
+        every marginal of every term, each on every training row."""
         X, ys = two_feature_data
-        calls = []
-        original = repro.gam.terms.bspline_design
+        sweeps = []
+        original = repro.gam.terms.bspline_sweep
 
-        def counting(*args, **kwargs):
-            calls.append(len(args[0]))
-            return original(*args, **kwargs)
+        def counting(marginals):
+            marginals = list(marginals)
+            sweeps.append([len(x) for x, _, _ in marginals])
+            return original(marginals)
 
-        monkeypatch.setattr(repro.gam.terms, "bspline_design", counting)
+        monkeypatch.setattr(repro.gam.terms, "bspline_sweep", counting)
         gam = GAM(
             [SplineTerm(0, 8), SplineTerm(1, 8), TensorTerm(0, 1, 5)], link=link
         )
         gam.gridsearch(X, ys[link], lam_grid=np.logspace(-2, 2, 5))
-        # n_splines + 2 * n_tensors, each on every training row.
-        assert calls == [len(X)] * 4
+        # One sweep of n_splines + 2 * n_tensors marginals.
+        assert sweeps == [[len(X)] * 4]
 
     @pytest.mark.parametrize("link", ["identity", "logit"])
     def test_one_design_span_per_search(self, two_feature_data, link):

@@ -103,18 +103,11 @@ class GEFExplanation:
         explains nothing, a wide-ranging one drives the prediction.
         """
         if term_index not in self._importances:
-            (block,) = self.gam.term_blocks([self._importance_rows(term_index)])
-            self._record_importance(term_index, block)
+            features = list(self.gam.terms[term_index].features)
+            values = self.dataset.X_train[:4096][:, features]
+            contrib = self.gam.partial_dependence(term_index, values)
+            self._importances[term_index] = float(np.std(contrib))
         return self._importances[term_index]
-
-    def _importance_rows(self, term_index: int) -> tuple[int, np.ndarray]:
-        """The ``term_blocks`` request of a component's importance sample."""
-        features = list(self.gam.terms[term_index].features)
-        return term_index, self.dataset.X_train[:4096][:, features]
-
-    def _record_importance(self, term_index: int, block: np.ndarray) -> None:
-        contrib = self.gam.contribution(term_index, block)
-        self._importances[term_index] = float(np.std(contrib))
 
     # ------------------------------------------------------------------
     # prediction
@@ -144,17 +137,11 @@ class GEFExplanation:
     ) -> list[ComponentCurve]:
         """All component curves, sorted by decreasing importance.
 
-        One basis sweep evaluates every curve and every importance not
-        measured yet.
+        One basis sweep evaluates every curve.
         """
         indices = self._component_terms()
         grids = [self._term_grid(self.gam.terms[idx], n_points) for idx in indices]
-        missing = [idx for idx in indices if idx not in self._importances]
-        blocks = self.gam.term_blocks(
-            [*zip(indices, grids), *map(self._importance_rows, missing)]
-        )
-        for idx, block in zip(missing, blocks[len(indices):]):
-            self._record_importance(idx, block)
+        blocks = self.gam.term_blocks(list(zip(indices, grids)))
         curves = []
         for idx, grid, block in zip(indices, grids, blocks):
             term = self.gam.terms[idx]
@@ -166,7 +153,7 @@ class GEFExplanation:
                     grid=grid,
                     contribution=contrib,
                     intervals=intervals,
-                    importance=self._importances[idx],
+                    importance=self.component_importance(idx),
                 )
             )
         curves.sort(key=lambda c: -c.importance)

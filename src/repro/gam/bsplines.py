@@ -20,11 +20,13 @@ once: the rows of all marginals are concatenated and each gathers its
 window from its own knot vector (a 12- and a 7-spline marginal mix
 freely).  That is one pass of numpy calls per evaluation instead of one
 per marginal, whose fixed cost dominated one-row predictions and local
-explanations.  Every element still gets exactly the arithmetic a
-one-marginal run gives it, so each basis is byte-equal whatever else
-shares its sweep.  The one kernel serves the fit, fidelity and every
-arbitrary-X caller (prediction, local and global explanations, PDP
-scans); :func:`bspline_design` is its one-marginal case.
+explanations; large evaluations, where that fixed cost does not matter,
+are split into passes of bounded rows to bound their temporaries.  Every
+element still gets exactly the arithmetic a one-marginal run gives it,
+so each basis is byte-equal whatever else shares its sweep.  The one
+kernel serves the fit, fidelity and every arbitrary-X caller
+(prediction, local and global explanations, PDP scans);
+:func:`bspline_design` is its one-marginal case.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ from ..core.numerics import (
 )
 
 __all__ = ["uniform_knots", "bspline_design", "bspline_sweep", "difference_penalty"]
+
+#: Most rows of several marginals that one pass of the recursion takes.
+#: A pass holds a few dozen bytes of temporaries per row, so this keeps a
+#: sweep over large inputs (a 16,384-row prediction block of every
+#: marginal, a decomposition of a whole dataset) at the working set of
+#: one marginal per pass.  Each element's arithmetic does not depend on
+#: what shares its pass, so neither do the bytes.
+_PASS_ROWS = 16384
 
 
 def uniform_knots(lo: float, hi: float, n_splines: int, degree: int = 3) -> np.ndarray:
@@ -99,8 +109,10 @@ def bspline_sweep(marginals) -> list[np.ndarray]:
     needs, so the rows of every marginal of one degree are concatenated,
     each gathering its window from its own knot vector, and the recursion
     raises all of them one degree at a time; every other entry is zero.
-    Each element gets the arithmetic a one-marginal evaluation gives it,
-    so the bases are byte-equal whatever else shares the sweep.
+    Marginals too large to share a pass (more than :data:`_PASS_ROWS`
+    rows together) take consecutive passes.  Each element gets the
+    arithmetic a one-marginal evaluation gives it, so the bases are
+    byte-equal whatever else shares the sweep or the pass.
 
     A zero-width knot span contributes nothing (it is skipped, never
     divided by), so repeated knots are allowed and a collapsed knot vector
@@ -123,8 +135,7 @@ def bspline_sweep(marginals) -> list[np.ndarray]:
     starts = [0, *accumulate(sizes)]
     flat = np.zeros(starts[-1])
     with numerics_guard("bspline_sweep (Cox-de Boor recursion)"):
-        for degree in sorted({m[2] for m in marginals}):
-            group = [i for i, m in enumerate(marginals) if m[2] == degree]
+        for degree, group in _passes(marginals):
             _sweep(
                 flat, [marginals[i] for i in group], [starts[i] for i in group],
                 degree,
@@ -134,6 +145,25 @@ def bspline_sweep(marginals) -> list[np.ndarray]:
         flat[start:stop].reshape(shape)
         for start, stop, shape in zip(starts, starts[1:], shapes)
     ]
+
+
+def _passes(marginals):
+    """``(degree, indices)`` of the marginals that share one recursion pass.
+
+    Marginals of one degree share a pass, in order, up to
+    :data:`_PASS_ROWS` rows; a larger marginal has a pass of its own.
+    """
+    for degree in sorted({m[2] for m in marginals}):
+        group, rows = [], 0
+        for i, (x, _, d) in enumerate(marginals):
+            if d != degree:
+                continue
+            if group and rows + len(x) > _PASS_ROWS:
+                yield degree, group
+                group, rows = [], 0
+            group.append(i)
+            rows += len(x)
+        yield degree, group
 
 
 def _sweep(flat, marginals, starts, degree) -> None:

@@ -523,17 +523,16 @@ class GAM:
         Returns a mapping from term label to an ``(n,)`` contribution
         array (the intercept maps to a constant array).  The arrays sum
         to :meth:`predict_eta` exactly — the additive decomposition that
-        makes a GAM an explanation.  One basis sweep serves every term.
+        makes a GAM an explanation.  Each term makes its own basis sweep
+        over all of ``X``, so only one term's block is alive at a time.
         """
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        blocks = centered_blocks(
-            self.terms, [X[:, list(term.features)] for term in self.terms]
-        )
-        return {
-            term.label: block @ self.coef_[sl]
-            for term, block, sl in zip(self.terms, blocks, self._term_slices())
-        }
+        out: dict[str, np.ndarray] = {}
+        for term, sl in zip(self.terms, self._term_slices()):
+            values = X[:, list(term.features)]
+            out[term.label] = centered_blocks([term], [values])[0] @ self.coef_[sl]
+        return out
 
     def term_labels(self) -> list[str]:
         """Labels of all terms, in coefficient order."""

@@ -40,7 +40,9 @@ import numpy as np
 from ..obs.trace import span as obs_span
 from .bsplines import bspline_sweep, difference_penalty, uniform_knots
 
-# Not used here, but bench/layers.py wraps repro.gam.terms.bspline_design.
+# Kept importable by this name: bench/layers.py looks it up here to time
+# the basis layer.  No evaluation calls it (they all go through
+# bspline_sweep), so that timer reads zero until it wraps bspline_sweep.
 from .bsplines import bspline_design  # noqa: F401
 
 __all__ = [

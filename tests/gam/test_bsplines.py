@@ -308,6 +308,33 @@ class TestSweep:
             assert basis.shape == want.shape
             assert basis.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("pass_rows", [1, 20, 60])
+    def test_passes_bound_rows_and_keep_bytes(
+        self, pass_rows, monkeypatch, strict_numerics
+    ):
+        """Marginals that do not fit one pass take several; every pass
+        holds at most ``_PASS_ROWS`` rows or a single marginal."""
+        import repro.gam.bsplines as bsplines
+
+        monkeypatch.setattr(bsplines, "_PASS_ROWS", pass_rows)
+        passes = []
+        sweep = bsplines._sweep
+
+        def counted(flat, marginals, starts, degree):
+            passes.append([len(x) for x, _, _ in marginals])
+            sweep(flat, marginals, starts, degree)
+
+        monkeypatch.setattr(bsplines, "_sweep", counted)
+        marginals = mixed_marginals((1, 2, 3))
+        got = bspline_sweep(marginals)
+        assert sorted(len(x) for x, _, _ in marginals) == sorted(
+            rows for rows_of_pass in passes for rows in rows_of_pass
+        )
+        assert all(sum(rows) <= pass_rows or len(rows) == 1 for rows in passes)
+        assert len(passes) > 3
+        for basis, (x, knots, degree) in zip(got, marginals):
+            assert basis.tobytes() == window_reference(x, knots, degree).tobytes()
+
     def test_one_marginal_is_bspline_design(self):
         for x, knots, degree in mixed_marginals((1, 2, 3)):
             (basis,) = bspline_sweep([(x, knots, degree)])

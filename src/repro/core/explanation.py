@@ -142,10 +142,13 @@ class GEFExplanation:
         indices = self._component_terms()
         grids = [self._term_grid(self.gam.terms[idx], n_points) for idx in indices]
         blocks = self.gam.term_blocks(list(zip(indices, grids)))
+        slices = self.gam.term_slices()
         curves = []
         for idx, grid, block in zip(indices, grids, blocks):
             term = self.gam.terms[idx]
-            contrib, intervals = self.gam.contribution(idx, block, width=width)
+            contrib, intervals = self.gam.contribution(
+                slices[idx], block, width=width
+            )
             curves.append(
                 ComponentCurve(
                     label=term.label,
@@ -192,14 +195,17 @@ class GEFExplanation:
         # keeps its own matmul, so the contributions are those of one
         # partial_dependence call per block.
         blocks = iter(self.gam.term_blocks(requests))
+        slices = self.gam.term_slices()
         contributions = []
         for idx in indices:
             term = self.gam.terms[idx]
-            contrib, intervals = self.gam.contribution(idx, next(blocks), width)
+            contrib, intervals = self.gam.contribution(
+                slices[idx], next(blocks), width
+            )
             window_grid = windows.get(idx)
             window_contrib = None
             if window_grid is not None:
-                window_contrib = self.gam.contribution(idx, next(blocks))
+                window_contrib = self.gam.contribution(slices[idx], next(blocks))
             contributions.append(
                 LocalContribution(
                     label=term.label,

@@ -63,7 +63,8 @@ def _scan(gam, idx: int, grid: np.ndarray, value: np.ndarray):
     contribution at the one-element ``value``, and that base contribution:
     both from one basis sweep."""
     blocks = gam.term_blocks([(idx, grid), (idx, value)])
-    contrib, base = (gam.contribution(idx, block) for block in blocks)
+    sl = gam.term_slices()[idx]
+    contrib, base = (gam.contribution(sl, block) for block in blocks)
     return contrib - base[0], base[0]
 
 

@@ -41,8 +41,23 @@ for every tree, the AND of that tree's masks among the first ``p``
 sorted conditions (built with a scatter plus one
 ``np.bitwise_and.accumulate``).  Evaluation per feature is then a single
 contiguous row gather (``np.take(table, pos, axis=0)``) and one AND into
-the (row, tree) accumulator — the whole forest evaluates in
+the (row, tree) accumulator — the whole forest evaluates in at most
 ``n_features`` passes regardless of depth.
+
+**Joint tables.**  A gather costs one table row of ``T`` lanes however
+few rows the table has, and many features of a wide tabular forest have
+tables of a few dozen rows (census: 50 features with conditions, most
+with 2-35 rows).  So features are packed in **groups**, each with one
+joint table: the AND-product of its features' tables, row-major in the
+group's feature order, indexed by ``Σ pos_f · stride_f``.  AND is exact
+and associative, so one gather + AND per group gives the bits of the
+per-feature passes.  Groups form greedily, smallest table first, while
+the product of a group's row counts stays within :data:`JOINT_ROWS` and
+all tables within :data:`MAX_TABLE_BYTES`; a feature with a large table
+is a group of one, whose joint table is its own table.  The bench census
+forest packs 50 features into 31 groups (tables 1.8 → 3.9 MB); the
+spline and serve forests, whose tables all have over 500 and 200 rows,
+form only groups of one.
 
 Mask words adapt to the forest: ``uint32`` for trees up to 32 leaves
 (halving table traffic — the paper's ``num_leaves=31`` shape), one
@@ -57,7 +72,10 @@ Evaluation
 Rows run in chunks sized by :meth:`BitvectorForest._auto_chunk` to about
 64k (row, tree, word) lanes, so the accumulators stay cache resident
 while the prefix tables stream; working buffers are sized to
-``min(chunk, n_rows)``, so a one-row call allocates one row.  Per chunk:
+``min(chunk, n_rows)``, so a one-row call allocates one row.  First,
+every group of several features turns its features' positions into
+joint-table rows (one small integer matvec per group, none for groups of
+one).  Then per chunk one gather + AND per group, and:
 
 * **Exit leaf.**  The isolated bit ``2**k`` converts exactly to float32,
   whose biased exponent ``k + 127`` sits in bits 23..30: view the float32
@@ -66,12 +84,18 @@ while the prefix tables stream; working buffers are sized to
   tree-major, ``(T, R)``.
 * **Reduction.**  Leaf values are gathered into one tree-major
   ``(T + 1, R)`` buffer whose row 0 is the init score, and
-  ``np.cumsum(axis=0)`` sums it: per row that is the loop's own
-  ``((init + v_0) + v_1) + ...`` order, so bitvector and loop outputs
-  are bit-for-bit equal.  :meth:`~BitvectorForest.leaf_value_matrix`
-  copies rows ``1..T`` of the same buffer.  Do not replace the cumsum
-  with ``np.add.reduce(axis=0)``: with one row (``R == 1``) numpy
-  reduces a contiguous axis pairwise, which changes the low bits.
+  ``np.add.reduce(axis=0)`` sums it: the buffer is C-contiguous, so the
+  reduced axis is the outer loop and every row adds
+  ``((init + v_0) + v_1) + ...``, the loop's own order — bitvector and
+  loop outputs are bit-for-bit equal.  The one exception is a one-row
+  chunk (``R == 1``): its reduced axis is contiguous, and numpy sums a
+  contiguous axis pairwise, which changes the low bits, so that chunk
+  keeps ``np.cumsum(axis=0)`` (sequential for any shape).
+  :meth:`~BitvectorForest.leaf_value_matrix` copies rows ``1..T`` of the
+  same buffer.
+
+The ``bitvector.eval`` span carries ``gather_s`` (gather + AND) and
+``reduce_s`` (exit leaf, leaf values and reduction), summed over chunks.
 """
 
 from __future__ import annotations
@@ -87,6 +111,7 @@ from ..obs.trace import monotonic as obs_monotonic, span as obs_span
 from .tree import Tree, _forest_fingerprint
 
 __all__ = [
+    "JOINT_ROWS",
     "MAX_LEAF_WORDS",
     "MAX_TABLE_BYTES",
     "BitvectorForest",
@@ -105,15 +130,55 @@ MAX_LEAF_WORDS = 8
 #: per-tree loop then takes over).
 MAX_TABLE_BYTES = 256 * 1024 * 1024
 
+#: Largest joint prefix table, in rows, that a group of features shares.
+#: Labelling 5,000 coded rows with the bench census forest (120 trees,
+#: 50 features with conditions, one CPU of a 2-vCPU host, best of 15):
+#: caps of 1 (no groups) / 256 / 1024 / 4096 / 16384 rows gave 50 / 37 /
+#: 31 / 25 / 21 gathers, 31.7 / 25.8 / 24.8 / 22.7 / 20.3 ms and
+#: 1.8 / 2.4 / 3.9 / 12.3 / 38.0 MB of tables.  1024 takes most of the
+#: gain while the tables stay about twice the per-feature ones.
+JOINT_ROWS = 1024
+
 
 #: ``_LOW_BITS[n] == (1 << n) - 1`` for ``0 <= n <= 64``: a lookup, because
 #: numpy shifts a ``uint64`` modulo 64 and ``1 << 64`` would wrap to ``1``.
 _LOW_BITS = np.array([(1 << n) - 1 for n in range(65)], dtype=np.uint64)
 
 
-class BitvectorForest:
-    """One forest encoded as per-feature threshold-sorted prefix masks.
+def _group_features(rows: dict[int, int], row_bytes: int) -> list[list[int]]:
+    """Greedy feature groups for the joint prefix tables.
 
+    ``rows`` maps every feature with conditions to its prefix-table row
+    count.  Features join the open group smallest table first (ties by
+    feature index) while the product of the group's row counts stays
+    within :data:`JOINT_ROWS` and all tables together within
+    :data:`MAX_TABLE_BYTES`; otherwise they open a new group.  A forest
+    whose per-feature tables fit the budget therefore always encodes.
+    """
+    total = sum(rows.values())
+    groups: list[list[int]] = []
+    product = 0
+    for n, f in sorted((n, f) for f, n in rows.items()):
+        grown = total + product * n - product - n
+        if (
+            groups
+            and product * n <= JOINT_ROWS
+            and grown * row_bytes <= MAX_TABLE_BYTES
+        ):
+            groups[-1].append(int(f))
+            product *= n
+            total = grown
+        else:
+            groups.append([int(f)])
+            product = n
+    return groups
+
+
+class BitvectorForest:
+    """One forest encoded as threshold-sorted prefix masks.
+
+    ``feat_thr[f]`` holds feature ``f``'s sorted thresholds, and
+    ``tables[g]`` the joint prefix table of the features ``groups[g]``.
     Build with :meth:`pack`; it returns ``None`` when the forest cannot
     be encoded (non-finite thresholds, too many leaves per tree, or
     prefix tables over the byte budget), in which case dispatch falls
@@ -182,11 +247,10 @@ class BitvectorForest:
 
         # Byte budget: every feature's prefix table is (C_f + 1, T, W).
         per_feature = np.bincount(table.feature[cond], minlength=n_features)
+        row_bytes = self.n_trees * n_words * np.dtype(dtype).itemsize
         rows = cond.size + np.count_nonzero(per_feature)
-        table_bytes = int(rows) * self.n_trees * n_words * np.dtype(dtype).itemsize
-        if table_bytes > MAX_TABLE_BYTES:
+        if int(rows) * row_bytes > MAX_TABLE_BYTES:
             return None
-        self.table_bytes = table_bytes
 
         # Per-feature prefix-mask tables: conditions grouped by feature and
         # sorted by threshold (ties keep (tree, node) order), each mask
@@ -197,21 +261,45 @@ class BitvectorForest:
         masks = masks[order].astype(dtype)
         bounds = np.concatenate([[0], np.cumsum(per_feature)])
         self.feat_thr = []
-        self.tables = []
+        prefix_tables = {}
         for f in range(n_features):
             a, b = bounds[f], bounds[f + 1]
             self.feat_thr.append(thr[a:b])
             if a == b:
-                self.tables.append(None)
                 continue
             prefix = np.full((b - a + 1, self.n_trees, n_words), word_max, dtype)
             prefix[1 + np.arange(b - a), tree_idx[a:b], :] = masks[a:b]
             np.bitwise_and.accumulate(prefix, axis=0, out=prefix)
             if n_words == 1:
                 prefix = np.ascontiguousarray(prefix[:, :, 0])
-            self.tables.append(prefix)
+            prefix_tables[f] = prefix
+
+        # Joint tables: each group's table is the AND-product of its
+        # features' tables, row-major in the group's feature order.
+        self.groups = _group_features(
+            {f: t.shape[0] for f, t in prefix_tables.items()}, row_bytes
+        )
+        self.tables = []
+        for group in self.groups:
+            joint = prefix_tables[group[0]]
+            for f in group[1:]:
+                nxt = prefix_tables[f]
+                joint = (joint[:, None] & nxt[None, :]).reshape(-1, *nxt.shape[1:])
+            self.tables.append(joint)
+        self.table_bytes = sum(t.nbytes for t in self.tables)
+        self._set_strides()
         self.n_conditions = int(cond.size)
         return self
+
+    def _set_strides(self) -> None:
+        """Joint-row strides of every group of several features, with its
+        lead (first) feature: row ``Σ pos_f · stride_f``, the last stride 1."""
+        self._joint = []
+        for group in self.groups:
+            if len(group) > 1:
+                sizes = [self.feat_thr[f].size + 1 for f in group]
+                strides = np.cumprod([1] + sizes[:0:-1])[::-1]
+                self._joint.append((group[0], np.array(group), strides))
 
     # ------------------------------------------------------------------
     # evaluation
@@ -257,11 +345,19 @@ class BitvectorForest:
         out: np.ndarray | None,
         out_values: np.ndarray | None,
         chunk: int,
-    ) -> None:
-        """Evaluate every row; write reduced scores and/or leaf values."""
+    ) -> tuple[float, float]:
+        """Evaluate every row; write reduced scores and/or leaf values.
+
+        ``pos`` holds :meth:`digitize` positions and is overwritten: each
+        group of several features gets its joint-table rows in its lead
+        feature's column.  Returns the seconds spent in gather + AND and
+        in exit leaf + reduction.
+        """
         T, W = self.n_trees, self.n_words
         dtype = self.init_vec.dtype
-        features = [f for f in range(self.n_features) if self.tables[f] is not None]
+        for lead, features, strides in self._joint:
+            pos[:, lead] = pos[:, features] @ strides
+        groups = [(group[0], table) for group, table in zip(self.groups, self.tables)]
         single = W == 1
         n_rows = pos.shape[0]
         chunk = min(chunk, n_rows)
@@ -279,15 +375,18 @@ class BitvectorForest:
         # 2**k as float32 has biased exponent k + 127 in bits 23..30.
         leaf_off = (self.leaf_offsets - 127)[:, None]
         pv = self.leaf_values
+        gather_s = reduce_s = 0.0
         for clo in range(0, n_rows, chunk):
+            t0 = obs_monotonic()
             chi = min(clo + chunk, n_rows)
             R = chi - clo
             a = acc[:R]
             a[:] = init_row
-            for f in features:
+            for lead, table in groups:
                 b = buf[:R]
-                self.tables[f].take(pos[clo:chi, f], axis=0, out=b)
+                table.take(pos[clo:chi, lead], axis=0, out=b)
                 np.bitwise_and(a, b, out=a)
+            t1 = obs_monotonic()
             if single:
                 word = a
             else:
@@ -327,19 +426,33 @@ class BitvectorForest:
             pv.take(fl, out=r[1:])
             if out_values is not None:
                 out_values[:, clo:chi] = r[1:]
-            if out is not None:
+            if out is not None and R > 1:
+                # The reduced axis is the outer loop of this C-contiguous
+                # buffer: every row adds its trees in loop order.
+                np.add.reduce(r, axis=0, out=out[clo:chi])
+            elif out is not None:
+                # One row makes the reduced axis contiguous, and numpy
+                # would sum it pairwise; cumsum keeps the loop order.
                 np.cumsum(r, axis=0, out=r)
                 out[clo:chi] = r[-1]
+            t2 = obs_monotonic()
+            gather_s += t1 - t0
+            reduce_s += t2 - t1
+        return gather_s, reduce_s
 
     def _auto_chunk(self) -> int:
         """Largest power-of-two chunk keeping ~64k (row, tree, word) lanes.
 
         65,536 lanes keep the accumulators in cache while the prefix
         tables stream: 256 rows at 200 trees, 512 at 120.  Small forests
-        get big chunks (fewer per-chunk setups), up to 4096 rows.  The
-        chunk never changes a bit: rows are independent, and each row's
-        tree-major cumsum adds its trees in loop order whatever ``R`` is
-        (``np.add.reduce`` would not: it sums one row pairwise).
+        get big chunks (fewer per-chunk setups), up to 4096 rows.
+        Labelling 20k coded rows with the bench spline forest (200
+        trees) over chunks of 64-4096 rows was fastest at 256 (33.7 ms;
+        64-512 within 7 ms, 1024 and up 50-80 ms), and 5k census rows
+        (120 trees) were flat within 2 ms over 128-1024.  The chunk never
+        changes a bit: rows are independent, and the reduction adds each
+        row's trees in loop order whatever ``R`` is (see the module
+        docstring for the one-row case).
         """
         lanes = max(self.n_trees * self.n_words, 1)
         chunk = 64
@@ -364,8 +477,9 @@ class BitvectorForest:
         N = pos.shape[0]
         out = None if out_values is not None else np.empty(N)
         if N:
-            with obs_span("bitvector.eval", rows=int(N)):
-                self._eval_rows(pos, out, out_values, chunk)
+            with obs_span("bitvector.eval", rows=int(N)) as eval_span:
+                gather_s, reduce_s = self._eval_rows(pos, out, out_values, chunk)
+                eval_span.set(gather_s=gather_s, reduce_s=reduce_s)
         if out is not None:
             assert_all_finite(out, "bitvector predict reduction")
         if out_values is not None:
@@ -408,10 +522,11 @@ class BitvectorForest:
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
         """The bitvector forest as flat buffers plus scalar metadata.
 
-        Every buffer evaluation reads is returned under a stable key (the
-        ragged per-feature threshold lists and prefix tables use
-        ``"feat_thr:<f>"`` / ``"table:<f>"`` keys; features without
-        conditions simply have no entry), and :meth:`from_state` rebuilds
+        Every buffer evaluation reads is returned under a stable key: the
+        ragged per-feature threshold lists under ``"feat_thr:<f>"``
+        (features without conditions have no entry) and the joint prefix
+        tables under ``"table:<g>"``, one per feature group, whose
+        features ``meta["groups"]`` lists.  :meth:`from_state` rebuilds
         an equivalent engine from views over those buffers — typically
         shared-memory views placed by :mod:`repro.serve.shm`.
         """
@@ -420,10 +535,11 @@ class BitvectorForest:
             "leaf_offsets": self.leaf_offsets,
             "init_vec": self.init_vec,
         }
-        for f in range(self.n_features):
-            if self.tables[f] is not None:
-                arrays[f"feat_thr:{f}"] = self.feat_thr[f]
-                arrays[f"table:{f}"] = self.tables[f]
+        for f, thr in enumerate(self.feat_thr):
+            if thr.size:
+                arrays[f"feat_thr:{f}"] = thr
+        for g, table in enumerate(self.tables):
+            arrays[f"table:{g}"] = table
         meta = {
             "n_trees": self.n_trees,
             "n_features": self.n_features,
@@ -433,6 +549,7 @@ class BitvectorForest:
             "word_bits": self.word_bits,
             "table_bytes": self.table_bytes,
             "n_conditions": self.n_conditions,
+            "groups": [list(group) for group in self.groups],
         }
         return arrays, meta
 
@@ -458,16 +575,13 @@ class BitvectorForest:
         self.leaf_values = arrays["leaf_values"]
         self.leaf_offsets = arrays["leaf_offsets"]
         self.init_vec = arrays["init_vec"]
-        self.feat_thr = []
-        self.tables = []
-        for f in range(self.n_features):
-            table = arrays.get(f"table:{f}")
-            if table is None:
-                self.feat_thr.append(np.empty(0, dtype=np.float64))
-                self.tables.append(None)
-            else:
-                self.feat_thr.append(arrays[f"feat_thr:{f}"])
-                self.tables.append(table)
+        empty = np.empty(0, dtype=np.float64)
+        self.feat_thr = [
+            arrays.get(f"feat_thr:{f}", empty) for f in range(self.n_features)
+        ]
+        self.groups = [[int(f) for f in group] for group in meta["groups"]]
+        self.tables = [arrays[f"table:{g}"] for g in range(len(self.groups))]
+        self._set_strides()
         return self
 
 

@@ -193,7 +193,8 @@ class GAM:
     # ------------------------------------------------------------------
     # design helpers
     # ------------------------------------------------------------------
-    def _term_slices(self) -> list[slice]:
+    def term_slices(self) -> list[slice]:
+        """Every term's slice of the coefficient vector, in term order."""
         slices = []
         start = 0
         for term in self.terms:
@@ -223,7 +224,7 @@ class GAM:
         D = np.empty((len(X), self.n_coefs))
         with obs_span("gam.assemble"):
             for term, cols, tabs, sl in zip(
-                self.terms, columns, tables, self._term_slices()
+                self.terms, columns, tables, self.term_slices()
             ):
                 term.fill(tabs, cols, D[:, sl], fit)
         return D
@@ -273,7 +274,7 @@ class GAM:
         lam_terms = self._lam_per_term(lam)
         p = self.n_coefs
         S = np.zeros((p, p))
-        for term, sl, lam_t in zip(self.terms, self._term_slices(), lam_terms):
+        for term, sl, lam_t in zip(self.terms, self.term_slices(), lam_terms):
             S[sl, sl] = lam_t * term.penalty()
         assert_psd_diagonal(S, "GAM.penalty_matrix")
         return S
@@ -447,7 +448,7 @@ class GAM:
         idx = next(
             i for i, t in enumerate(self.terms) if isinstance(t, InterceptTerm)
         )
-        return float(self.coef_[self._term_slices()[idx]][0])
+        return float(self.coef_[self.term_slices()[idx]][0])
 
     def term_blocks(self, requests) -> list[np.ndarray]:
         """Centered design blocks of several terms, each at its own values.
@@ -472,12 +473,12 @@ class GAM:
         return centered_blocks(terms, values)
 
     def contribution(
-        self, term_index: int, block: np.ndarray, width: float | None = None
+        self, sl: slice, block: np.ndarray, width: float | None = None
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Contribution of one term from its centered ``block`` (see
-        :meth:`term_blocks`), with the Bayesian credible interval as an
+        :meth:`term_blocks`) and its coefficient slice ``sl`` (see
+        :meth:`term_slices`), with the Bayesian credible interval as an
         ``(n, 2)`` array when ``width`` is given (e.g. ``0.95``)."""
-        sl = self._term_slices()[term_index]
         contrib = block @ self.coef_[sl]
         if width is None:
             return contrib
@@ -515,7 +516,7 @@ class GAM:
         contribution, or (contribution, intervals) when ``width`` is set.
         """
         (block,) = self.term_blocks([(term_index, values)])
-        return self.contribution(term_index, block, width)
+        return self.contribution(self.term_slices()[term_index], block, width)
 
     def decompose(self, X: np.ndarray) -> dict[str, np.ndarray]:
         """Per-term contributions for a batch, on the link scale.
@@ -529,7 +530,7 @@ class GAM:
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out: dict[str, np.ndarray] = {}
-        for term, sl in zip(self.terms, self._term_slices()):
+        for term, sl in zip(self.terms, self.term_slices()):
             values = X[:, list(term.features)]
             out[term.label] = centered_blocks([term], [values])[0] @ self.coef_[sl]
         return out
@@ -554,7 +555,7 @@ class GAM:
             f"GCV: {stats['GCV']:.5g}",
             "  terms:",
         ]
-        for term, sl in zip(self.terms, self._term_slices()):
+        for term, sl in zip(self.terms, self.term_slices()):
             lines.append(f"    {term.label:<20s} coefs[{sl.start}:{sl.stop}]")
         return "\n".join(lines)
 

@@ -55,7 +55,7 @@ class TestLinearTermInGam:
         y = 3 * X[:, 0] + np.sin(6 * X[:, 1]) + rng.normal(0, 0.05, 2000)
         gam = GAM([LinearTerm(0), SplineTerm(1, 10)], lam=0.1).fit(X, y)
         # The linear term's single coefficient is the slope.
-        sl = gam._term_slices()[1]
+        sl = gam.term_slices()[1]
         assert float(gam.coef_[sl][0]) == pytest.approx(3.0, abs=0.1)
 
     def test_linear_term_centered(self):

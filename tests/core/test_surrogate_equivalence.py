@@ -46,7 +46,7 @@ def reference_block(term, values):
 
 def reference_pd(gam, idx, values, width=None):
     """``partial_dependence`` as one term's own evaluation."""
-    sl = gam._term_slices()[idx]
+    sl = gam.term_slices()[idx]
     d = reference_block(gam.terms[idx], values)
     contrib = d @ gam.coef_[sl]
     if width is None:
@@ -174,7 +174,7 @@ class TestBenchSurrogates:
         decomposed = e.gam.decompose(X)
         for idx, term in enumerate(e.gam.terms):
             want = reference_block(term, X[:, list(term.features)])
-            assert same(decomposed[term.label], want @ e.gam.coef_[e.gam._term_slices()[idx]])
+            assert same(decomposed[term.label], want @ e.gam.coef_[e.gam.term_slices()[idx]])
         assert same(e.gam.prediction_intervals(X), reference_intervals(e.gam, X))
 
     def test_partial_dependence(self, surrogates, name):
@@ -235,7 +235,7 @@ class TestMixedTerms:
         for idx, term in enumerate(gam.terms):
             values = rows[:, list(term.features)]
             block = reference_block(term, values)
-            assert same(decomposed[term.label], block @ gam.coef_[gam._term_slices()[idx]])
+            assert same(decomposed[term.label], block @ gam.coef_[gam.term_slices()[idx]])
             if not isinstance(term, InterceptTerm):
                 requests += [(idx, values), (idx, values[:3])]
         blocks = gam.term_blocks(requests)

@@ -10,6 +10,8 @@ degenerate trees, edge thresholds and special float inputs — all under
 always comparing with ``np.array_equal`` (no tolerances).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -433,6 +435,19 @@ def random_tree(n_leaves, rng, n_features=4, grid=None):
     )
 
 
+def stub_model(trees, init_score, n_features):
+    """Minimal forest-protocol carrier for hand-built trees."""
+
+    class Stub:
+        pass
+
+    model = Stub()
+    model.trees_ = trees
+    model.init_score_ = init_score
+    model.n_features_ = n_features
+    return model
+
+
 def shuffle_node_ids(tree, rng):
     """``tree`` with node ids 1.. permuted (the root stays node 0).
 
@@ -594,7 +609,7 @@ def reference_pack(trees, init_score, n_features):
         "leaf_offsets": np.asarray(leaf_offsets, np.int64),
         "init_vec": np.asarray(init_vec, dtype=np.uint64).astype(dtype),
     }
-    table_bytes = 0
+    tables = {}  # feature -> its own prefix table, (C_f + 1, T, W)
     for f, conds in enumerate(per_feat):
         if not conds:
             continue
@@ -605,10 +620,26 @@ def reference_pack(trees, init_score, n_features):
             table[p, ti] = words
         np.bitwise_and.accumulate(table, axis=0, out=table)
         arrays[f"feat_thr:{f}"] = np.array([c[0] for c in conds], np.float64)
-        arrays[f"table:{f}"] = table[:, :, 0].copy() if n_words == 1 else table
-        table_bytes += table.nbytes
-    if table_bytes > bitvector_mod.MAX_TABLE_BYTES:
+        tables[f] = table
+    budget = bitvector_mod.MAX_TABLE_BYTES
+    if sum(t.nbytes for t in tables.values()) > budget:
         return None
+    row_bytes = len(trees) * n_words * np.dtype(dtype).itemsize
+    groups = reference_groups(
+        {f: t.shape[0] for f, t in tables.items()}, row_bytes, budget
+    )
+    table_bytes = 0
+    for g, group in enumerate(groups):
+        # Row-major over the group's features: row Σ pos_f · stride_f
+        # holds the AND of every feature's row pos_f.
+        sizes = [tables[f].shape[0] for f in group]
+        joint = np.empty((int(np.prod(sizes)), len(trees), n_words), dtype)
+        for row, combo in enumerate(itertools.product(*map(range, sizes))):
+            joint[row] = np.bitwise_and.reduce(
+                [tables[f][p] for f, p in zip(group, combo)]
+            )
+        arrays[f"table:{g}"] = joint[:, :, 0].copy() if n_words == 1 else joint
+        table_bytes += joint.nbytes
     meta = {
         "n_trees": len(trees),
         "n_features": n_features,
@@ -617,8 +648,30 @@ def reference_pack(trees, init_score, n_features):
         "word_bits": width,
         "table_bytes": table_bytes,
         "n_conditions": sum(len(c) for c in per_feat),
+        "groups": groups,
     }
     return arrays, meta
+
+
+def reference_groups(rows, row_bytes, budget):
+    """Smallest tables first; a feature joins the last group while the
+    group's row product stays within ``JOINT_ROWS`` and every table's
+    total bytes within ``budget``."""
+    total = sum(rows.values())
+    groups = []
+    for f in sorted(rows, key=lambda f: (rows[f], f)):
+        if groups:
+            product = int(np.prod([rows[g] for g in groups[-1]]))
+            grown = total - product - rows[f] + product * rows[f]
+            if (
+                product * rows[f] <= bitvector_mod.JOINT_ROWS
+                and grown * row_bytes <= budget
+            ):
+                groups[-1].append(f)
+                total = grown
+                continue
+        groups.append([f])
+    return groups
 
 
 class TestPackMatchesReference:
@@ -679,6 +732,87 @@ class TestPackMatchesReference:
         assert self._assert_packs_equal(trees, 0.0, 4) is not None
         monkeypatch.setattr(bitvector_mod, "MAX_TABLE_BYTES", encoded.table_bytes - 1)
         assert self._assert_packs_equal(trees, 0.0, 4) is None
+
+
+    @staticmethod
+    def _small_table_forest(rng):
+        """Stumps and shallow trees over 12 features: 2-6 row tables."""
+        return [random_tree(int(rng.integers(2, 5)), rng, n_features=12)
+                for _ in range(9)]
+
+    def test_joint_groups(self):
+        rng = np.random.default_rng(11)
+        trees = self._small_table_forest(rng)
+        encoded = self._assert_packs_equal(trees, -0.5, 12)
+        assert max(len(group) for group in encoded.groups) >= 3
+        assert sorted(f for g in encoded.groups for f in g) == [
+            f for f, thr in enumerate(encoded.feat_thr) if thr.size
+        ]
+        for group, table in zip(encoded.groups, encoded.tables):
+            sizes = [encoded.feat_thr[f].size + 1 for f in group]
+            assert table.shape[0] == np.prod(sizes) <= bitvector_mod.JOINT_ROWS
+        X = rng.choice(np.linspace(-2.0, 2.0, 33), size=(300, 12))
+        assert np.array_equal(
+            encoded.predict_raw(X),
+            loop_predict_raw(stub_model(trees, -0.5, 12), X),
+        )
+
+    def test_table_budget_limits_groups(self, monkeypatch):
+        """A merge that would take the tables past ``MAX_TABLE_BYTES``
+        opens a new group instead: grouping never declines a forest whose
+        per-feature tables fit."""
+        trees = self._small_table_forest(np.random.default_rng(11))
+        grouped = BitvectorForest.pack(trees, 0.0, 12)
+        monkeypatch.setattr(bitvector_mod, "JOINT_ROWS", 1)
+        single = BitvectorForest.pack(trees, 0.0, 12)
+        assert all(len(group) == 1 for group in single.groups)
+        assert single.table_bytes < grouped.table_bytes
+        monkeypatch.undo()
+        for budget in (single.table_bytes, grouped.table_bytes - 1):
+            monkeypatch.setattr(bitvector_mod, "MAX_TABLE_BYTES", budget)
+            encoded = self._assert_packs_equal(trees, 0.0, 12)
+            assert single.table_bytes <= encoded.table_bytes <= budget
+            assert encoded.groups != grouped.groups
+        monkeypatch.setattr(bitvector_mod, "MAX_TABLE_BYTES", single.table_bytes - 1)
+        assert self._assert_packs_equal(trees, 0.0, 12) is None
+
+
+class TestReductionOrder:
+    """Every row adds its trees in loop order, ``((init + v_0) + v_1) + ...``,
+    whatever the chunk holds: many rows reduce the tree-major buffer along
+    its outer axis, and a one-row chunk, which numpy would sum pairwise,
+    keeps the sequential order."""
+
+    @pytest.mark.parametrize("name", ["spline", "census", "serve"])
+    def test_bench_forests_every_chunk_shape(self, bench_forests, name):
+        model = bench_forests[name]
+        encoded, X, _ = TestCodedPositions._coded(
+            model, np.random.default_rng(9), n=4_200
+        )
+        chunk = encoded._auto_chunk()
+        assert chunk + 1 <= len(X)
+        for n in (1, 2, 3, chunk - 1, chunk, chunk + 1):
+            assert np.array_equal(
+                encoded.predict_raw(X[:n]), loop_predict_raw(model, X[:n])
+            ), n
+
+    def test_one_row_sums_sequentially_not_pairwise(self):
+        # Added one at a time to 1.0, each half-ulp rounds back to 1.0;
+        # summed pairwise, the sixteen first add up to 2**-49.
+        values = [2.0**-53] * 16
+        trees = [Tree.single_leaf(v) for v in values]
+        model = stub_model(trees, 1.0, 3)
+        sequential = model.init_score_
+        for v in values:
+            sequential = sequential + v
+        column = np.array([[model.init_score_]] + [[v] for v in values])
+        assert np.add.reduce(column, axis=0)[0] != sequential  # pairwise
+        encoded = BitvectorForest.pack(trees, model.init_score_, 3)
+        X = np.zeros((3, 3))
+        for n in (1, 2, 3):
+            out = encoded.predict_raw(X[:n])
+            assert out.tolist() == [sequential] * n, n
+            assert np.array_equal(out, loop_predict_raw(model, X[:n]))
 
 
 class TestCodedPositions:

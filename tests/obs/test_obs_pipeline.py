@@ -146,6 +146,19 @@ class TestLabelAndDesignKernelSpans:
         )
         assert covered >= 0.9 * label.duration_s
 
+    def test_gather_and_reduce_cover_the_eval(self, tracer):
+        """``bitvector.eval`` splits into gather + AND and exit leaf +
+        reduction, accumulated per chunk without per-chunk spans."""
+        (predict,) = tracer.find("bitvector.predict")
+        (span,) = [
+            s for s in tracer.find("bitvector.eval")
+            if s.parent_id == predict.span_id
+        ]
+        assert not [s for s in tracer.spans() if s.parent_id == span.span_id]
+        gather, reduce = span.attrs["gather_s"], span.attrs["reduce_s"]
+        assert gather > 0.0 and reduce > 0.0
+        assert 0.9 * span.duration_s <= gather + reduce <= span.duration_s
+
     def test_basis_and_assembly_cover_the_design(self, tracer):
         (design,) = tracer.find("gam.design")
         for kernel in ("gam.basis", "gam.assemble"):

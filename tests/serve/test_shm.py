@@ -70,6 +70,33 @@ class TestExportAttach:
         finally:
             segment.unlink()
 
+    def test_joint_tables_round_trip(self, bench_forests, loop_predict):
+        """The census forest packs features in joint-table groups; workers
+        attach the same groups and tables and answer bit for bit."""
+        entry = ModelRegistry().add("census", bench_forests["census"])
+        encoded = entry.bitvector
+        assert max(len(group) for group in encoded.groups) > 1
+        rng = np.random.default_rng(4)
+        rows = np.zeros((700, entry.n_features))
+        for f, thr in enumerate(encoded.feat_thr):
+            if thr.size:
+                points = np.concatenate([thr, thr[:1] - 1.0, thr[-1:] + 1.0])
+                rows[:, f] = rng.choice(points, 700)
+        bundle, segment = _export(entry)
+        try:
+            bitvector, shm = attach_model(bundle)
+            assert bitvector.groups == encoded.groups
+            for ours, theirs in zip(bitvector.tables, encoded.tables):
+                assert ours.tobytes() == theirs.tobytes()
+            for n in (1, 2, 700):
+                np.testing.assert_array_equal(
+                    bitvector.predict_raw(rows[:n]),
+                    loop_predict(entry.model, rows[:n]),
+                )
+            shm.close()
+        finally:
+            segment.unlink()
+
 
 class TestLifecycleHygiene:
     def test_live_segments_tracks_ownership(self, entry):

@@ -5,9 +5,11 @@ Each benchmark regenerates one table or figure of the paper.  Results are
 * printed to the real stdout — pytest's capture is suspended around each
   write (via the capture manager handed over by ``conftest.py``), so the
   reproduced tables land in a ``tee``'d ``bench_output.txt``;
-* appended to ``benchmarks/artifacts/report.log``; and
+* appended to ``benchmarks/artifacts/report.log``, a local run log that
+  git ignores; and
 * exported as CSV under ``benchmarks/artifacts/`` by the benchmarks
-  themselves.
+  themselves.  CSVs of pinned values are committed; those that hold only
+  timings (``efficiency_gef_vs_shap.csv``) are ignored like the log.
 """
 
 from __future__ import annotations

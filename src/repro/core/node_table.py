@@ -1,8 +1,8 @@
 """The forest as one flat node table, swept level by level from all roots.
 
-Structure-only passes (Count-/Gain-Path, bitvector packing, tree depth)
-run over one concatenation of every tree's nodes in a fixed number of
-numpy calls per tree level.  Nothing assumes that a child's id is larger
+Structure-only passes (Count-/Gain-Path, bitvector packing, tree depth,
+TreeSHAP's leaf paths) run over one concatenation of every tree's nodes
+in a fixed number of numpy calls per tree level.  Nothing assumes that a child's id is larger
 than its parent's.  The input must be a forest (``core/validate.py``
 checks malformed input): unreached nodes keep ``parent == -1``, and a
 cycle raises ``ValueError`` instead of looping.  Only numpy is imported,

@@ -12,13 +12,7 @@ from .pdp import (
 from .permutation import permutation_importance
 from .shap_global import ShapGlobalExplainer, ShapGlobalExplanation
 from .surrogates import LinearSurrogate, TreeSurrogate
-from .treeshap import (
-    TreeShapExplainer,
-    expected_tree_value,
-    forest_expected_value,
-    tree_shap_interaction_values,
-    tree_shap_values,
-)
+from .treeshap import TreeShapExplainer, expected_tree_value, forest_expected_value
 
 __all__ = [
     "LimeExplanation",
@@ -38,6 +32,4 @@ __all__ = [
     "partial_dependence_2d",
     "pd_at_points",
     "permutation_importance",
-    "tree_shap_interaction_values",
-    "tree_shap_values",
 ]

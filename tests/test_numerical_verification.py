@@ -9,7 +9,7 @@ import pytest
 
 from repro.forest import LEAF, Tree
 from repro.gam import GAM, LinearTerm, SplineTerm
-from repro.xai import tree_shap_values
+from tests.xai.test_treeshap import one_tree_shap
 
 
 class TestGamVersusClosedForm:
@@ -78,7 +78,7 @@ class TestShapClosedForm:
         )
         expected_value = (3 * 2.0 + 7 * 10.0) / 10  # 7.6
         for x0, f_x in ((0.2, 2.0), (0.9, 10.0)):
-            phi = tree_shap_values(tree, np.array([x0, 0.0, 0.0]), 3)
+            phi = one_tree_shap(tree, np.array([x0, 0.0, 0.0]), 3)
             assert phi[0] == pytest.approx(f_x - expected_value)
             assert phi[1] == pytest.approx(0.0)
             assert phi[2] == pytest.approx(0.0)
@@ -95,7 +95,7 @@ class TestShapClosedForm:
             n_samples=np.array([8, 4, 4, 2, 2, 2, 2], dtype=np.int64),
         )
         # f(x) = 1[x0>.5] + 1[x1>.5]: an additive symmetric function.
-        phi = tree_shap_values(tree, np.array([0.9, 0.9]), 2)
+        phi = one_tree_shap(tree, np.array([0.9, 0.9]), 2)
         assert phi[0] == pytest.approx(phi[1])
         assert phi.sum() == pytest.approx(2.0 - 1.0)  # f(x) - E[f] = 2 - 1
 
@@ -110,7 +110,7 @@ class TestShapClosedForm:
             gain=np.array([1.0, 0.0, 0.0]),
             n_samples=np.array([4, 2, 2], dtype=np.int64),
         )
-        phi = tree_shap_values(tree, np.array([1.0, 123.0]), 2)
+        phi = one_tree_shap(tree, np.array([1.0, 123.0]), 2)
         assert phi[1] == 0.0
 
 

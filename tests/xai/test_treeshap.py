@@ -2,14 +2,17 @@
 
 from itertools import combinations
 from math import factorial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.forest import GradientBoostingRegressor, RandomForestRegressor
-from repro.xai import TreeShapExplainer, expected_tree_value, tree_shap_values
+from repro.core.node_table import node_table
+from repro.datasets import load_census, make_d_prime
+from repro.forest import GradientBoostingRegressor, RandomForestRegressor, Tree
+from repro.xai import TreeShapExplainer, expected_tree_value
 from tests.forest.test_tree import make_descending_chain
 
 
@@ -52,6 +55,89 @@ def brute_force_shap(tree, x, n_features):
     return phi
 
 
+def reference_tree_shap(tree, x, n_features):
+    """Lundberg et al.'s Algorithm 2 as a recursion, one tree and one row.
+
+    The reference the path form in ``repro.xai.treeshap`` is pinned
+    against: a unique path of (feature, zero fraction, one fraction,
+    weight) elements is extended on the way down and unwound when a
+    feature repeats.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    phi = np.zeros(n_features)
+    size = tree.max_depth + 2
+
+    def extend(m, depth, pz, po, pi):
+        d, z, o, w = m
+        d[depth], z[depth], o[depth] = pi, pz, po
+        w[depth] = 1.0 if depth == 0 else 0.0
+        for i in range(depth - 1, -1, -1):
+            w[i + 1] += po * w[i] * (i + 1) / (depth + 1)
+            w[i] = pz * w[i] * (depth - i) / (depth + 1)
+
+    def unwind(m, depth, index):
+        d, z, o, w = m
+        one, zero, next_one = o[index], z[index], w[depth]
+        for i in range(depth - 1, -1, -1):
+            if one != 0.0:
+                tmp = w[i]
+                w[i] = next_one * (depth + 1) / ((i + 1) * one)
+                next_one = tmp - w[i] * zero * (depth - i) / (depth + 1)
+            else:
+                w[i] = w[i] * (depth + 1) / (zero * (depth - i))
+        for a in (d, z, o):
+            a[index:depth] = a[index + 1:depth + 1]
+
+    def unwound_sum(m, depth, index):
+        _, z, o, w = m
+        one, zero, total = o[index], z[index], 0.0
+        if one != 0.0:
+            next_one = w[depth]
+            for i in range(depth - 1, -1, -1):
+                tmp = next_one / ((i + 1) * one)
+                total += tmp
+                next_one = w[i] - tmp * zero * (depth - i)
+        else:
+            for i in range(depth - 1, -1, -1):
+                total += w[i] / (zero * (depth - i))
+        return total * (depth + 1)
+
+    def recurse(node, depth, parent, pz, po, pi):
+        m = tuple(a.copy() for a in parent)
+        extend(m, depth, pz, po, pi)
+        d, z, o, _ = m
+        if tree.is_leaf(node):
+            for i in range(1, depth + 1):
+                phi[d[i]] += unwound_sum(m, depth, i) * (o[i] - z[i]) * tree.value[node]
+            return
+        feature = int(tree.feature[node])
+        hot, cold = int(tree.left[node]), int(tree.right[node])
+        if not x[feature] <= tree.threshold[node]:
+            hot, cold = cold, hot
+        weight = float(tree.n_samples[node])
+        incoming_zero = incoming_one = 1.0
+        hits = np.flatnonzero(d[:depth + 1] == feature)
+        if hits.size:
+            incoming_zero, incoming_one = float(z[hits[0]]), float(o[hits[0]])
+            unwind(m, depth, hits[0])
+            depth -= 1
+        recurse(hot, depth + 1, m, tree.n_samples[hot] / weight * incoming_zero,
+                incoming_one, feature)
+        recurse(cold, depth + 1, m, tree.n_samples[cold] / weight * incoming_zero,
+                0.0, feature)
+
+    empty = (np.zeros(size, np.int64),) + tuple(np.zeros(size) for _ in range(3))
+    recurse(0, 0, empty, 1.0, 1.0, -1)
+    return phi
+
+
+def one_tree_shap(tree, x, n_features):
+    """``TreeShapExplainer.shap_values`` of one row on a one-tree forest."""
+    forest = SimpleNamespace(trees_=[tree], init_score_=0.0, n_features_=n_features)
+    x = np.asarray(x, dtype=np.float64)
+    return TreeShapExplainer(forest).shap_values(x[None, :])[0]
+
+
 @pytest.fixture(scope="module")
 def shap_setup():
     rng = np.random.default_rng(0)
@@ -76,7 +162,7 @@ class TestExactness:
     def test_single_tree_matches_brute_force(self, shap_setup):
         forest, X = shap_setup
         tree = forest.trees_[0]
-        fast = tree_shap_values(tree, X[3], 4)
+        fast = one_tree_shap(tree, X[3], 4)
         np.testing.assert_allclose(fast, brute_force_shap(tree, X[3], 4), atol=1e-10)
 
 
@@ -113,7 +199,7 @@ class TestLocalAccuracy:
         """Node ids need not grow with depth: 0 -> 5 -> 4 -> 3 -> 2."""
         tree = make_descending_chain()
         for x in (np.array([x0, 0.5, 0.0, 0.0, 0.0]), np.full(5, x0)):
-            phi = tree_shap_values(tree, x, 5)
+            phi = one_tree_shap(tree, x, 5)
             assert phi.sum() + expected_tree_value(tree) == pytest.approx(
                 tree.predict(x[None, :])[0], abs=1e-12
             )
@@ -206,8 +292,8 @@ def make_repeated_feature_tree():
 
 
 class TestFloatSentinelRegressions:
-    """Pinned behavior of the exact float comparisons waived in
-    ``src/repro/xai/treeshap.py`` (``# repro: allow(float-eq)``)."""
+    """The zero one-fraction branch of UNWOUND-SUM, which the path form
+    picks with a boolean mask instead of an exact float comparison."""
 
     @pytest.mark.parametrize(
         "x",
@@ -222,7 +308,7 @@ class TestFloatSentinelRegressions:
         """The zero one-fraction unwind branch still yields exact Shapley
         values (matches the brute-force conditional-expectation game)."""
         tree = make_repeated_feature_tree()
-        phi = tree_shap_values(tree, x, 2)
+        phi = one_tree_shap(tree, x, 2)
         expected = brute_force_shap(tree, x, 2)
         np.testing.assert_allclose(phi, expected, atol=1e-12)
         total = phi.sum() + expected_tree_value(tree)
@@ -230,20 +316,77 @@ class TestFloatSentinelRegressions:
             total, conditional_expectation(tree, x, {0, 1}), atol=1e-12
         )
 
-    def test_conditioned_zero_fraction(self):
-        """The ``condition_fraction == 0.0`` dead-path prune keeps the
-        interaction matrix consistent: symmetric, rows summing to the
-        SHAP values, total equal to f(x) - E[f]."""
-        from repro.xai import tree_shap_interaction_values
 
-        tree = make_repeated_feature_tree()
-        x = np.array([0.3, 0.2])
-        inter = tree_shap_interaction_values(tree, x, 2)
-        phi = tree_shap_values(tree, x, 2)
-        np.testing.assert_allclose(inter, inter.T, atol=1e-12)
-        np.testing.assert_allclose(inter.sum(axis=1), phi, atol=1e-12)
-        np.testing.assert_allclose(
-            inter.sum(),
-            conditional_expectation(tree, x, {0, 1}) - expected_tree_value(tree),
-            atol=1e-12,
+def _bench_rows(model, name):
+    """Test rows of a bench forest's data, then rows on its thresholds and
+    with NaN and +-inf (NaN and values above a threshold go right)."""
+    if name == "spline":
+        X = make_d_prime(n=10_000, seed=0).X_test[:2]
+    elif name == "census":
+        X = load_census(n=12_000, seed=0).X_test[:2]
+    else:
+        X = np.random.default_rng(1).standard_normal((2, 12))
+    table = node_table(model.trees_)
+    split = table.internal
+    d = model.n_features_
+    on_threshold = X[0].copy()
+    for f in np.unique(table.feature[split]):
+        thresholds = table.threshold[split & (table.feature == f)]
+        on_threshold[f] = thresholds[len(thresholds) // 2]
+    special = np.resize([np.nan, np.inf, -np.inf], d)
+    mixed = np.where(np.arange(d) % 2 == 0, on_threshold, special)
+    return np.vstack([X, on_threshold, np.where(np.arange(d) % 4 == 1, X[1], special), mixed])
+
+
+class TestAgainstReference:
+    """The path form against the per-row recursion on the benchmark's
+    forests: equal to rounding, not bitwise, since the two sum in a
+    different order."""
+
+    @pytest.mark.parametrize("name", ["spline", "census", "serve"])
+    def test_bench_forests(self, bench_forests, name):
+        model = bench_forests[name]
+        X = _bench_rows(model, name)
+        phi = TreeShapExplainer(model).shap_values(X)
+        reference = np.zeros_like(phi)
+        for tree in model.trees_:
+            for row, x in enumerate(X):
+                reference[row] += reference_tree_shap(tree, x, model.n_features_)
+        assert np.abs(phi - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("name", ["spline", "census", "serve"])
+    def test_batch_independent_bitwise(self, bench_forests, name):
+        """A row's values do not depend on the rows it is batched with,
+        whether it shares a chunk with them or is a chunk's only row."""
+        model = bench_forests[name]
+        explainer = TreeShapExplainer(model)
+        chunk = explainer._chunk
+        rng = np.random.default_rng(2)
+        base = _bench_rows(model, name)
+        X = base[rng.integers(0, len(base), chunk + 1)]
+        X = X + np.where(np.isfinite(X), rng.normal(0, 0.01, X.shape), 0.0)
+        single = np.vstack([explainer.shap_values(x[None, :]) for x in X])
+        for n in (1, 2, chunk - 1, chunk, chunk + 1):
+            assert np.array_equal(explainer.shap_values(X[:n]), single[:n]), n
+        assert np.array_equal(explainer.shap_values(X[::-1]), single[::-1])
+
+    def test_forest_with_single_leaf_tree(self, shap_setup):
+        forest, X = shap_setup
+        trees = [forest.trees_[0], Tree.single_leaf(0.7, n_samples=10), forest.trees_[1]]
+        stub = SimpleNamespace(trees_=trees, init_score_=0.25, n_features_=4)
+        explainer = TreeShapExplainer(stub)
+        phi = explainer.shap_values(X[:5])
+        reference = [sum(reference_tree_shap(t, x, 4) for t in trees) for x in X[:5]]
+        np.testing.assert_allclose(phi, reference, atol=1e-12)
+        prediction = 0.25 + sum(t.predict(X[:5]) for t in trees)
+        np.testing.assert_allclose(explainer.expected_value + phi.sum(axis=1), prediction, atol=1e-12)
+
+    def test_only_single_leaf_trees(self):
+        stub = SimpleNamespace(
+            trees_=[Tree.single_leaf(0.5), Tree.single_leaf(-2.0, n_samples=4)],
+            init_score_=1.0,
+            n_features_=3,
         )
+        explainer = TreeShapExplainer(stub)
+        assert explainer.expected_value == pytest.approx(-0.5)
+        assert np.array_equal(explainer.shap_values(np.ones((2, 3))), np.zeros((2, 3)))

@@ -41,7 +41,12 @@ __all__ = [
 #: 1. One factorization per PIRLS step scores every GCV candidate (working-
 #:    model GCV on the logit link); constant features near 2**48..2**53
 #:    are widened in proportion to their magnitude.
-KERNEL_VERSION = 1
+#: 2. A fit whose every term but the intercept reads one coded feature (all
+#:    of D*'s univariate fits) forms its PIRLS Gram from per-term tables and
+#:    joint code counts, and its linear predictor from per-term lookups,
+#:    without the dense design; fits with a tensor term or an uncoded
+#:    column keep the kernel-1 bits.
+KERNEL_VERSION = 2
 
 
 def explain_config_hash(config: "GEFConfig") -> str:

@@ -8,7 +8,8 @@ the whole grid from that factorization (Gu's performance iteration, Wood
 2006).  On the identity link this is one Gram, one factorization and the
 exact GCV curve; on the logistic link the working-model GCV picks lambda
 at every step until the deviance converges.  The training design is built
-once per search.
+once per search: per-term tables when every term but the intercept reads
+one coded feature, else the dense rows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ def gcv_gridsearch(gam, X, y, lam_grid=None, verbose: bool = False, coding=None)
     """Fit ``gam`` at the GCV-minimizing lambda of the grid.
 
     ``coding`` codes ``X`` as in :meth:`GAM._design
-    <repro.gam.model.GAM._design>` (D*'s training rows).
+    <repro.gam.model.GAM._design>` (D*'s training rows); an all-coded fit
+    of one-feature terms runs on per-term tables (see
+    :meth:`GAM._training_design <repro.gam.model.GAM._training_design>`).
 
     Returns the same ``gam`` instance, fitted at the selected lambda and
     with ``statistics_['lam_path']`` recording the (lambda, GCV) curve of
@@ -48,8 +51,8 @@ def gcv_gridsearch(gam, X, y, lam_grid=None, verbose: bool = False, coding=None)
 
     metric_inc("fit.gcv_candidates", len(lam_grid))
     with obs_span("gam.gcv", candidates=int(len(lam_grid))):
-        D = gam._fit_design(X, coding)
-        lam, lam_path = gam._pirls(D, y, gam.penalty_matrix(1.0), lam_grid)
+        design = gam._training_design(X, coding)
+        lam, lam_path = gam._pirls(design, y, gam.penalty_matrix(1.0), lam_grid)
     gam.lam = lam
     gam.statistics_["lam_path"] = lam_path
     if verbose:

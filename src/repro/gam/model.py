@@ -18,8 +18,12 @@ that factorization (Gu's *performance iteration*, Wood 2006).  ``fit`` is
 the one-candidate case; the identity link takes one iteration.
 
 The training design is built once per fit and every PIRLS iteration
-reuses it: an N-by-p float matrix, about 13 MB for the 16,000 x 101
-design of the default explain, allocated once and filled term by term.
+reuses it, by one of two routes (:meth:`GAM._training_design`).  When
+every term but the intercept reads one coded feature — every univariate
+fit on D* — it stays as per-term tables of at most ``k`` rows and the
+Gram comes from joint code counts (:class:`_CodedDesign`, Li & Wood
+2020).  Otherwise it is an N-by-p float matrix, about 13 MB for a
+16,000 x 101 design, allocated once and filled term by term.
 :meth:`GAM._design` is the one assembly path.  Each term's marginal
 bases are evaluated once per distinct value of a coded column — on D*,
 once per sampling-domain value (at most ``k`` rows per feature, not N)
@@ -107,6 +111,77 @@ def _gram(D: np.ndarray, w: np.ndarray | None, z: np.ndarray):
         b += d.T @ zb
         zwz += float(zb @ zb)
     return G, b, zwz
+
+
+class _RowDesign:
+    """A training design as its dense rows: the Gram by :func:`_gram`, the
+    linear predictor by one matmul per row block."""
+
+    route = "rows"
+
+    def __init__(self, D: np.ndarray):
+        self.D = D
+        self.n, self.p = D.shape
+
+    def gram(self, w: np.ndarray | None, z: np.ndarray):
+        return _gram(self.D, w, z)
+
+    def eta(self, beta: np.ndarray) -> np.ndarray:
+        return np.concatenate([self.D[lo:hi] @ beta for lo, hi in _blocks(self.n)])
+
+
+class _CodedDesign:
+    """The training design of an all-coded fit, as per-term tables.
+
+    Term ``t``'s rows are ``tables[t][codes[t]]``: ``tables[t]`` is its
+    centered block at each of its ``K_t`` codes (the intercept is one row
+    of ones at code 0).  The Gram is the discretized-covariate
+    crossproduct of Li & Wood (2020): with ``c_t`` a term's codes, the
+    diagonal blocks are ``A_t' diag(bincount(c_t, w)) A_t`` and the
+    cross blocks ``A_s' H_st A_t`` with ``H_st = bincount(c_s K_t + c_t,
+    w)`` as a ``K_s x K_t`` matrix, so no ``n x p`` matrix is formed.
+    """
+
+    route = "codes"
+
+    def __init__(self, tables: list[np.ndarray], codes: list[np.ndarray], n: int):
+        self.tables, self.codes, self.n = tables, codes, n
+        bounds = np.cumsum([0] + [A.shape[1] for A in tables])
+        self.slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.p = int(bounds[-1])
+
+    def gram(self, w: np.ndarray | None, z: np.ndarray):
+        """``X'WX``, ``X'Wz`` and ``z'Wz``; ``w=None`` is unit weights."""
+        wz = z if w is None else w * z
+        counts = [
+            np.bincount(c, weights=w, minlength=len(A))
+            for A, c in zip(self.tables, self.codes)
+        ]
+        G = np.empty((self.p, self.p))
+        b = np.empty(self.p)
+        items = list(zip(self.tables, self.codes, self.slices, counts))
+        for s, (A_s, c_s, sl_s, n_s) in enumerate(items):
+            root = np.sqrt(n_s)[:, None] * A_s
+            G[sl_s, sl_s] = root.T @ root
+            b[sl_s] = A_s.T @ np.bincount(c_s, weights=wz, minlength=len(A_s))
+            for A_t, c_t, sl_t, n_t in items[s + 1:]:
+                K_s, K_t = len(A_s), len(A_t)
+                if K_s == 1:  # the intercept: every row has code 0
+                    H = n_t[None, :]
+                else:
+                    # intp before the product: uint8 codes times K_t wrap.
+                    joint = c_s.astype(np.intp) * K_t + c_t
+                    H = np.bincount(joint, weights=w, minlength=K_s * K_t)
+                    H = H.reshape(K_s, K_t)
+                G[sl_s, sl_t] = A_s.T @ (H @ A_t)
+                G[sl_t, sl_s] = G[sl_s, sl_t].T
+        return G, b, float(wz @ z)
+
+    def eta(self, beta: np.ndarray) -> np.ndarray:
+        eta = np.zeros(self.n)
+        for A, c, sl in zip(self.tables, self.codes, self.slices):
+            eta += (A @ beta[sl]).take(c)
+        return eta
 
 
 def _score(G, b, zwz, n, penalty, ridge, lams):
@@ -236,6 +311,37 @@ class GAM:
             sp.set(cols=D.shape[1])
         return D
 
+    def _training_design(self, X: np.ndarray, coding=None):
+        """Fit every term on ``X`` and return the training design PIRLS runs on.
+
+        When every term but the intercept reads one feature that
+        ``coding`` codes, it is a :class:`_CodedDesign` of per-term
+        tables; otherwise (a tensor term, an uncoded column) it is the
+        dense design of :meth:`_fit_design`.  Knots, levels and column
+        means are the same bytes either way.
+        """
+        codes = {} if coding is None else coding[1]
+        if not all(
+            isinstance(term, InterceptTerm)
+            or (len(term.features) == 1 and term.features[0] in codes)
+            for term in self.terms
+        ):
+            return _RowDesign(self._fit_design(X, coding))
+        with obs_span("gam.design", rows=len(X)) as sp:
+            columns = [coded_columns(X, coding, term.features) for term in self.terms]
+            tables = marginal_tables(self.terms, columns, learn=True)
+            with obs_span("gam.assemble"):
+                centered = [
+                    term.fit_table(tabs, cols)
+                    for term, tabs, cols in zip(self.terms, tables, columns)
+                ]
+            term_codes = [
+                cols[0][1] if cols else np.zeros(len(X), dtype=np.uint8)
+                for cols in columns
+            ]
+            sp.set(cols=self.n_coefs)
+        return _CodedDesign(centered, term_codes, len(X))
+
     def _resolve_lam(self, lam, n_given_terms: int):
         """Normalize ``lam`` to a scalar or a per-term array over self.terms.
 
@@ -273,10 +379,11 @@ class GAM:
         """Block-diagonal penalty ``sum_t lam_t * P_t``, without the ridge."""
         lam_terms = self._lam_per_term(lam)
         p = self.n_coefs
-        S = np.zeros((p, p))
-        for term, sl, lam_t in zip(self.terms, self.term_slices(), lam_terms):
-            S[sl, sl] = lam_t * term.penalty()
-        assert_psd_diagonal(S, "GAM.penalty_matrix")
+        with obs_span("gam.penalty", p=p):
+            S = np.zeros((p, p))
+            for term, sl, lam_t in zip(self.terms, self.term_slices(), lam_terms):
+                S[sl, sl] = lam_t * term.penalty()
+            assert_psd_diagonal(S, "GAM.penalty_matrix")
         return S
 
     # ------------------------------------------------------------------
@@ -288,14 +395,14 @@ class GAM:
         A scalar ``lam`` is one GCV candidate of the unit penalty.
         """
         X, y = _check_xy(X, y)
-        D = self._fit_design(X)
+        design = self._training_design(X)
         if np.isscalar(self.lam):
-            self._pirls(D, y, self.penalty_matrix(1.0), [self.lam])
+            self._pirls(design, y, self.penalty_matrix(1.0), [self.lam])
         else:
-            self._pirls(D, y, self.penalty_matrix(), [1.0])
+            self._pirls(design, y, self.penalty_matrix(), [1.0])
         return self
 
-    def _pirls(self, D: np.ndarray, y: np.ndarray, penalty: np.ndarray, lams):
+    def _pirls(self, design, y: np.ndarray, penalty: np.ndarray, lams):
         """PIRLS on a training design, choosing among ``lams`` every step.
 
         Each iteration scores every multiplier ``lam`` of ``penalty`` on
@@ -304,7 +411,7 @@ class GAM:
         ``coef_`` and ``statistics_``; returns the selected multiplier and
         the ``(lam, GCV)`` scores of the final iteration.
         """
-        n, p = D.shape
+        n, p = design.n, design.p
         lams = np.asarray(lams, dtype=np.float64)
         identity_normal = (
             self.link.name == "identity" and self.distribution.name == "normal"
@@ -326,8 +433,8 @@ class GAM:
                     g_prime = self.link.derivative(mu)
                     w = 1.0 / (g_prime**2 * self.distribution.variance(mu))
                     z = eta + (y - mu) * g_prime
-                with obs_span("gam.gram"):
-                    G, b, zwz = _gram(D, w, z)
+                with obs_span("gam.gram", route=design.route):
+                    G, b, zwz = design.gram(w, z)
                 with obs_span("gcv.score", candidates=len(lams)), numerics_guard(
                     "GCV scoring"
                 ):
@@ -344,8 +451,9 @@ class GAM:
                 best = int(np.argmin(gcvs))
                 beta = betas[:, best]
 
-                eta = np.concatenate([D[lo:hi] @ beta for lo, hi in _blocks(n)])
-                deviance = self.distribution.deviance(y, self.link.inverse(eta))
+                with obs_span("gam.predictor"):
+                    eta = design.eta(beta)
+                    deviance = self.distribution.deviance(y, self.link.inverse(eta))
                 if identity_normal or abs(deviance_prev - deviance) < self.tol * (
                     abs(deviance) + self.tol
                 ):
@@ -365,8 +473,10 @@ class GAM:
             scale = deviance / max(n - edof, 1.0)
         gcv = n * deviance / max(n - edof, 1e-8) ** 2
         assert_all_finite(np.asarray([edof, scale, gcv]), "GAM statistics")
-        A = G + lam * penalty
-        A[np.diag_indices(p)] += self.ridge
+        with obs_span("gam.cov", p=p):
+            A = G + lam * penalty
+            A[np.diag_indices(p)] += self.ridge
+            cov = np.linalg.inv(A) * scale
         self.coef_ = beta
         self.statistics_ = {
             "edof": edof,
@@ -374,7 +484,7 @@ class GAM:
             "deviance": deviance,
             "GCV": gcv,
             "n_samples": n,
-            "cov": np.linalg.inv(A) * scale,
+            "cov": cov,
         }
         return lam, [(float(l_), float(g_)) for l_, g_ in zip(lams, gcvs)]
 
@@ -574,8 +684,12 @@ class GAM:
 
         Mirrors the paper's Generalized Cross Validation step with a single
         lambda shared by all terms.  ``coding`` codes ``X`` as in
-        :meth:`_design` (D*'s training rows); the fit is bitwise the same
-        as without it.
+        :meth:`_design` (D*'s training rows).  Knots, levels and centering
+        are bitwise the same as without it.  When every term but the
+        intercept reads one coded feature, PIRLS runs on per-term tables
+        (:meth:`_training_design`), and the coefficients, the GCV scores
+        and the statistics may then differ from the uncoded fit's in their
+        last bits.
         """
         from .gcv import gcv_gridsearch
 

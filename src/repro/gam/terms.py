@@ -144,14 +144,28 @@ class Term:
         """Write the centered block into ``out``: the marginal ``tables``
         gathered by the columns' codes and combined.  ``fit`` keeps the
         block's column means as the centering of every later design."""
-        raw = self._combine([
-            table if codes is None else table.take(codes, axis=0)
-            for table, (_, codes) in zip(tables, columns)
-        ])
+        raw = self._gathered(tables, columns)
         if fit:
             self.col_means_ = raw.mean(axis=0)
             self._fitted = True
         np.subtract(raw, self.col_means_, out=out)
+
+    def fit_table(self, tables: list[np.ndarray], columns: list[tuple]) -> np.ndarray:
+        """Learn the centering from the training rows, as ``fill(...,
+        fit=True)`` does, and return the centered block at each value of
+        the term's one feature: row ``v`` is the block's row at code
+        ``v``."""
+        self.col_means_ = self._gathered(tables, columns).mean(axis=0)
+        self._fitted = True
+        return self._combine(tables) - self.col_means_
+
+    def _gathered(self, tables: list[np.ndarray], columns: list[tuple]) -> np.ndarray:
+        """The uncentered block: the marginal ``tables`` gathered by the
+        columns' codes and combined."""
+        return self._combine([
+            table if codes is None else table.take(codes, axis=0)
+            for table, (_, codes) in zip(tables, columns)
+        ])
 
     def fit_design(self, X: np.ndarray, coding=None) -> np.ndarray:
         """Learn data-dependent pieces and return the centered training block.
@@ -227,6 +241,11 @@ class InterceptTerm(Term):
         if fit:
             self._fitted = True
         out.fill(1.0)
+
+    def fit_table(self, tables, columns) -> np.ndarray:
+        # One uncentered row of ones: every training row has code 0.
+        self._fitted = True
+        return np.ones((1, 1))
 
     def design_for(self, values: np.ndarray) -> np.ndarray:
         values = np.atleast_1d(values)

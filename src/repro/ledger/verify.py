@@ -15,7 +15,7 @@ from another kernel is compared within a pinned tolerance instead:
 the same components, each term's contribution on the archived D* rows,
 and the fidelity metrics — not raw coefficients, which a kernel change
 may move along directions the design cannot see.  The report names the
-version delta (``kernel 0 → 1``).
+version delta (``kernel 1 → 2``).
 
 Model entries verify structurally: the archived forest must rebuild to
 the recorded fingerprint and the entry's content address must check out.

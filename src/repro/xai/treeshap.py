@@ -46,6 +46,8 @@ class _PathGroup:
     split went left) and ``not x <= lo`` (``lo`` is NaN where no split went
     right).  ``on`` and ``off`` scale an element's unwound sum into its
     contribution, ``(o - z) * leaf value * (k + 1)``, for o = 1 and o = 0.
+    ``grow``, ``keep`` and ``unwind`` are the coefficients of EXTEND and
+    UNWOUND-SUM, fixed by ``z`` alone (see :func:`_coefficients`).
     """
 
     feature: np.ndarray
@@ -55,6 +57,29 @@ class _PathGroup:
     lo: np.ndarray
     on: np.ndarray
     off: np.ndarray
+    grow: tuple[np.ndarray, ...]
+    keep: tuple[np.ndarray, ...]
+    unwind: np.ndarray
+
+
+def _coefficients(z: np.ndarray) -> dict:
+    """EXTEND's and UNWOUND-SUM's row-independent factors for zero
+    fractions ``z`` of shape ``(k, paths, 1)``.
+
+    EXTEND step ``d`` (1..k) scales the weights it carries up by
+    ``grow[d - 1] = j / (d + 1)`` (j = 1..d) and the weights it keeps by
+    ``keep[d - 1] = z[d - 1] * (d - j) / (d + 1)`` (j = 0..d); step ``j``
+    of UNWOUND-SUM multiplies by ``unwind[j] = z * (k - j)``.  Each is the
+    expression the algorithm evaluates, so the results keep their bits.
+    """
+    k = z.shape[0]
+    grow, keep = [], []
+    for d in range(1, k + 1):
+        j = np.arange(d + 1)[:, None, None]
+        grow.append(j[1:] / (d + 1))
+        keep.append(z[d - 1] * ((d - j) / (d + 1)))
+    unwind = z[None] * (k - np.arange(k))[:, None, None, None]
+    return {"grow": tuple(grow), "keep": tuple(keep), "unwind": unwind}
 
 
 def _leaf_paths(trees: list[Tree]) -> list[_PathGroup]:
@@ -107,7 +132,8 @@ def _leaf_paths(trees: list[Tree]) -> list[_PathGroup]:
         # With o = 0 the unwound sum carries a factor 1 / z, cancelled here;
         # an element with z = 0 and o = 0 contributes nothing.
         groups.append(_PathGroup(
-            **element, on=(1.0 - z) * scale, off=np.where(z > 0, -scale, 0.0)
+            **element, on=(1.0 - z) * scale, off=np.where(z > 0, -scale, 0.0),
+            **_coefficients(z),
         ))
     return groups
 
@@ -118,19 +144,17 @@ def _group_shap(group: _PathGroup, Xt: np.ndarray) -> np.ndarray:
     ``Xt`` is the row chunk transposed, ``(n_features, rows)``.  Each
     (element, path, row) lane is computed independently of the others.
     """
-    z = group.z
-    k = z.shape[0]
+    k = group.z.shape[0]
     x = Xt[group.feature[:, :, 0]]
     one = (x <= group.hi) | group.free
     one &= ~(x <= group.lo)
     # EXTEND: the root's dummy element (z = o = 1), then each element.
     w = np.zeros((k + 1,) + x.shape[1:])
     w[0] = 1.0
-    for d in range(1, k + 1):
-        j = np.arange(d + 1)[:, None, None]
-        up = w[:d] * (j[1:] / (d + 1))
+    for d, (grow, keep) in enumerate(zip(group.grow, group.keep), start=1):
+        up = w[:d] * grow
         up *= one[d - 1]
-        w[:d + 1] *= z[d - 1] * ((d - j) / (d + 1))
+        w[:d + 1] *= keep
         w[1:d + 1] += up
     # UNWOUND-SUM of every element at once, for a one fraction of 1 ...
     total_one = np.zeros_like(x)
@@ -138,7 +162,7 @@ def _group_shap(group: _PathGroup, Xt: np.ndarray) -> np.ndarray:
     for j in range(k - 1, -1, -1):
         next_one /= j + 1  # the reference's tmp, until the subtract below
         total_one += next_one
-        next_one *= z * (k - j)
+        next_one *= group.unwind[j]
         np.subtract(w[j], next_one, out=next_one)
     # ... and of 0, where the sum is z times one shared by all elements.
     total_zero = 0.0

@@ -1,8 +1,8 @@
-"""The golden ledger: a committed surrogate that every fit kernel verifies.
+"""The golden ledgers: committed surrogates that every fit kernel verifies.
 
-``golden_k1/`` holds one model entry (a tiny regression forest) and one
-surrogate entry (3 splines, 2,000 D* samples) written by fit kernel 1.
-Under kernel 1 it verifies bit for bit; under any later kernel it must
+``golden_k<N>/`` holds one model entry (a tiny regression forest) and one
+surrogate entry (3 splines, 2,000 D* samples) written by fit kernel N.
+The current kernel's ledger verifies bit for bit; every older one must
 still verify within the pinned cross-kernel tolerance.  Bit
 equality also assumes the numpy/BLAS build the fixture was written with.
 
@@ -31,7 +31,9 @@ from repro.ledger import (
     verify_entry,
 )
 
-GOLDEN = Path(__file__).resolve().parent / "golden_k1"
+HERE = Path(__file__).resolve().parent
+#: The current kernel's golden ledger.
+GOLDEN = HERE / f"golden_k{KERNEL_VERSION}"
 
 GOLDEN_CONFIG = dict(
     n_univariate=3, n_samples=2_000, k_points=16, n_splines=8, random_state=0
@@ -52,25 +54,40 @@ def write_golden(root: Path) -> None:
     record_surrogate(store, explanation, forest_fingerprint(forest))
 
 
-@pytest.fixture()
-def golden(tmp_path):
-    """A writable copy of the golden ledger and its surrogate entry."""
-    shutil.copytree(GOLDEN, tmp_path / "ledger")
+def _copy(tmp_path, kernel):
+    """A writable copy of kernel ``kernel``'s golden ledger and its
+    surrogate entry."""
+    shutil.copytree(HERE / f"golden_k{kernel}", tmp_path / "ledger")
     store = LedgerStore(tmp_path / "ledger")
     (entry,) = store.entries(kind="surrogate")
+    assert kernel_version_of(entry) == kernel
     return store, entry
+
+
+@pytest.fixture()
+def golden(tmp_path):
+    """A writable copy of the current kernel's golden ledger."""
+    return _copy(tmp_path, KERNEL_VERSION)
 
 
 def test_golden_ledger_verifies(golden):
     store, entry = golden
-    assert kernel_version_of(entry) == 1
     report = verify_entry(store, entry.entry_id)
     assert report["match"] is True, report["mismatches"]
-    if KERNEL_VERSION == 1:
-        assert report["comparison"] == "bitwise"
-        assert "bit for bit" in render_verify(report)
-    else:
-        assert report["comparison"] == "tolerance"
+    assert report["comparison"] == "bitwise"
+    assert "bit for bit" in render_verify(report)
+
+
+@pytest.mark.parametrize("kernel", range(1, KERNEL_VERSION))
+def test_older_golden_ledger_verifies_within_tolerance(tmp_path, kernel):
+    store, entry = _copy(tmp_path, kernel)
+    report = verify_entry(store, entry.entry_id)
+    assert report["kernel"] == {"recorded": kernel, "current": KERNEL_VERSION}
+    assert report["comparison"] == "tolerance"
+    assert report["match"] is True, report["mismatches"]
+    text = render_verify(report)
+    assert f"kernel {kernel} → {KERNEL_VERSION}" in text
+    assert "MISMATCH" not in text and "bit for bit" not in text
 
 
 def test_golden_entry_as_kernel_0_gets_the_tolerance_report(golden):

@@ -109,6 +109,53 @@ class TestSampleKernelSpans:
         assert covered >= 0.9 * stage.duration_s
 
 
+class TestFitKernelSpans:
+    """The fit's kernels account for ``stage.fit`` on both Gram routes:
+    design, penalty, Gram, GCV scoring, the PIRLS predictor and the
+    posterior covariance cover at least 90% of it."""
+
+    KERNELS = (
+        "gam.design", "gam.penalty", "gam.gram", "gcv.score",
+        "gam.predictor", "gam.cov",
+    )
+
+    def _best_coverage(self, forest, route, **overrides):
+        """The best of three explains: a fit of about 10 ms can lose a
+        few of them to one garbage collection or preemption between its
+        kernels."""
+        tracer = enable_tracing()
+        try:
+            for _ in range(3):
+                _small_gef(**overrides).explain(forest)
+        finally:
+            disable_tracing()
+        coverage = []
+        for fit in tracer.find("stage.fit"):
+            inside = [
+                s for s in tracer.spans()
+                if s.name in self.KERNELS and fit.start_s <= s.start_s <= fit.end_s
+            ]
+            assert {s.name for s in inside} == set(self.KERNELS)
+            assert {
+                s.attrs["route"] for s in inside if s.name == "gam.gram"
+            } == {route}
+            coverage.append(sum(s.duration_s for s in inside) / fit.duration_s)
+        assert len(coverage) == 3
+        return max(coverage)
+
+    def test_coded_identity_explain(self, small_forest):
+        """The bench's spline explain on the test forest: 5 splines,
+        20,000 rows, 200 points per feature."""
+        coverage = self._best_coverage(
+            small_forest, "codes", n_univariate=5, n_samples=20_000, k_points=200
+        )
+        assert coverage >= 0.9
+
+    def test_tensor_logit_explain(self, small_classifier):
+        coverage = self._best_coverage(small_classifier, "rows", n_interactions=1)
+        assert coverage >= 0.9
+
+
 class TestLabelAndDesignKernelSpans:
     """The forest and GAM kernels account for their layers: digitize and
     eval cover D* labelling, basis evaluation and assembly cover the

@@ -1,6 +1,6 @@
 """The repo-specific lint rule catalog.
 
-Ten rules, each encoding an invariant this codebase's correctness
+Eleven rules, each encoding an invariant this codebase's correctness
 claims actually rest on (see DESIGN.md §8 for the catalog rationale):
 
 ============================  ========  =====================================
@@ -32,6 +32,9 @@ rule id                       severity  invariant
                                         ``time.perf_counter`` /
                                         ``time.monotonic``, so traces and
                                         fault-injected stalls stay coherent
+``buffered-take``             warning   a ``take`` into ``out=`` names its
+                                        ``mode=``: numpy buffers ``out``
+                                        under the default ``mode="raise"``
 ============================  ========  =====================================
 """
 
@@ -46,6 +49,7 @@ from .registry import THREAD_SAFETY_REGISTRY
 __all__ = [
     "AdhocTimingRule",
     "BroadExceptRule",
+    "BufferedTakeRule",
     "FloatEqualityRule",
     "GlobalStateRule",
     "MissingAllRule",
@@ -552,6 +556,45 @@ class AdhocTimingRule(LintRule):
             )
 
 
+class BufferedTakeRule(LintRule):
+    """numpy documents that ``out`` "is always buffered if
+    mode='raise'", the default: a ``take`` into ``out`` then gathers into
+    a temporary and copies it over, which more than doubled the cost of
+    the bitvector engine's hot gathers.  A ``take`` that passes ``out``
+    must say which mode it wants: ``"clip"`` or ``"wrap"`` where the
+    indices are in range by construction, an explicit ``"raise"`` where
+    the copy is worth the bounds check.  Both ``np.take(a, i, axis, out)``
+    and ``a.take(i, axis, out)`` are recognised, by keyword or position."""
+
+    rule_id = "buffered-take"
+    severity = "warning"
+    description = (
+        "take(..., out=...) without mode=: numpy buffers out under the "
+        "default mode='raise'"
+    )
+    node_types = (ast.Call,)
+
+    def visit(self, node, ctx):
+        if _call_name(node) != "take":
+            return
+        func = node.func
+        # The function form takes the array first: out and mode sit one
+        # position later than in the method form.
+        function = isinstance(func, ast.Name) or (
+            isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+        )
+        out_at = 3 if function else 2
+        keywords = {kw.arg for kw in node.keywords}
+        if "mode" in keywords or len(node.args) > out_at + 1:
+            return
+        if "out" in keywords or len(node.args) > out_at:
+            ctx.report(
+                self, node,
+                "take into out= without mode=: pass mode='clip' for indices "
+                "in range by construction, or assign the result instead",
+            )
+
+
 def default_rules(
     registry: dict[tuple[str, str], object] | None = None,
 ) -> list[LintRule]:
@@ -569,6 +612,7 @@ def default_rules(
         ShadowedBuiltinRule(),
         RaiseOutsideTaxonomyRule(),
         AdhocTimingRule(),
+        BufferedTakeRule(),
     ]
 
 

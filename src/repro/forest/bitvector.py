@@ -22,7 +22,7 @@ against a tree is then:
 1. start from the tree's init vector (low ``n_leaves`` bits set),
 2. AND in the mask of every condition that evaluates false,
 3. the lowest surviving set bit *is* the exit leaf (QuickScorer's
-   theorem), isolated with ``v & -v``; its index is the float32
+   theorem), isolated with ``v & -v``; its index is the float64
    exponent of that power of two (see Evaluation).
 
 Conditions are organized per feature and sorted by threshold.  Because
@@ -77,11 +77,25 @@ every group of several features turns its features' positions into
 joint-table rows (one small integer matvec per group, none for groups of
 one).  Then per chunk one gather + AND per group, and:
 
-* **Exit leaf.**  The isolated bit ``2**k`` converts exactly to float32,
-  whose biased exponent ``k + 127`` sits in bits 23..30: view the float32
-  as int32 and shift right by 23.  The ``-127`` is folded into the
-  per-tree leaf offsets, and adding them writes the leaf indices
-  tree-major, ``(T, R)``.
+* **Exit leaf.**  The isolated bit ``2**k`` is copied once from
+  ``(R, T)`` to tree-major ``(T, R)``, converting to float64 in the same
+  copy (exact for a power of two).  Its biased exponent ``k + 1023``
+  sits in bits 52..62: view the float64 as int64 and shift right by 52.
+  The ``-1023`` is folded into the per-tree leaf offsets, added in
+  place, so after the copy every step runs in one dtype on contiguous
+  memory.  ``np.copyto`` converts a transposed view with numpy's strided
+  cast loops; a ufunc whose operands need a cast, such as an int32 +
+  int64 transposing add, runs through casting buffers instead (82-91 µs
+  per 256-row × 200-tree chunk, against 37-55 µs for the converting
+  copy).
+* **Unbuffered gathers.**  numpy buffers the ``out`` of a ``take`` in
+  its default ``mode="raise"``: it gathers into a temporary and copies
+  it over.  The table and leaf-value takes pass ``mode="clip"``, since
+  their indices are in range by construction: ``searchsorted``
+  positions are at most ``C_f``, joint rows are smaller than their
+  table, and a leaf index stays inside its tree whenever the exit-leaf
+  invariant holds (checked under strict numerics).  :meth:`from_state`
+  rejects a state whose shapes would break this.
 * **Reduction.**  Leaf values are gathered into one tree-major
   ``(T + 1, R)`` buffer whose row 0 is the init score, and
   ``np.add.reduce(axis=0)`` sums it: the buffer is C-contiguous, so the
@@ -104,6 +118,7 @@ import threading
 
 import numpy as np
 
+from ..core.errors import ForestValidationError
 from ..core.node_table import node_table
 from ..core.numerics import NumericsError, assert_all_finite, strict_enabled
 from ..obs.metrics import get_metrics, inc as metric_inc, observe as metric_observe
@@ -143,6 +158,13 @@ JOINT_ROWS = 1024
 #: ``_LOW_BITS[n] == (1 << n) - 1`` for ``0 <= n <= 64``: a lookup, because
 #: numpy shifts a ``uint64`` modulo 64 and ``1 << 64`` would wrap to ``1``.
 _LOW_BITS = np.array([(1 << n) - 1 for n in range(65)], dtype=np.uint64)
+
+
+def _init_vec(n_leaves: np.ndarray, width: int, n_words: int) -> np.ndarray:
+    """Per-tree init words: the low ``n_leaves[t]`` bits set, ``(T, W)``."""
+    shift = width * np.arange(n_words)
+    dtype = np.uint32 if width == 32 else np.uint64
+    return _LOW_BITS[np.clip(n_leaves[:, None] - shift, 0, width)].astype(dtype)
 
 
 def _group_features(rows: dict[int, int], row_bytes: int) -> list[list[int]]:
@@ -233,11 +255,11 @@ class BitvectorForest:
         leaves = np.flatnonzero(~internal & (count > 0))
         self.leaf_values = np.empty(int(n_leaves.sum()))
         self.leaf_values[leaf_off[table.tree[leaves]] + lo[leaves]] = table.value[leaves]
-        # Word w of a leaf range [lb, le) covers bits [lb - w*width, le - w*width).
-        shift = width * np.arange(n_words)
-        self.init_vec = _LOW_BITS[np.clip(n_leaves[:, None] - shift, 0, width)].astype(dtype)
+        self.init_vec = _init_vec(n_leaves, width, n_words)
 
-        # A condition's mask clears its left subtree's leaf range.
+        # A condition's mask clears its left subtree's leaf range; word w
+        # of a leaf range [lb, le) covers bits [lb - w*width, le - w*width).
+        shift = width * np.arange(n_words)
         cond = np.flatnonzero(internal)
         lchild = left[cond]
         lb = np.clip(lo[lchild][:, None] - shift, 0, width)
@@ -330,9 +352,7 @@ class BitvectorForest:
                 if not thr.size:
                     continue
                 if f in codes:
-                    thr.searchsorted(domains[f], side="left").take(
-                        codes[f], out=pos[:, f]
-                    )
+                    pos[:, f] = thr.searchsorted(domains[f], side="left")[codes[f]]
                 else:
                     pos[:, f] = thr.searchsorted(X[:, f], side="left")
                 searched += 1
@@ -365,15 +385,14 @@ class BitvectorForest:
         acc = np.empty(lanes, dtype)
         buf = np.empty(lanes, dtype)
         low = np.empty((chunk, T), dtype)
-        expo = np.empty((chunk, T), np.float32)
-        # Tree-major from the leaf index on: flat buffers reshaped per
+        # Tree-major from the exit-leaf bit on: flat buffers reshaped per
         # chunk to (T, R) and (T + 1, R), so a short last chunk stays
         # contiguous too.
-        flat = np.empty(T * chunk, np.int64)
+        leaf = np.empty(T * chunk)
         red = np.empty((T + 1) * chunk)
         init_row = self.init_vec[:, 0] if single else self.init_vec
-        # 2**k as float32 has biased exponent k + 127 in bits 23..30.
-        leaf_off = (self.leaf_offsets - 127)[:, None]
+        # 2**k as float64 has biased exponent k + 1023 in bits 52..62.
+        leaf_off = (self.leaf_offsets - 1023)[:, None]
         pv = self.leaf_values
         gather_s = reduce_s = 0.0
         for clo in range(0, n_rows, chunk):
@@ -384,7 +403,7 @@ class BitvectorForest:
             a[:] = init_row
             for lead, table in groups:
                 b = buf[:R]
-                table.take(pos[clo:chi, lead], axis=0, out=b)
+                table.take(pos[clo:chi, lead], axis=0, out=b, mode="clip")
                 np.bitwise_and(a, b, out=a)
             t1 = obs_monotonic()
             if single:
@@ -413,17 +432,18 @@ class BitvectorForest:
                     "bitvector exit-leaf invariant violated: a (row, tree) "
                     "pair retained no candidate leaf"
                 )
-            e = expo[:R]
-            np.copyto(e, lb, casting="unsafe")  # exact: lb is a power of two
-            bits = e.view(np.int32)
-            np.right_shift(bits, 23, out=bits)
-            fl = flat[: T * R].reshape(T, R)
-            np.add(bits.T, leaf_off, out=fl)
+            # One transposing copy that also converts (exact: lb is a power
+            # of two); after it, every step is in place in one dtype.
+            lf = leaf[: T * R].reshape(T, R)
+            np.copyto(lf, lb.T)
+            fl = lf.view(np.int64)
+            np.right_shift(fl, 52, out=fl)
+            np.add(fl, leaf_off, out=fl)
             if not single:
                 np.add(fl, base.T, out=fl)
             r = red[: (T + 1) * R].reshape(T + 1, R)
             r[0] = self.init_score
-            pv.take(fl, out=r[1:])
+            pv.take(fl, out=r[1:], mode="clip")
             if out_values is not None:
                 out_values[:, clo:chi] = r[1:]
             if out is not None and R > 1:
@@ -447,9 +467,11 @@ class BitvectorForest:
         tables stream: 256 rows at 200 trees, 512 at 120.  Small forests
         get big chunks (fewer per-chunk setups), up to 4096 rows.
         Labelling 20k coded rows with the bench spline forest (200
-        trees) over chunks of 64-4096 rows was fastest at 256 (33.7 ms;
-        64-512 within 7 ms, 1024 and up 50-80 ms), and 5k census rows
-        (120 trees) were flat within 2 ms over 128-1024.  The chunk never
+        trees) over chunks of 64-4096 rows (one CPU of a 2-vCPU host,
+        median of 15, two sweeps) was fastest at 256 (33.9-36.8 ms;
+        128-512 within 3 ms, 64 and 1024 40-44 ms, 2048 and up 53-70 ms),
+        and 5k census rows (120 trees) at 512 (14.7-17.1 ms; 256 and 1024
+        within 4 ms, 64 and 4096 22-38 ms).  The chunk never
         changes a bit: rows are independent, and the reduction adds each
         row's trees in loop order whatever ``R`` is (see the module
         docstring for the one-row case).
@@ -580,9 +602,56 @@ class BitvectorForest:
             arrays.get(f"feat_thr:{f}", empty) for f in range(self.n_features)
         ]
         self.groups = [[int(f) for f in group] for group in meta["groups"]]
+        n_tables = sum(key.startswith("table:") for key in arrays)
+        if n_tables != len(self.groups):
+            raise ForestValidationError(
+                f"bitvector state: {n_tables} tables for {len(self.groups)} groups"
+            )
         self.tables = [arrays[f"table:{g}"] for g in range(len(self.groups))]
+        self._check_state()
         self._set_strides()
         return self
+
+    def _check_state(self) -> None:
+        """Reject a rebuilt state whose gathers could leave their arrays.
+
+        Evaluation gathers with ``mode="clip"``, which clamps an index
+        past the end instead of raising, so a malformed state would read
+        wrong rows silently.  Every index stays in range when the groups
+        partition the features with conditions, every joint table has one
+        row per position combination and ``(T, W)`` lanes, and the leaf
+        offsets tile ``leaf_values`` with the leaf counts of ``init_vec``.
+        """
+        T, W = self.n_trees, self.n_words
+        dtype = np.uint32 if self.word_bits == 32 else np.uint64
+        lanes = (T,) if W == 1 else (T, W)
+        conditioned = [f for f, thr in enumerate(self.feat_thr) if thr.size]
+        if sorted(f for group in self.groups for f in group) != conditioned:
+            raise ForestValidationError(
+                "bitvector state: groups do not partition the features "
+                "with conditions"
+            )
+        for g, (group, table) in enumerate(zip(self.groups, self.tables)):
+            rows = int(np.prod([self.feat_thr[f].size + 1 for f in group]))
+            if table.dtype != dtype or table.shape != (rows, *lanes):
+                raise ForestValidationError(
+                    f"bitvector state: table {g} is {table.dtype} "
+                    f"{table.shape}, expected {np.dtype(dtype)} {(rows, *lanes)}"
+                )
+        off = self.leaf_offsets
+        tiled = off.shape == (T,) and T > 0 and off[0] == 0
+        if tiled:
+            counts = np.diff(off, append=self.leaf_values.size)
+            tiled = (
+                bool(np.all(counts >= 1))
+                and self.init_vec.dtype == dtype
+                and np.array_equal(self.init_vec, _init_vec(counts, self.word_bits, W))
+            )
+        if not tiled:
+            raise ForestValidationError(
+                "bitvector state: leaf_offsets are not n_trees increasing "
+                "offsets tiling leaf_values with init_vec's leaf counts"
+            )
 
 
 # ----------------------------------------------------------------------

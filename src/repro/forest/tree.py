@@ -220,10 +220,19 @@ def _forest_fingerprint(trees: list[Tree], init_score: float) -> int:
     """Cheap structural checksum covering everything prediction depends on."""
     h = zlib.crc32(np.float64(init_score).tobytes())
     h = zlib.crc32(np.int64(len(trees)).tobytes(), h)
-    for tree in trees:
-        for arr in (tree.feature, tree.threshold, tree.left, tree.right, tree.value):
-            h = zlib.crc32(np.ascontiguousarray(arr), h)
-    return h
+    # One crc32 over the joined bytes equals the chained per-array crc32s
+    # at a fraction of the per-call cost, which matters because
+    # bitvector_for checks the fingerprint on every predict.
+    arrays = [
+        arr
+        for tree in trees
+        for arr in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    ]
+    try:
+        data = b"".join(arrays)
+    except TypeError:  # a non-contiguous array, or not an array at all
+        data = b"".join([np.ascontiguousarray(arr) for arr in arrays])
+    return zlib.crc32(data, h)
 
 
 def forest_fingerprint(model) -> int:

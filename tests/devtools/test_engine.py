@@ -166,6 +166,7 @@ class TestRuleCatalog:
             "shadowed-builtin",
             "raise-outside-taxonomy",
             "adhoc-timing",
+            "buffered-take",
         }
 
     def test_catalog_severities_valid(self):

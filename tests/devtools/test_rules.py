@@ -515,3 +515,65 @@ class TestAdhocTiming:
             """,
         )
         assert "adhoc-timing" not in rule_ids(findings)
+
+
+class TestBufferedTake:
+    def test_flags_method_take_into_out(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            def gather(table, pos, buf):
+                table.take(pos, axis=0, out=buf)
+            """,
+        )
+        assert rule_ids(findings).count("buffered-take") == 1
+
+    def test_flags_np_take_into_out(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            import numpy as np
+
+            def gather(values, idx, buf):
+                np.take(values, idx, out=buf)
+                np.take(values, idx, None, buf)
+            """,
+        )
+        assert rule_ids(findings).count("buffered-take") == 2
+
+    def test_flags_positional_method_out(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            def gather(values, idx, buf):
+                values.take(idx, None, buf)
+            """,
+        )
+        assert "buffered-take" in rule_ids(findings)
+
+    def test_take_with_mode_or_without_out_fine(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            import numpy as np
+
+            def gather(table, values, pos, idx, buf):
+                table.take(pos, axis=0, out=buf, mode="clip")
+                np.take(values, idx, out=buf, mode="raise")
+                values.take(idx, None, buf, "wrap")
+                np.take(values, idx, None, buf, "clip")
+                buf[:] = values.take(idx)
+                return np.take(values, idx, axis=0)
+            """,
+        )
+        assert "buffered-take" not in rule_ids(findings)
+
+    def test_waiver_pragma_suppresses(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            def gather(values, idx, buf):
+                values.take(idx, out=buf)  # repro: allow(buffered-take)
+            """,
+        )
+        assert "buffered-take" not in rule_ids(findings)

@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.errors import ForestValidationError
 from repro.core.numerics import NumericsError, strict_enabled
 from repro.forest import (
     BitvectorForest,
@@ -399,6 +400,45 @@ class TestChunkingAndThreads:
             encoded.predict_raw(X_test),
             loop_predict_raw(model, X_test),
         )
+
+    def test_from_state_rejects_malformed_state(self, data):
+        # Evaluation gathers in clip mode, so an out-of-range index would
+        # read a clamped row: from_state must refuse such a state.
+        X, y, X_test = data
+        model = GradientBoostingRegressor(n_estimators=8, num_leaves=15, random_state=0)
+        model.fit(X, y)
+        encoded = BitvectorForest.pack(
+            model.trees_, model.init_score_, model.n_features_
+        )
+        arrays, meta = encoded.export_state()
+        rebuilt = BitvectorForest.from_state(dict(arrays), dict(meta))
+        assert np.array_equal(rebuilt.predict_raw(X_test), encoded.predict_raw(X_test))
+        assert any(len(group) > 1 for group in meta["groups"])
+
+        truncated = dict(arrays, **{"table:0": arrays["table:0"][:-1]})
+        with pytest.raises(ForestValidationError, match="table 0"):
+            BitvectorForest.from_state(truncated, dict(meta))
+
+        # A group of several split in two: one group more than tables.
+        lead, *rest = meta["groups"][0]
+        split = dict(meta, groups=[[lead], rest, *meta["groups"][1:]])
+        with pytest.raises(ForestValidationError, match="tables for"):
+            BitvectorForest.from_state(dict(arrays), split)
+
+        # Two groups swapped: each table has the other's row count.
+        swapped = dict(meta, groups=[*meta["groups"][1:], meta["groups"][0]])
+        with pytest.raises(ForestValidationError, match="table 0"):
+            BitvectorForest.from_state(dict(arrays), swapped)
+
+        # A feature with conditions in no group.
+        dropped = dict(meta, groups=[rest, *meta["groups"][1:]])
+        with pytest.raises(ForestValidationError, match="partition"):
+            BitvectorForest.from_state(dict(arrays), dropped)
+
+        offsets = arrays["leaf_offsets"].copy()
+        offsets[[1, 2]] = offsets[[2, 1]]
+        with pytest.raises(ForestValidationError, match="leaf_offsets"):
+            BitvectorForest.from_state(dict(arrays, leaf_offsets=offsets), dict(meta))
 
 
 def random_tree(n_leaves, rng, n_features=4, grid=None):

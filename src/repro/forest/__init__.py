@@ -19,7 +19,7 @@ output must equal bitwise.
 """
 
 from .binning import BinMapper
-from .bitvector import BitvectorForest, bitvector_for, invalidate_bitvector
+from .bitvector import BitvectorForest, bitvector_for
 from .boosting import GradientBoostingClassifier, GradientBoostingRegressor
 from .grower import TreeGrowerParams, grow_tree
 from .losses import LogisticLoss, SquaredLoss, get_loss, sigmoid
@@ -60,7 +60,6 @@ __all__ = [
     "forests_equal",
     "get_loss",
     "grow_tree",
-    "invalidate_bitvector",
     "kfold_indices",
     "load_forest",
     "save_forest",

@@ -105,8 +105,9 @@ one).  Then per chunk one gather + AND per group, and:
   chunk (``R == 1``): its reduced axis is contiguous, and numpy sums a
   contiguous axis pairwise, which changes the low bits, so that chunk
   keeps ``np.cumsum(axis=0)`` (sequential for any shape).
-  :meth:`~BitvectorForest.leaf_value_matrix` copies rows ``1..T`` of the
-  same buffer.
+
+Staged (per-tree running) scores are not computed here: staged
+prediction runs the per-tree loop, the reference this engine matches.
 
 The ``bitvector.eval`` span carries ``gather_s`` (gather + AND) and
 ``reduce_s`` (exit leaf, leaf values and reduction), summed over chunks.
@@ -131,7 +132,7 @@ __all__ = [
     "MAX_TABLE_BYTES",
     "BitvectorForest",
     "bitvector_for",
-    "invalidate_bitvector",
+    "invalidate_model_caches",
 ]
 
 # Per-model bitvector caches (model.__dict__["_bitvector_state"]) are
@@ -345,7 +346,6 @@ class BitvectorForest:
             )
         domains, codes = coding if coding is not None else ({}, {})
         pos = np.zeros(X.shape, np.int64)
-        searched = 0
         with obs_span("bitvector.digitize", rows=int(X.shape[0])):
             for f in range(self.n_features):
                 thr = self.feat_thr[f]
@@ -355,18 +355,12 @@ class BitvectorForest:
                     pos[:, f] = thr.searchsorted(domains[f], side="left")[codes[f]]
                 else:
                     pos[:, f] = thr.searchsorted(X[:, f], side="left")
-                searched += 1
-        metric_inc("bitvector.searchsorted", searched)
         return pos
 
     def _eval_rows(
-        self,
-        pos: np.ndarray,
-        out: np.ndarray | None,
-        out_values: np.ndarray | None,
-        chunk: int,
+        self, pos: np.ndarray, out: np.ndarray, chunk: int
     ) -> tuple[float, float]:
-        """Evaluate every row; write reduced scores and/or leaf values.
+        """Evaluate every row into ``out``: ``init + sum of trees``.
 
         ``pos`` holds :meth:`digitize` positions and is overwritten: each
         group of several features gets its joint-table rows in its lead
@@ -444,13 +438,11 @@ class BitvectorForest:
             r = red[: (T + 1) * R].reshape(T + 1, R)
             r[0] = self.init_score
             pv.take(fl, out=r[1:], mode="clip")
-            if out_values is not None:
-                out_values[:, clo:chi] = r[1:]
-            if out is not None and R > 1:
+            if R > 1:
                 # The reduced axis is the outer loop of this C-contiguous
                 # buffer: every row adds its trees in loop order.
                 np.add.reduce(r, axis=0, out=out[clo:chi])
-            elif out is not None:
+            else:
                 # One row makes the reduced axis contiguous, and numpy
                 # would sum it pairwise; cumsum keeps the loop order.
                 np.cumsum(r, axis=0, out=r)
@@ -482,61 +474,24 @@ class BitvectorForest:
             chunk *= 2
         return chunk
 
-    def _evaluate(
-        self,
-        X: np.ndarray,
-        out_values: np.ndarray | None = None,
-        chunk: int | None = None,
-        coding=None,
-    ) -> np.ndarray | None:
-        if chunk is None:
-            chunk = self._auto_chunk()
-        if chunk < 1 or chunk & (chunk - 1):
-            raise ValueError(  # repro: allow(raise-outside-taxonomy) harness misuse, not a pipeline failure
-                "chunk must be a positive power of two"
-            )
-        pos = self.digitize(X, coding)
-        N = pos.shape[0]
-        out = None if out_values is not None else np.empty(N)
-        if N:
-            with obs_span("bitvector.eval", rows=int(N)) as eval_span:
-                gather_s, reduce_s = self._eval_rows(pos, out, out_values, chunk)
-                eval_span.set(gather_s=gather_s, reduce_s=reduce_s)
-        if out is not None:
-            assert_all_finite(out, "bitvector predict reduction")
-        if out_values is not None:
-            assert_all_finite(out_values, "bitvector leaf-value matrix")
-        return out
-
-    def predict_raw(
-        self, X: np.ndarray, chunk: int | None = None, coding=None
-    ) -> np.ndarray:
+    def predict_raw(self, X: np.ndarray, coding=None) -> np.ndarray:
         """``init + sum of trees`` for every row, bitwise equal to the loop.
 
         ``coding`` codes ``X`` by domain value (see :meth:`digitize`).
         """
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-        metric_inc("predict.rows", X.shape[0])
-        with obs_span(
-            "bitvector.predict", rows=int(X.shape[0]), trees=int(self.n_trees)
-        ):
-            metric_inc("bitvector.mask_words", self.n_words)
-            return self._evaluate(X, chunk=chunk, coding=coding)
-
-    def leaf_value_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Per-tree leaf values, shape ``(n_trees, n_rows)`` (staged helper)."""
-        X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-        values = np.empty((self.n_trees, X.shape[0]))
-        self._evaluate(X, out_values=values)
-        return values
-
-    def staged_predict_raw(self, X: np.ndarray):
-        """Yield the raw score after each tree, bitwise equal to the loop."""
-        values = self.leaf_value_matrix(X)
-        raw = np.full(values.shape[1], self.init_score)
-        for t in range(self.n_trees):
-            raw = raw + values[t]
-            yield raw.copy()
+        N = X.shape[0]
+        metric_inc("predict.rows", N)
+        with obs_span("bitvector.predict", rows=N, trees=self.n_trees):
+            pos = self.digitize(X, coding)
+            out = np.empty(N)
+            if N:
+                with obs_span("bitvector.eval", rows=N) as eval_span:
+                    chunk = self._auto_chunk()
+                    gather_s, reduce_s = self._eval_rows(pos, out, chunk)
+                    eval_span.set(gather_s=gather_s, reduce_s=reduce_s)
+            assert_all_finite(out, "bitvector predict reduction")
+            return out
 
     # ------------------------------------------------------------------
     # flat-buffer export (shared-memory serving fleet)
@@ -657,8 +612,13 @@ class BitvectorForest:
 # ----------------------------------------------------------------------
 # model integration: cached encoding and invalidation
 # ----------------------------------------------------------------------
-def invalidate_bitvector(model) -> None:
-    """Drop a model's cached :class:`BitvectorForest` (after mutating it)."""
+def invalidate_model_caches(model) -> None:
+    """Drop a model's cached :class:`BitvectorForest` (call after mutation).
+
+    :func:`bitvector_for` also re-encodes when the structural fingerprint
+    changes; this hook makes the common sites (fit, early-stopping
+    truncation) explicit and cheap.
+    """
     with _pack_lock:
         model.__dict__.pop("_bitvector_state", None)
 

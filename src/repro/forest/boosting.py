@@ -17,16 +17,11 @@ import numpy as np
 from .binning import BinMapper
 from .grower import TreeGrowerParams, grow_tree
 from .losses import get_loss
-from .bitvector import bitvector_for
 from .engines import FittedForest, invalidate_model_caches, loop_staged_predict_raw
 from .tree import Tree
 from .._rng import as_generator
 
 __all__ = ["GradientBoostingRegressor", "GradientBoostingClassifier"]
-
-#: Staged prediction runs the loop above this many (tree, row) leaf
-#: values: the bitvector staged path materializes all of them at once.
-_STAGED_MAX_ELEMENTS = 25_000_000
 
 
 class _BaseGradientBoosting(FittedForest):
@@ -163,14 +158,12 @@ class _BaseGradientBoosting(FittedForest):
         return self
 
     def staged_predict_raw(self, X: np.ndarray):
-        """Yield the raw score after each boosting stage (learning curve)."""
+        """Yield the raw score after each boosting stage (learning curve).
+
+        Runs the per-tree loop, so every stage is the reference's bits.
+        """
         self._check_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        encoded = bitvector_for(self)
-        if encoded is None or encoded.n_trees * X.shape[0] > _STAGED_MAX_ELEMENTS:
-            yield from loop_staged_predict_raw(self, X)
-        else:
-            yield from encoded.staged_predict_raw(X)
+        yield from loop_staged_predict_raw(self, X)
 
 
 class GradientBoostingRegressor(_BaseGradientBoosting):

@@ -12,14 +12,16 @@ forest the encoding declines (non-finite thresholds, trees wider than
 ``64 * MAX_LEAF_WORDS`` leaves, prefix tables over ``MAX_TABLE_BYTES``).
 :func:`loop_predict_raw` and :func:`loop_staged_predict_raw` are the
 per-tree loop, the equivalence reference: every engine must match them
-bitwise.
+bitwise.  :func:`invalidate_model_caches`, the one hook that drops a
+model's cached encoding, lives in :mod:`repro.forest.bitvector` next to
+the cache it drops, and is re-exported here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitvector import bitvector_for, invalidate_bitvector
+from .bitvector import bitvector_for, invalidate_model_caches
 from .tree import accumulate_importance
 
 __all__ = [
@@ -46,17 +48,6 @@ def loop_staged_predict_raw(model, X):
     for tree in model.trees_:
         raw = raw + tree.predict(X)  # a new array per stage: callers may keep it
         yield raw
-
-
-def invalidate_model_caches(model) -> None:
-    """Drop the model's cached bitvector encoding (call after mutation).
-
-    Mutations are also caught automatically by the structural fingerprint
-    check in :func:`~repro.forest.bitvector.bitvector_for`; this hook
-    just makes the common sites (fit, early-stopping truncation)
-    explicit and cheap.
-    """
-    invalidate_bitvector(model)
 
 
 class FittedForest:

@@ -26,14 +26,11 @@ from repro.forest import (
     RandomForestRegressor,
     Tree,
     bitvector_for,
-    invalidate_bitvector,
 )
 from repro.forest import bitvector as bitvector_mod
-from repro.forest import boosting as boosting_mod
 from repro.forest.engines import (
     invalidate_model_caches,
     loop_predict_raw,
-    loop_staged_predict_raw,
 )
 from repro.forest.tree import LEAF
 
@@ -141,24 +138,24 @@ class TestEquivalence:
         assert np.all(np.isfinite(out))
 
     def test_staged_predict_bitwise_identical(self, data):
+        # Staged prediction runs the loop; its last stage must be the
+        # engine's predict_raw bit for bit, special floats included.
         X, y, X_test = data
-        model = GradientBoostingRegressor(n_estimators=12, num_leaves=7, random_state=0)
-        model.fit(X, y)
-        bv_stages = list(model.staged_predict_raw(X_test))
-        loop_stages = list(loop_staged_predict_raw(model, X_test))
-        assert len(bv_stages) == len(loop_stages) == 12
-        for b, l in zip(bv_stages, loop_stages):
-            assert np.array_equal(b, l)
-
-    def test_leaf_value_matrix_matches_per_tree_outputs(self, data):
-        X, y, X_test = data
-        model = GradientBoostingRegressor(n_estimators=9, num_leaves=15, random_state=0)
-        model.fit(X, y)
-        encoded = bitvector_for(model)
-        values = encoded.leaf_value_matrix(X_test)
-        assert values.shape == (9, X_test.shape[0])
-        per_tree = np.stack([tree.predict(X_test) for tree in model.trees_])
-        assert np.array_equal(values, per_tree)
+        X_test = X_test.copy()
+        X_test[0, :] = np.nan
+        X_test[1, :] = np.inf
+        X_test[2, :] = -np.inf
+        X_test[3, ::2] = np.nan
+        X_test[4, 1::2] = -np.inf
+        for cls, target in (
+            (GradientBoostingRegressor, y),
+            (GradientBoostingClassifier, (y > 0).astype(float)),
+        ):
+            model = cls(n_estimators=12, num_leaves=7, random_state=0).fit(X, target)
+            assert bitvector_for(model) is not None
+            stages = list(model.staged_predict_raw(X_test))
+            assert len(stages) == 12, cls
+            assert np.array_equal(stages[-1], model.predict_raw(X_test)), cls
 
 
 class TestMaskWidths:
@@ -295,41 +292,18 @@ class TestEligibilityAndFallback:
         assert np.array_equal(out, loop_predict_raw(model, X_test))
         assert model.__dict__["_bitvector_state"][1] is None
 
-    @pytest.mark.parametrize(
-        "cls", [GradientBoostingRegressor, GradientBoostingClassifier]
-    )
-    def test_staged_size_fallback_yields_loop_stages(self, data, monkeypatch, cls):
-        X, y, X_test = data
-        if cls is GradientBoostingClassifier:
-            y = (y > 0).astype(float)
-        model = cls(n_estimators=6, num_leaves=7, random_state=0).fit(X, y)
-        monkeypatch.setattr(boosting_mod, "_STAGED_MAX_ELEMENTS", 0)
-
-        def no_bitvector_stages(self, X):
-            raise AssertionError("staged fallback ran the bitvector path")
-
-        monkeypatch.setattr(
-            BitvectorForest, "staged_predict_raw", no_bitvector_stages
-        )
-        assert bitvector_for(model) is not None  # encoded, yet too large
-        stages = list(model.staged_predict_raw(X_test))
-        reference = list(loop_staged_predict_raw(model, X_test))
-        assert len(stages) == len(reference) == 6
-        for got, want in zip(stages, reference):
-            assert np.array_equal(got, want)
-
     def test_decline_is_cached_until_invalidated(self, data, monkeypatch):
         X, y, _ = data
         model = GradientBoostingRegressor(n_estimators=4, num_leaves=7, random_state=0)
         model.fit(X, y)
         monkeypatch.setattr(bitvector_mod, "MAX_TABLE_BYTES", 0)
-        invalidate_bitvector(model)
+        invalidate_model_caches(model)
         assert bitvector_for(model) is None
         assert model.__dict__["_bitvector_state"][1] is None
         monkeypatch.setattr(bitvector_mod, "MAX_TABLE_BYTES", 256 * 1024 * 1024)
         # Same fingerprint: the cached decline persists until invalidated.
         assert bitvector_for(model) is None
-        invalidate_bitvector(model)
+        invalidate_model_caches(model)
         assert bitvector_for(model) is not None
 
 
@@ -354,27 +328,18 @@ class TestCacheAndInvalidation:
         invalidate_model_caches(model)
         assert "_bitvector_state" not in model.__dict__
 
-    def test_explicit_bitvector_invalidation_hook(self, data):
-        X, y, _ = data
-        model = GradientBoostingRegressor(n_estimators=5, num_leaves=7, random_state=0)
-        model.fit(X, y)
-        assert bitvector_for(model) is not None
-        invalidate_bitvector(model)
-        assert "_bitvector_state" not in model.__dict__
-
 
 class TestChunkingAndThreads:
-    def test_n_jobs_and_chunking_invariance(self, data):
+    def test_n_jobs_and_chunking_invariance(self, data, monkeypatch):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=20, num_leaves=31, random_state=0)
         model.fit(X, y)
         encoded = bitvector_for(model)
         reference = loop_predict_raw(model, X_test)
-        for chunk in (64, 256, 2048):
-            out = encoded.predict_raw(X_test, chunk=chunk)
-            assert np.array_equal(out, reference)
-        with pytest.raises(ValueError):
-            encoded.predict_raw(X_test, chunk=100)
+        for chunk in (64, 100, 256, 2048):
+            monkeypatch.setattr(BitvectorForest, "_auto_chunk", lambda self: chunk)
+            out = encoded.predict_raw(X_test)
+            assert np.array_equal(out, reference), chunk
         # Evaluation is single-threaded: there is no n_jobs split.
         with pytest.raises(TypeError):
             encoded.predict_raw(X_test, n_jobs=4)
@@ -552,7 +517,7 @@ class TestKernelEquivalenceSweep:
         for n in range(1, 301):
             assert np.array_equal(encoded.predict_raw(X[-n:]), reference[-n:]), n
 
-    def test_chunk_boundaries(self, forest):
+    def test_chunk_boundaries(self, forest, monkeypatch):
         model, encoded = forest
         chunk = encoded._auto_chunk()
         assert chunk * len(model.trees_) * encoded.n_words <= 65536
@@ -560,7 +525,10 @@ class TestKernelEquivalenceSweep:
             X = self._rows(n, n)
             reference = loop_predict_raw(model, X)
             assert np.array_equal(encoded.predict_raw(X), reference), n
-            assert np.array_equal(encoded.predict_raw(X, chunk=64), reference), n
+            for fixed in (64, 100):
+                with monkeypatch.context() as m:
+                    m.setattr(BitvectorForest, "_auto_chunk", lambda self: fixed)
+                    assert np.array_equal(encoded.predict_raw(X), reference), (n, fixed)
 
     def test_leaf_values_staged_and_rebuilt_engine(self, forest):
         model, encoded = forest
@@ -568,15 +536,9 @@ class TestKernelEquivalenceSweep:
         chunk = encoded._auto_chunk()
         for n in (1, 2, 7, chunk + 1, 2 * chunk + 1):
             X = self._rows(n, 1000 + n)
-            per_tree = np.stack([tree.predict(X) for tree in model.trees_])
             reference = loop_predict_raw(model, X)
             for engine in (encoded, rebuilt):
                 assert np.array_equal(engine.predict_raw(X), reference), n
-                assert np.array_equal(engine.leaf_value_matrix(X), per_tree), n
-                raw = np.full(n, model.init_score_)
-                for stage, values in zip(engine.staged_predict_raw(X), per_tree):
-                    raw = raw + values
-                    assert np.array_equal(stage, raw), n
 
 
 class TestExitLeafInvariant:

@@ -75,7 +75,7 @@ class TestStagedPredict:
         forest.fit(X, y)
         stages = list(forest.staged_predict_raw(X[:50]))
         assert len(stages) == 12
-        np.testing.assert_allclose(stages[-1], forest.predict_raw(X[:50]))
+        assert np.array_equal(stages[-1], forest.predict_raw(X[:50]))
 
     def test_stages_improve_monotonically(self, setup):
         from repro.forest import GradientBoostingRegressor

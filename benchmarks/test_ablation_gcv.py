@@ -32,9 +32,9 @@ def test_ablation_gcv(benchmark, d_prime_forest):
         n_samples=20_000,
         random_state=0,
     )
-    domains = build_sampling_domains(forest, "equi-size", k=400)
-    dataset = generate_dataset(forest, domains, config.n_samples, random_state=0)
     thresholds = feature_thresholds(forest)
+    domains = build_sampling_domains(thresholds, "equi-size", k=400)
+    dataset = generate_dataset(forest, domains, config.n_samples, random_state=0)
     features = [0, 1, 2, 3, 4]
 
     def fit(lam=None):

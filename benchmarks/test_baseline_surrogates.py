@@ -11,7 +11,12 @@ the linear model's counter-example).
 
 import numpy as np
 
-from repro.core import GEF, build_sampling_domains, generate_dataset
+from repro.core import (
+    GEF,
+    build_sampling_domains,
+    feature_thresholds,
+    generate_dataset,
+)
 from repro.metrics import r2_score
 from repro.viz import export_table
 from repro.xai import LinearSurrogate, TreeSurrogate
@@ -23,7 +28,7 @@ def test_baseline_surrogates(benchmark, d_prime, d_prime_forest):
     forest = d_prime_forest
 
     # One shared D* so the comparison isolates the surrogate family.
-    domains = build_sampling_domains(forest, "equi-size", k=400)
+    domains = build_sampling_domains(feature_thresholds(forest), "equi-size", k=400)
     dataset = generate_dataset(forest, domains, 25_000, random_state=0)
 
     gef = GEF(

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core import (
     build_sampling_domains,
+    feature_thresholds,
     generate_dataset,
     rank_interactions,
     select_univariate,
@@ -46,7 +47,7 @@ def _ap_per_strategy(triple, seed):
     forest.fit(data.X_train, data.y_train)
     features = select_univariate(forest)
 
-    domains = build_sampling_domains(forest, "equi-size", k=100)
+    domains = build_sampling_domains(feature_thresholds(forest), "equi-size", k=100)
     sample = generate_dataset(
         forest, domains, 400, random_state=0
     ).X_train[:HSTAT_SAMPLE]

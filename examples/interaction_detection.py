@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core import (
     build_sampling_domains,
+    feature_thresholds,
     generate_dataset,
     rank_interactions,
     select_univariate,
@@ -40,7 +41,7 @@ def main():
     relevance = np.array([pair in TRUE_PAIRS for pair in candidates])
 
     # H-Stat needs a sample of the synthetic dataset D*.
-    domains = build_sampling_domains(forest, "equi-size", k=150)
+    domains = build_sampling_domains(feature_thresholds(forest), "equi-size", k=150)
     dataset = generate_dataset(forest, domains, 4_000, random_state=SEED)
     sample = dataset.X_train[:80]
 

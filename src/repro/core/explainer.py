@@ -432,7 +432,7 @@ class GEF:
 
         def _domains():
             domains = build_sampling_domains(
-                forest,
+                thresholds,
                 cfg.sampling_strategy,
                 k=cfg.k_points,
                 epsilon_fraction=cfg.epsilon_fraction,

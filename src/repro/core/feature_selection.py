@@ -30,13 +30,15 @@ def _check_forest(forest) -> None:
 
 
 def forest_feature_gains(forest) -> np.ndarray:
-    """Accumulated split gain per feature across the whole forest."""
+    """Accumulated split gain per feature across the whole forest.
+
+    The same sums, bit for bit, as ``forest.feature_importance("gain")``:
+    both are :func:`~repro.forest.tree.accumulate_importance`.
+    """
+    from ..forest.tree import accumulate_importance  # core loads before forest
+
     _check_forest(forest)
-    # Per-tree sums on purpose: one bincount moves these F'/Pair-Gain inputs' last bits.
-    gains = np.zeros(int(forest.n_features_))
-    for tree in forest.trees_:
-        gains += tree.feature_gains(len(gains))
-    return gains
+    return accumulate_importance(forest.trees_, int(forest.n_features_), "gain")
 
 
 def forest_split_counts(forest) -> np.ndarray:
@@ -96,10 +98,11 @@ def feature_thresholds(forest) -> list[np.ndarray]:
     """
     _check_forest(forest)
     n_features = int(forest.n_features_)
-    feats = np.concatenate([t.feature[t.feature != -1] for t in forest.trees_])
-    thrs = np.concatenate(
-        [t.threshold[t.feature != -1] for t in forest.trees_]
-    ).astype(np.float64)
+    feature = np.concatenate([t.feature for t in forest.trees_])
+    internal = feature != -1
+    feats = feature[internal]
+    thrs = np.concatenate([t.threshold for t in forest.trees_])[internal]
+    thrs = thrs.astype(np.float64)
     # One grouped pass: sort by (feature, threshold), then split per feature.
     order = np.lexsort((thrs, feats))
     counts = np.bincount(feats, minlength=n_features)

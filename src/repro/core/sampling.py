@@ -21,7 +21,6 @@ import numpy as np
 from ..cluster import kmeans_1d_centroids
 from ..obs.metrics import inc as metric_inc
 from .errors import SamplingError
-from .feature_selection import feature_thresholds
 from .numerics import assert_strictly_increasing
 
 __all__ = [
@@ -180,7 +179,7 @@ def build_domain(
 
 
 def build_sampling_domains(
-    forest,
+    thresholds: list[np.ndarray],
     strategy: str,
     k: int = 64,
     epsilon_fraction: float = 0.05,
@@ -188,15 +187,17 @@ def build_sampling_domains(
 ) -> dict[int, np.ndarray]:
     """Sampling domains for every feature the forest splits on.
 
-    Features never used by the forest are omitted: the forest's output
-    does not depend on them, so any constant value works when querying it.
+    ``thresholds`` is V_i per feature, as
+    :func:`~repro.core.feature_selection.feature_thresholds` returns it.
+    Features without thresholds are omitted: the forest's output does not
+    depend on them, so any constant value works when querying it.
     """
     domains: dict[int, np.ndarray] = {}
-    for feature, thresholds in enumerate(feature_thresholds(forest)):
-        if thresholds.size == 0:
+    for feature, values in enumerate(thresholds):
+        if values.size == 0:
             continue
         domains[feature] = build_domain(
-            thresholds, strategy, k, epsilon_fraction, random_state
+            values, strategy, k, epsilon_fraction, random_state
         )
     if not domains:
         raise SamplingError("the forest contains no splits; nothing to sample")

@@ -86,7 +86,8 @@ class FittedForest:
     def feature_importance(self, importance_type: str = "gain") -> np.ndarray:
         """Accumulated split gain (or split count) per feature.
 
-        This is the statistic GEF's univariate feature selection sorts by.
+        The gain sums are, bit for bit, the ones GEF's univariate feature
+        selection (``forest_feature_gains``) ranks F' by.
         """
         self._check_fitted()
         return accumulate_importance(self.trees_, self.n_features_, importance_type)

@@ -36,21 +36,29 @@ LEAF = -1
 def accumulate_importance(
     trees: list["Tree"], n_features: int, importance_type: str
 ) -> np.ndarray:
-    """Per-feature gain sum or split count over ``trees`` in one bincount.
+    """Per-feature gain sum or split count over the splits of ``trees``.
 
-    Shared by the GBDT and RF ``feature_importance`` methods; a single
-    concatenation plus ``np.bincount`` replaces the per-node Python loops.
+    The one implementation of the statistic: GEF's F' and Pair-Gain
+    (``forest_feature_gains``), ``feature_importance`` and the forest
+    summary all read it.  Gains are bincounted per (tree, feature) and
+    then summed over trees in tree order; ``cumsum`` is sequential for
+    every shape, where ``sum`` would add a contiguous axis pairwise.
     """
     if importance_type not in ("gain", "split"):
         raise ValueError("importance_type must be 'gain' or 'split'")
-    feats = np.concatenate([t.feature[t.feature != LEAF] for t in trees])
-    if importance_type == "gain":
-        weights = np.concatenate([t.gain[t.feature != LEAF] for t in trees])
-    else:
-        weights = None
-    return np.bincount(feats, weights=weights, minlength=n_features).astype(
-        np.float64
-    )
+    feature = np.concatenate([t.feature for t in trees])
+    internal = feature != LEAF
+    feats = feature[internal]
+    if importance_type == "split":
+        return np.bincount(feats, minlength=n_features).astype(np.float64)
+    gain = np.concatenate([t.gain for t in trees])[internal]
+    tree_of = np.repeat(np.arange(len(trees)), [t.n_nodes for t in trees])
+    per_tree = np.bincount(
+        tree_of[internal] * n_features + feats,
+        weights=gain,
+        minlength=len(trees) * n_features,
+    ).reshape(len(trees), n_features)
+    return np.cumsum(per_tree, axis=0)[-1]
 
 
 @dataclass
@@ -166,20 +174,6 @@ class Tree:
         for node in range(self.n_nodes):
             if self.feature[node] != LEAF:
                 yield node
-
-    def split_thresholds(self, n_features: int) -> list[np.ndarray]:
-        """Per-feature array of thresholds used by this tree (with repeats)."""
-        out: list[list[float]] = [[] for _ in range(n_features)]
-        for node in self.internal_nodes():
-            out[self.feature[node]].append(float(self.threshold[node]))
-        return [np.asarray(v, dtype=np.float64) for v in out]
-
-    def feature_gains(self, n_features: int) -> np.ndarray:
-        """Per-feature accumulated split gain within this tree."""
-        internal = self.feature != LEAF
-        return np.bincount(
-            self.feature[internal], weights=self.gain[internal], minlength=n_features
-        )
 
     def used_features(self) -> set[int]:
         """Set of feature indices appearing in any split of this tree."""

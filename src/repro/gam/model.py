@@ -75,6 +75,9 @@ __all__ = ["GAM"]
 #: order once n exceeds one block, so changing them changes fitted bits:
 #: that needs a bump of :data:`repro.core.config.KERNEL_VERSION`.
 _ROW_BLOCK = 16384
+#: PIRLS iteration cap and relative deviance tolerance (non-identity links).
+_PIRLS_MAX_ITER = 50
+_PIRLS_TOL = 1e-7
 
 
 def _blocks(n: int):
@@ -242,8 +245,6 @@ class GAM:
         link: str = "identity",
         distribution: str | None = None,
         lam: float = 0.6,
-        max_iter: int = 50,
-        tol: float = 1e-7,
         ridge: float = 1e-8,
     ):
         if not terms:
@@ -258,8 +259,6 @@ class GAM:
             distribution = "binomial" if link == "logit" else "normal"
         self.distribution = get_distribution(distribution)
         self.lam = lam
-        self.max_iter = max_iter
-        self.tol = tol
         self.ridge = ridge
 
         self.coef_: np.ndarray | None = None
@@ -427,7 +426,7 @@ class GAM:
         deviance_prev = np.inf
 
         with obs_span("gam.fit", n=n, p=p), numerics_guard("PIRLS solve"):
-            for iteration in range(self.max_iter):
+            for iteration in range(_PIRLS_MAX_ITER):
                 if not identity_normal:
                     mu = self.link.inverse(eta)
                     g_prime = self.link.derivative(mu)
@@ -454,8 +453,8 @@ class GAM:
                 with obs_span("gam.predictor"):
                     eta = design.eta(beta)
                     deviance = self.distribution.deviance(y, self.link.inverse(eta))
-                if identity_normal or abs(deviance_prev - deviance) < self.tol * (
-                    abs(deviance) + self.tol
+                if identity_normal or abs(deviance_prev - deviance) < _PIRLS_TOL * (
+                    abs(deviance) + _PIRLS_TOL
                 ):
                     break
                 deviance_prev = deviance

@@ -92,7 +92,7 @@ class SloRule:
 
 @dataclass(frozen=True)
 class SloConfig:
-    """Rules plus hysteresis, drift-monitor sizing and the breach action.
+    """Rules plus hysteresis and the breach action.
 
     ``breach_action`` selects what the owner of the engine does when a
     rule *enters* breach: ``"log"`` (default — transition log + metrics
@@ -105,9 +105,6 @@ class SloConfig:
     rules: tuple = ()
     recover_after: int = 2
     transition_log: int = 50
-    drift_capacity: int = 256
-    drift_seed: int = 0
-    drift_min_samples: int = 16
     breach_action: str = "log"
 
     def __post_init__(self) -> None:

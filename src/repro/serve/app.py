@@ -206,11 +206,7 @@ class ServeApp:
             self.slo: SloEngine | None = SloEngine(
                 self.config.slo, on_transition=self._on_slo_transition
             )
-            self.drift: DriftMonitor | None = DriftMonitor(
-                capacity=self.config.slo.drift_capacity,
-                seed=self.config.slo.drift_seed,
-                min_samples=self.config.slo.drift_min_samples,
-            )
+            self.drift: DriftMonitor | None = DriftMonitor()
         else:
             self.slo = None
             self.drift = None

@@ -59,16 +59,23 @@ from .worker import worker_main
 
 __all__ = ["Fleet", "FleetApp", "FleetConfig", "HashRing"]
 
+#: Worker start method.  Forking a front end whose threads (batchers,
+#: metrics, HTTP handlers) may hold locks mid-fork — exactly what happens
+#: when the supervisor restarts a worker under load — risks a deadlocked
+#: child.  Spawned workers cost an import (~0.5s) once per (re)start and
+#: are immune.
+_START_METHOD = "spawn"
+#: Virtual nodes per worker on the consistent-hash ring.
+_VNODES = 64
+#: Seconds to wait for a worker to become ready, to stop, and to ack.
+_READY_TIMEOUT_S = 60.0
+_STOP_TIMEOUT_S = 10.0
+_ACK_TIMEOUT_S = 60.0
+
 
 @dataclass
 class FleetConfig:
     """Tunables of the multi-process serving fleet.
-
-    ``start_method`` defaults to ``"spawn"``: forking a front end whose
-    threads (batchers, metrics, HTTP handlers) may hold locks mid-fork —
-    exactly what happens when the supervisor restarts a worker under
-    load — risks a deadlocked child.  Spawned workers cost an import
-    (~0.5s) once per (re)start and are immune.
 
     ``quorum`` is the minimum number of ``up`` workers for the fleet to
     be routable; below it :class:`FleetApp` serves in-process.
@@ -78,16 +85,10 @@ class FleetConfig:
 
     workers: int = 2
     replication: int = 1
-    start_method: str = "spawn"
-    vnodes: int = 64
     miss_threshold: int = 3
     backoff_base_s: float = 0.5
-    backoff_cap_s: float = 30.0
     max_restarts: int = 5
     quorum: int = 1
-    ready_timeout_s: float = 60.0
-    stop_timeout_s: float = 10.0
-    ack_timeout_s: float = 60.0
 
 
 class HashRing:
@@ -292,7 +293,7 @@ class Fleet:
         from .supervisor import Supervisor
 
         self.config = config or FleetConfig()
-        self._ctx = multiprocessing.get_context(self.config.start_method)
+        self._ctx = multiprocessing.get_context(_START_METHOD)
         self._lock = threading.Lock()
         self._handles: dict[str, _WorkerHandle] = {}
         self._models: dict[str, dict] = {}
@@ -301,7 +302,7 @@ class Fleet:
         self._started = False
         self._closed = False
         self._names = [f"w{i}" for i in range(max(1, int(self.config.workers)))]
-        self._ring = HashRing(self._names, vnodes=self.config.vnodes)
+        self._ring = HashRing(self._names, vnodes=_VNODES)
         self._loop_stop = threading.Event()
         self._loop_thread: threading.Thread | None = None
         self.aggregator = MetricsAggregator()
@@ -311,7 +312,6 @@ class Fleet:
             self,
             miss_threshold=self.config.miss_threshold,
             backoff_base_s=self.config.backoff_base_s,
-            backoff_cap_s=self.config.backoff_cap_s,
             max_restarts=self.config.max_restarts,
             quorum=self.config.quorum,
         )
@@ -347,7 +347,7 @@ class Fleet:
         """Spawn the fleet and wait for quorum.
 
         Raises :class:`FleetDegradedError` when fewer than ``quorum``
-        workers become ready within ``ready_timeout_s``.  With
+        workers become ready within ``_READY_TIMEOUT_S``.  With
         ``supervise_interval_s`` set, a daemon thread ticks the
         supervisor on that wall interval (the CLI path); tests tick
         explicitly instead.
@@ -363,7 +363,7 @@ class Fleet:
         ready = 0
         for name in self._names:
             handle = self.handle(name)
-            if handle.ready_event.wait(self.config.ready_timeout_s):
+            if handle.ready_event.wait(_READY_TIMEOUT_S):
                 ready += 1
         if ready < self.config.quorum:
             self.close(drain=False)
@@ -391,16 +391,16 @@ class Fleet:
             self._models.clear()
         self._loop_stop.set()
         if self._loop_thread is not None:
-            self._loop_thread.join(timeout=self.config.stop_timeout_s)
+            self._loop_thread.join(timeout=_STOP_TIMEOUT_S)
         for handle in handles:
             if handle.alive:
                 handle.stopping = True
                 handle.send(("stop", bool(drain)))
         for handle in handles:
-            handle.proc.join(self.config.stop_timeout_s)
+            handle.proc.join(_STOP_TIMEOUT_S)
             if handle.proc.is_alive():  # pragma: no cover - stuck worker
                 handle.proc.terminate()
-                handle.proc.join(self.config.stop_timeout_s)
+                handle.proc.join(_STOP_TIMEOUT_S)
             handle.mark_dead("fleet closed")
         for record in models:
             record["segment"].unlink()
@@ -447,7 +447,7 @@ class Fleet:
                     handle.await_ack(
                         ("loaded", entry.model_id),
                         ("load", bundle),
-                        self.config.ack_timeout_s,
+                        _ACK_TIMEOUT_S,
                     )
         if old is not None:
             old["segment"].unlink()
@@ -467,7 +467,7 @@ class Fleet:
                     handle.await_ack(
                         ("unloaded", model_id),
                         ("unload", model_id),
-                        self.config.ack_timeout_s,
+                        _ACK_TIMEOUT_S,
                     )
         record["segment"].unlink()
 
@@ -603,7 +603,7 @@ class Fleet:
         handle = self._handle_or_none(name)
         if handle is None:
             return
-        handle.proc.join(self.config.stop_timeout_s)
+        handle.proc.join(_STOP_TIMEOUT_S)
         handle.mark_dead("crashed")
 
     def respawn(self, name: str) -> None:
@@ -625,14 +625,14 @@ class Fleet:
         return handle.await_ack(
             ("chaos", flag, bool(value)),
             ("chaos", flag, bool(value)),
-            self.config.ack_timeout_s,
+            _ACK_TIMEOUT_S,
         )
 
     def await_ready(self, name: str, timeout_s: float | None = None) -> bool:
         """Wait until worker ``name``'s current process reports ready."""
         handle = self.handle(name)
         return handle.ready_event.wait(
-            timeout_s if timeout_s is not None else self.config.ready_timeout_s
+            timeout_s if timeout_s is not None else _READY_TIMEOUT_S
         )
 
     # ------------------------------------------------------------------
@@ -670,7 +670,7 @@ class Fleet:
         heartbeat payload is already merged).
         """
         timeout = (
-            timeout_s if timeout_s is not None else self.config.ack_timeout_s
+            timeout_s if timeout_s is not None else _ACK_TIMEOUT_S
         )
         with self._lock:
             handles = list(self._handles.values())

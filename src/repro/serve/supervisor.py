@@ -56,6 +56,8 @@ STATE_STOPPED = "stopped"
 
 #: Transition-log depth kept for ``/healthz``.
 _TRANSITION_LOG = 50
+#: Ceiling of the exponential restart backoff, in seconds.
+_BACKOFF_CAP_S = 30.0
 
 
 class WorkerRecord:
@@ -116,14 +118,12 @@ class Supervisor:
         *,
         miss_threshold: int = 3,
         backoff_base_s: float = 0.5,
-        backoff_cap_s: float = 30.0,
         max_restarts: int = 5,
         quorum: int = 1,
     ):
         self._fleet = fleet
         self._miss_threshold = max(1, int(miss_threshold))
         self._backoff_base_s = float(backoff_base_s)
-        self._backoff_cap_s = float(backoff_cap_s)
         self._max_restarts = int(max_restarts)
         self._quorum = max(1, int(quorum))
         self._lock = threading.Lock()
@@ -278,7 +278,7 @@ class Supervisor:
                 )
             else:
                 backoff = min(
-                    self._backoff_cap_s,
+                    _BACKOFF_CAP_S,
                     self._backoff_base_s * (2 ** (record.restarts - 1)),
                 )
                 record.state = STATE_RESTARTING

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core import build_sampling_domains, generate_dataset, sample_instances
+from repro.core import (
+    build_sampling_domains,
+    feature_thresholds,
+    generate_dataset,
+    sample_instances,
+)
 
 
 @pytest.fixture
 def domains(small_forest):
-    return build_sampling_domains(small_forest, "equi-size", k=12)
+    return build_sampling_domains(feature_thresholds(small_forest), "equi-size", k=12)
 
 
 class TestSampleInstances:
@@ -64,14 +69,18 @@ class TestGenerateDataset:
         np.testing.assert_array_equal(a.X_train, b.X_train)
 
     def test_classifier_probability_labels(self, small_classifier):
-        domains = build_sampling_domains(small_classifier, "k-quantile", k=10)
+        domains = build_sampling_domains(
+            feature_thresholds(small_classifier), "k-quantile", k=10
+        )
         ds = generate_dataset(
             small_classifier, domains, 300, label="probability", random_state=0
         )
         assert np.all((ds.y_train >= 0) & (ds.y_train <= 1))
 
     def test_classifier_raw_labels(self, small_classifier):
-        domains = build_sampling_domains(small_classifier, "k-quantile", k=10)
+        domains = build_sampling_domains(
+            feature_thresholds(small_classifier), "k-quantile", k=10
+        )
         ds = generate_dataset(
             small_classifier, domains, 300, label="raw", random_state=0
         )
@@ -120,7 +129,9 @@ class TestSamplingByCode:
 
     def test_coded_labels_equal_value_labels(self, small_forest, small_classifier):
         for forest, label in ((small_forest, "raw"), (small_classifier, "probability")):
-            domains = build_sampling_domains(forest, "equi-size", k=40)
+            domains = build_sampling_domains(
+                feature_thresholds(forest), "equi-size", k=40
+            )
             ds = generate_dataset(forest, domains, 900, label=label, random_state=1)
             query = forest.predict_proba if label == "probability" else forest.predict_raw
             assert ds.y_train.tobytes() == query(ds.X_train).tobytes()

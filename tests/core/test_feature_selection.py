@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import feature_thresholds, forest_feature_gains, select_univariate
-from repro.forest import GradientBoostingRegressor
+from repro.forest import GradientBoostingRegressor, RandomForestRegressor
 
 
 class TestFeatureGains:
@@ -17,8 +17,29 @@ class TestFeatureGains:
         gains = forest_feature_gains(small_forest)
         manual = np.zeros(5)
         for tree in small_forest.trees_:
-            manual += tree.feature_gains(5)
-        np.testing.assert_allclose(gains, manual)
+            internal = tree.feature != -1
+            manual += np.bincount(
+                tree.feature[internal], weights=tree.gain[internal], minlength=5
+            )
+        assert np.array_equal(gains, manual)
+
+    def test_feature_importance_is_the_selection_statistic(
+        self, small_forest, bench_forests
+    ):
+        """``feature_importance("gain")`` returns the exact sums F' ranks by."""
+        rng = np.random.default_rng(3)
+        X = rng.uniform(0, 1, (600, 4))
+        y = np.sin(6 * X[:, 0]) + X[:, 1] * X[:, 2]
+        X1 = X[:, :1]
+        forests = [
+            small_forest,
+            RandomForestRegressor(n_estimators=30, random_state=0).fit(X, y),
+            GradientBoostingRegressor(n_estimators=60, random_state=0).fit(X1, y),
+            *bench_forests.values(),
+        ]
+        for forest in forests:
+            gains = forest_feature_gains(forest)
+            assert np.array_equal(forest.feature_importance("gain"), gains)
 
     def test_unfitted_forest_rejected(self):
         with pytest.raises(ValueError):

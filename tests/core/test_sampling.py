@@ -198,7 +198,9 @@ class TestBuildDomain:
 
 class TestBuildSamplingDomains:
     def test_covers_used_features(self, small_forest):
-        domains = build_sampling_domains(small_forest, "equi-size", k=16)
+        domains = build_sampling_domains(
+            feature_thresholds(small_forest), "equi-size", k=16
+        )
         used = set()
         for tree in small_forest.trees_:
             used |= tree.used_features()
@@ -208,7 +210,15 @@ class TestBuildSamplingDomains:
         from repro.forest import GradientBoostingRegressor
 
         with pytest.raises(ValueError):
-            build_sampling_domains(GradientBoostingRegressor(), "equi-size")
+            build_sampling_domains(
+                feature_thresholds(GradientBoostingRegressor()), "equi-size"
+            )
+
+    def test_no_thresholds_rejected(self):
+        from repro.core import SamplingError
+
+        with pytest.raises(SamplingError, match="no splits"):
+            build_sampling_domains([np.empty(0)] * 3, "equi-size")
 
 
 class TestCollapsedDomainRescue:

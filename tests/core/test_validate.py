@@ -13,6 +13,7 @@ from repro.core import (
     ReproError,
     SamplingError,
     build_sampling_domains,
+    feature_thresholds,
     validate_domains,
     validate_forest,
 )
@@ -90,7 +91,9 @@ def test_shared_subtree_rejected(small_forest):
 
 
 def test_valid_domains_pass(small_forest):
-    domains = build_sampling_domains(small_forest, "equi-size", k=32)
+    domains = build_sampling_domains(
+        feature_thresholds(small_forest), "equi-size", k=32
+    )
     validate_domains(domains, int(small_forest.n_features_))
 
 

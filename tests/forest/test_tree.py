@@ -5,8 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.feature_selection import feature_thresholds
 from repro.core.validate import validate_forest
 from repro.forest import LEAF, Tree
+from repro.forest.tree import accumulate_importance
 
 
 def make_stump(feature=0, threshold=0.5, left_value=-1.0, right_value=1.0):
@@ -132,15 +134,14 @@ class TestTreePrediction:
 
 class TestTreeIntrospection:
     def test_split_thresholds(self):
-        tree = make_two_level()
-        per_feature = tree.split_thresholds(n_features=3)
+        forest = SimpleNamespace(trees_=[make_two_level()], n_features_=3)
+        per_feature = feature_thresholds(forest)
         assert per_feature[0].tolist() == [0.5]
         assert per_feature[1].tolist() == [0.25]
         assert per_feature[2].size == 0
 
     def test_feature_gains(self):
-        tree = make_two_level()
-        gains = tree.feature_gains(n_features=3)
+        gains = accumulate_importance([make_two_level()], 3, "gain")
         np.testing.assert_allclose(gains, [4.0, 1.5, 0.0])
 
     def test_internal_nodes(self):

@@ -58,9 +58,12 @@ class TestGeneratorPropagation:
     def test_config_accepts_generator(self, small_forest):
         from repro.core.config import GEFConfig
         from repro.core.dataset import generate_dataset
+        from repro.core.feature_selection import feature_thresholds
         from repro.core.sampling import build_sampling_domains
 
-        domains = build_sampling_domains(small_forest, "equi-size", k=8)
+        domains = build_sampling_domains(
+            feature_thresholds(small_forest), "equi-size", k=8
+        )
         seeded = generate_dataset(
             small_forest, domains, n_samples=200, random_state=5
         )

@@ -94,8 +94,8 @@ one).  Then per chunk one gather + AND per group, and:
   their indices are in range by construction: ``searchsorted``
   positions are at most ``C_f``, joint rows are smaller than their
   table, and a leaf index stays inside its tree whenever the exit-leaf
-  invariant holds (checked under strict numerics).  :meth:`from_state`
-  rejects a state whose shapes would break this.
+  invariant holds (checked under strict numerics).  Unpickling rejects
+  a state whose shapes would break this.
 * **Reduction.**  Leaf values are gathered into one tree-major
   ``(T + 1, R)`` buffer whose row 0 is the init score, and
   ``np.add.reduce(axis=0)`` sums it: the buffer is C-contiguous, so the
@@ -205,8 +205,12 @@ class BitvectorForest:
     Build with :meth:`pack`; it returns ``None`` when the forest cannot
     be encoded (non-finite thresholds, too many leaves per tree, or
     prefix tables over the byte budget), in which case dispatch falls
-    back to the per-tree loop.  :meth:`pack` and :meth:`from_state` set
-    every attribute.
+    back to the per-tree loop.  :meth:`pack` sets every attribute.
+
+    An engine pickles as its attributes minus the derived joint strides.
+    The serving fleet pickles it with protocol 5 and ships its arrays out
+    of band in shared memory (:mod:`repro.serve.shm`); unpickling adopts
+    them as they are, checks the state and re-derives the strides.
     """
 
     # ------------------------------------------------------------------
@@ -246,7 +250,6 @@ class BitvectorForest:
         self.n_trees = len(trees)
         self.n_features = int(n_features)
         self.init_score = float(init_score)
-        self.fingerprint = _forest_fingerprint(trees, init_score)
         # uint32 up to 32 leaves, then as many uint64 words as needed.
         self.word_bits = width = 32 if max_leaves <= 32 else 64
         self.n_words = n_words = -(-max_leaves // 64)
@@ -311,7 +314,6 @@ class BitvectorForest:
             self.tables.append(joint)
         self.table_bytes = sum(t.nbytes for t in self.tables)
         self._set_strides()
-        self.n_conditions = int(cond.size)
         return self
 
     def _set_strides(self) -> None:
@@ -494,81 +496,22 @@ class BitvectorForest:
             return out
 
     # ------------------------------------------------------------------
-    # flat-buffer export (shared-memory serving fleet)
+    # pickling (shared-memory serving fleet)
     # ------------------------------------------------------------------
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """The bitvector forest as flat buffers plus scalar metadata.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_joint"]
+        return state
 
-        Every buffer evaluation reads is returned under a stable key: the
-        ragged per-feature threshold lists under ``"feat_thr:<f>"``
-        (features without conditions have no entry) and the joint prefix
-        tables under ``"table:<g>"``, one per feature group, whose
-        features ``meta["groups"]`` lists.  :meth:`from_state` rebuilds
-        an equivalent engine from views over those buffers — typically
-        shared-memory views placed by :mod:`repro.serve.shm`.
-        """
-        arrays: dict[str, np.ndarray] = {
-            "leaf_values": self.leaf_values,
-            "leaf_offsets": self.leaf_offsets,
-            "init_vec": self.init_vec,
-        }
-        for f, thr in enumerate(self.feat_thr):
-            if thr.size:
-                arrays[f"feat_thr:{f}"] = thr
-        for g, table in enumerate(self.tables):
-            arrays[f"table:{g}"] = table
-        meta = {
-            "n_trees": self.n_trees,
-            "n_features": self.n_features,
-            "init_score": self.init_score,
-            "fingerprint": self.fingerprint,
-            "n_words": self.n_words,
-            "word_bits": self.word_bits,
-            "table_bytes": self.table_bytes,
-            "n_conditions": self.n_conditions,
-            "groups": [list(group) for group in self.groups],
-        }
-        return arrays, meta
-
-    @classmethod
-    def from_state(
-        cls, arrays: dict[str, np.ndarray], meta: dict
-    ) -> "BitvectorForest":
-        """Rebuild a :class:`BitvectorForest` from :meth:`export_state` output.
-
-        The arrays are adopted as-is (typically read-only shared-memory
-        views); evaluation never writes into them, so the rebuilt engine
-        is bitwise identical to the exporting one.
-        """
-        self = cls()
-        self.n_trees = int(meta["n_trees"])
-        self.n_features = int(meta["n_features"])
-        self.init_score = float(meta["init_score"])
-        self.fingerprint = int(meta["fingerprint"])
-        self.n_words = int(meta["n_words"])
-        self.word_bits = int(meta["word_bits"])
-        self.table_bytes = int(meta["table_bytes"])
-        self.n_conditions = int(meta["n_conditions"])
-        self.leaf_values = arrays["leaf_values"]
-        self.leaf_offsets = arrays["leaf_offsets"]
-        self.init_vec = arrays["init_vec"]
-        empty = np.empty(0, dtype=np.float64)
-        self.feat_thr = [
-            arrays.get(f"feat_thr:{f}", empty) for f in range(self.n_features)
-        ]
-        self.groups = [[int(f) for f in group] for group in meta["groups"]]
-        n_tables = sum(key.startswith("table:") for key in arrays)
-        if n_tables != len(self.groups):
-            raise ForestValidationError(
-                f"bitvector state: {n_tables} tables for {len(self.groups)} groups"
-            )
-        self.tables = [arrays[f"table:{g}"] for g in range(len(self.groups))]
+    def __setstate__(self, state: dict) -> None:
+        # The arrays are adopted as they are (read-only shared-memory views
+        # in a fleet worker); evaluation never writes into them.
+        self.__dict__.update(state)
         self._check_state()
         self._set_strides()
-        return self
 
     def _check_state(self) -> None:
-        """Reject a rebuilt state whose gathers could leave their arrays.
+        """Reject an unpickled state whose gathers could leave their arrays.
 
         Evaluation gathers with ``mode="clip"``, which clamps an index
         past the end instead of raising, so a malformed state would read
@@ -580,6 +523,11 @@ class BitvectorForest:
         T, W = self.n_trees, self.n_words
         dtype = np.uint32 if self.word_bits == 32 else np.uint64
         lanes = (T,) if W == 1 else (T, W)
+        if len(self.tables) != len(self.groups):
+            raise ForestValidationError(
+                f"bitvector state: {len(self.tables)} tables for "
+                f"{len(self.groups)} groups"
+            )
         conditioned = [f for f, thr in enumerate(self.feat_thr) if thr.size]
         if sorted(f for group in self.groups for f in group) != conditioned:
             raise ForestValidationError(

@@ -429,7 +429,7 @@ class Fleet:
         k = int(replicas) if replicas is not None else self.config.replication
         k = max(1, min(k, len(self._names)))
         bundle, segment = export_model(
-            entry.model_id, entry.fingerprint, entry.n_features, entry.bitvector
+            entry.model_id, entry.fingerprint, entry.bitvector
         )
         assigned = self._ring.replicas(entry.fingerprint, k)
         with self._lock:

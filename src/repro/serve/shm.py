@@ -1,19 +1,21 @@
-"""Shared-memory export/attach of bitvector forest buffers for the fleet.
+"""Shared-memory export/attach of bitvector forests for the fleet.
 
-The bitvector encoding is structure-of-arrays by construction
-(:meth:`~repro.forest.bitvector.BitvectorForest.export_state`): every
-buffer prediction reads is one contiguous numpy array.  This module
-places those buffers in ``multiprocessing.shared_memory`` so N worker
-processes evaluate the *same physical copy* of a forest — attach is a
-zero-copy ``np.ndarray`` view over the segment, not a deserialization.
+A model's :class:`~repro.forest.bitvector.BitvectorForest` travels to the
+workers as itself: it is pickled with protocol 5, and every array it
+holds goes out of band into one shared-memory segment per model, each at
+a 64-byte aligned offset.  A :class:`SharedModelBundle` carries the
+rest: the model's identity (id, fingerprint), the segment name, the
+in-band pickle bytes and one ``(offset, nbytes)`` span per array.  A
+worker unpickles the payload over read-only slices of the segment, so N
+worker processes evaluate the *same physical copy* of a forest — the
+attached arrays are views, not copies.  A forest the bitvector encoding
+declines has nothing to export; the fleet serves it in-process instead.
 
-Layout: one segment per model.  A :class:`SharedBlock` is the picklable
-description a worker needs to attach — segment name plus one
-``(offset, shape, dtype)`` record per array plus the encoding's scalar
-metadata.  A :class:`SharedModelBundle` pairs that block with the
-model's identity (id, fingerprint, feature count).  A forest the
-bitvector encoding declines has nothing to export; the fleet serves it
-in-process instead.
+Pickle suits this transport and not the model archives: the front end
+and the workers it spawned run the same code in one process tree, and
+``multiprocessing`` already pickles every pipe message.  Model JSON and
+ledger archives keep their own formats, which must outlive a code
+version.
 
 Lifecycle hygiene
 -----------------
@@ -34,25 +36,20 @@ from __future__ import annotations
 
 import atexit
 import os
+import pickle
 import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
-import numpy as np
-
 __all__ = [
-    "ArraySpec",
-    "SharedBlock",
     "SharedModelBundle",
     "SharedSegment",
-    "attach_block",
     "attach_model",
-    "export_block",
     "export_model",
     "live_segments",
 ]
 
-#: Byte alignment of every array inside a segment (cache-line friendly).
+#: Byte alignment of every buffer inside a segment (cache-line friendly).
 _ALIGN = 64
 
 # Module-state discipline (see repro.devtools.registry): the live-segment
@@ -79,38 +76,18 @@ def live_segments() -> list[str]:
 
 
 @dataclass(frozen=True)
-class ArraySpec:
-    """One array inside a segment: key, byte offset, shape, dtype string."""
-
-    key: str
-    offset: int
-    shape: tuple[int, ...]
-    dtype: str
-
-
-@dataclass(frozen=True)
-class SharedBlock:
-    """Picklable description of one exported encoding.
-
-    ``segment`` names the shared-memory segment, ``arrays`` lists every
-    buffer inside it, and ``meta`` carries the encoding's scalar metadata
-    (the second element of ``export_state()``).
-    """
-
-    segment: str
-    nbytes: int
-    arrays: tuple[ArraySpec, ...]
-    meta: dict
-
-
-@dataclass(frozen=True)
 class SharedModelBundle:
-    """Everything a worker needs to serve one model from shared memory."""
+    """Everything a worker needs to serve one model from shared memory.
+
+    ``payload`` is the engine pickled with protocol 5; ``spans`` place its
+    out-of-band buffers in the segment named ``segment``, in pickle order.
+    """
 
     model_id: str
     fingerprint: int
-    n_features: int
-    bitvector: SharedBlock
+    segment: str
+    payload: bytes
+    spans: tuple[tuple[int, int], ...]
 
 
 class SharedSegment:
@@ -178,103 +155,57 @@ def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
-def export_block(
-    tag: str, arrays: dict[str, np.ndarray], meta: dict
-) -> tuple[SharedBlock, SharedSegment]:
-    """Copy ``arrays`` into a fresh shared-memory segment.
-
-    Returns the picklable :class:`SharedBlock` (hand to workers) and the
-    owning :class:`SharedSegment` (keep for :meth:`~SharedSegment.unlink`).
-    """
-    specs: list[ArraySpec] = []
-    offset = 0
-    for key in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[key])
-        offset = _aligned(offset)
-        specs.append(
-            ArraySpec(
-                key=key,
-                offset=offset,
-                shape=tuple(int(n) for n in arr.shape),
-                dtype=np.dtype(arr.dtype).str,
-            )
-        )
-        offset += arr.nbytes
-    segment = SharedSegment(_next_segment_name(tag), offset)
-    for spec in specs:
-        src = np.ascontiguousarray(arrays[spec.key])
-        dst = np.ndarray(
-            spec.shape,
-            dtype=np.dtype(spec.dtype),
-            buffer=segment.buf,
-            offset=spec.offset,
-        )
-        dst[...] = src
-    block = SharedBlock(
-        segment=segment.name,
-        nbytes=offset,
-        arrays=tuple(specs),
-        meta=dict(meta),
-    )
-    return block, segment
-
-
-def attach_block(
-    block: SharedBlock,
-) -> tuple[shared_memory.SharedMemory, dict[str, np.ndarray]]:
-    """Attach a :class:`SharedBlock`: read-only views, no copies.
-
-    The returned ``SharedMemory`` object must stay referenced for as long
-    as any view is used (its buffer backs them all).  Fleet workers are
-    spawned ``multiprocessing`` children and therefore share the front
-    end's ``resource_tracker`` process: attaching re-registers the same
-    name into the same tracker set (a no-op), so a SIGKILL-ed worker can
-    never drag a segment out from under its replicas, and the tracker
-    still unlinks everything if the whole process tree dies.
-    """
-    segment = shared_memory.SharedMemory(name=block.segment)
-    views: dict[str, np.ndarray] = {}
-    for spec in block.arrays:
-        view = np.ndarray(
-            spec.shape,
-            dtype=np.dtype(spec.dtype),
-            buffer=segment.buf,
-            offset=spec.offset,
-        )
-        view.flags.writeable = False
-        views[spec.key] = view
-    return segment, views
-
-
 def export_model(
-    model_id: str, fingerprint: int, n_features: int, bitvector
+    model_id: str, fingerprint: int, engine
 ) -> tuple[SharedModelBundle, SharedSegment]:
-    """Export a registered model's bitvector encoding into shared memory.
+    """Export a registered model's bitvector engine into shared memory.
 
-    ``bitvector`` is the model's
+    ``engine`` is the model's
     :class:`~repro.forest.bitvector.BitvectorForest`.  Returns the
     worker-facing bundle and the owned segment to unlink later.
     """
-    arrays, meta = bitvector.export_state()
-    block, segment = export_block("bitvector", arrays, meta)
+    buffers = []
+    payload = pickle.dumps(engine, protocol=5, buffer_callback=buffers.append)
+    raws = [buffer.raw() for buffer in buffers]
+    spans = []
+    offset = 0
+    for raw in raws:
+        offset = _aligned(offset)
+        spans.append((offset, raw.nbytes))
+        offset += raw.nbytes
+    segment = SharedSegment(_next_segment_name("bitvector"), offset)
+    for (start, nbytes), raw in zip(spans, raws):
+        segment.buf[start:start + nbytes] = raw
     bundle = SharedModelBundle(
         model_id=str(model_id),
         fingerprint=int(fingerprint),
-        n_features=int(n_features),
-        bitvector=block,
+        segment=segment.name,
+        payload=payload,
+        spans=tuple(spans),
     )
     return bundle, segment
 
 
 def attach_model(bundle: SharedModelBundle):
-    """Attach a bundle's encoding: ``(bitvector, segment)``.
+    """Attach a bundle's engine: ``(bitvector, segment)``, no copies.
 
-    The rebuilt :class:`~repro.forest.bitvector.BitvectorForest`
-    evaluates directly over the shared buffers and is bitwise identical
-    to the exporting process's.  ``segment`` (the attached
-    ``SharedMemory`` object) must outlive the engine.
+    The engine's arrays are read-only views over the segment, and it is
+    bitwise identical to the exporting process's; unpickling checks its
+    state (see :class:`~repro.forest.bitvector.BitvectorForest`).
+    The views hold the segment's mapping for as long as the engine
+    lives, so ``segment`` (the attached ``SharedMemory`` object) cannot
+    close before it: release the engine first.  Fleet workers are spawned ``multiprocessing`` children and
+    therefore share the front end's ``resource_tracker`` process:
+    attaching re-registers the same name into the same tracker set (a
+    no-op), so a SIGKILL-ed worker can never drag a segment out from
+    under its replicas, and the tracker still unlinks everything if the
+    whole process tree dies.
     """
-    from ..forest.bitvector import BitvectorForest
-
-    segment, views = attach_block(bundle.bitvector)
-    return BitvectorForest.from_state(views, bundle.bitvector.meta), segment
+    segment = shared_memory.SharedMemory(name=bundle.segment)
+    # No local holds a view: when unpickling rejects the state, the
+    # traceback releases the views before the segment, which then closes.
+    engine = pickle.loads(
+        bundle.payload,
+        buffers=[segment.buf[o:o + n].toreadonly() for o, n in bundle.spans],
+    )
+    return engine, segment

@@ -1,7 +1,7 @@
 """Fleet worker process: attached engines behind a pipe.
 
 :func:`worker_main` is the (spawn-picklable) entry point of one fleet
-worker.  The worker attaches its assigned models' bitvector encodings
+worker.  The worker attaches its assigned models' bitvector engines
 from shared memory (:mod:`repro.serve.shm`) and scores the row batches
 the front end sends it.  Everything else about ``/predict`` — parsing,
 validation, admission, micro-batching, encoding the answer — happens
@@ -75,9 +75,11 @@ class _WorkerRuntime:
         self._conn = conn
         self._send_lock = threading.Lock()
         self._chaos = {"mute_pings": False, "corrupt_pings": False}
-        # model_id -> (fingerprint, engine, segment).  A predict holds the
-        # whole tuple, so the segment stays mapped while its engine runs,
-        # even if the model is unloaded meanwhile.
+        # model_id -> (fingerprint, segment, engine).  The engine's arrays
+        # are views that keep the segment mapped while it runs, even if
+        # the model is unloaded meanwhile; but the segment object cannot
+        # close while they exist, so it is released after the engine (a
+        # tuple releases its items last to first).
         self._models: dict[str, tuple] = {}
         self._compute = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"repro-fleet-{name}"
@@ -95,7 +97,7 @@ class _WorkerRuntime:
     def _load(self, bundle: SharedModelBundle) -> None:
         engine, segment = attach_model(bundle)
         self._models[bundle.model_id] = (
-            int(bundle.fingerprint), engine, segment
+            int(bundle.fingerprint), segment, engine
         )
 
     def _send(self, message) -> None:
@@ -103,13 +105,14 @@ class _WorkerRuntime:
             self._conn.send(message)
 
     def _score(self, model_id, fingerprint, X):
-        held, engine, _segment = self._models.get(model_id, (None,) * 3)
-        if held != fingerprint:
+        # Holding the whole tuple keeps its release order (see __init__).
+        held = self._models.get(model_id)
+        if held is None or held[0] != fingerprint:
             raise ModelNotFoundError(
                 f"worker holds no model {model_id!r} with fingerprint "
                 f"{fingerprint}"
             )
-        return engine.predict_raw(X)
+        return held[2].predict_raw(X)
 
     def _predict(self, rid, model_id, fingerprint, X, ctx) -> None:
         tracer = get_tracer()

@@ -10,6 +10,7 @@ degenerate trees, edge thresholds and special float inputs — all under
 always comparing with ``np.array_equal`` (no tolerances).
 """
 
+import copy
 import itertools
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.forest.engines import (
     loop_predict_raw,
 )
 from repro.forest.tree import LEAF
+from repro.serve.shm import attach_model, export_model
 
 
 def chain_tree(depth, n_features=3):
@@ -368,42 +370,51 @@ class TestChunkingAndThreads:
 
     def test_from_state_rejects_malformed_state(self, data):
         # Evaluation gathers in clip mode, so an out-of-range index would
-        # read a clamped row: from_state must refuse such a state.
+        # read a clamped row: attaching must refuse such a state.
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=8, num_leaves=15, random_state=0)
         model.fit(X, y)
         encoded = BitvectorForest.pack(
             model.trees_, model.init_score_, model.n_features_
         )
-        arrays, meta = encoded.export_state()
-        rebuilt = BitvectorForest.from_state(dict(arrays), dict(meta))
-        assert np.array_equal(rebuilt.predict_raw(X_test), encoded.predict_raw(X_test))
-        assert any(len(group) > 1 for group in meta["groups"])
+        groups, tables = encoded.groups, encoded.tables
+        assert any(len(group) > 1 for group in groups)
 
-        truncated = dict(arrays, **{"table:0": arrays["table:0"][:-1]})
+        def attach(**changes):
+            """``encoded`` with ``changes``, exported and attached."""
+            engine = copy.copy(encoded)
+            vars(engine).update(changes)
+            bundle, segment = export_model("m", 0, engine)
+            try:
+                return attach_model(bundle)
+            finally:
+                segment.unlink()
+
+        rebuilt, shm = attach()
+        assert np.array_equal(rebuilt.predict_raw(X_test), encoded.predict_raw(X_test))
+        del rebuilt
+        shm.close()
+
         with pytest.raises(ForestValidationError, match="table 0"):
-            BitvectorForest.from_state(truncated, dict(meta))
+            attach(tables=[tables[0][:-1], *tables[1:]])
 
         # A group of several split in two: one group more than tables.
-        lead, *rest = meta["groups"][0]
-        split = dict(meta, groups=[[lead], rest, *meta["groups"][1:]])
+        lead, *rest = groups[0]
         with pytest.raises(ForestValidationError, match="tables for"):
-            BitvectorForest.from_state(dict(arrays), split)
+            attach(groups=[[lead], rest, *groups[1:]])
 
         # Two groups swapped: each table has the other's row count.
-        swapped = dict(meta, groups=[*meta["groups"][1:], meta["groups"][0]])
         with pytest.raises(ForestValidationError, match="table 0"):
-            BitvectorForest.from_state(dict(arrays), swapped)
+            attach(groups=[*groups[1:], groups[0]])
 
         # A feature with conditions in no group.
-        dropped = dict(meta, groups=[rest, *meta["groups"][1:]])
         with pytest.raises(ForestValidationError, match="partition"):
-            BitvectorForest.from_state(dict(arrays), dropped)
+            attach(groups=[rest, *groups[1:]])
 
-        offsets = arrays["leaf_offsets"].copy()
+        offsets = encoded.leaf_offsets.copy()
         offsets[[1, 2]] = offsets[[2, 1]]
         with pytest.raises(ForestValidationError, match="leaf_offsets"):
-            BitvectorForest.from_state(dict(arrays, leaf_offsets=offsets), dict(meta))
+            attach(leaf_offsets=offsets)
 
 
 def random_tree(n_leaves, rng, n_features=4, grid=None):
@@ -532,13 +543,19 @@ class TestKernelEquivalenceSweep:
 
     def test_leaf_values_staged_and_rebuilt_engine(self, forest):
         model, encoded = forest
-        rebuilt = BitvectorForest.from_state(*encoded.export_state())
+        bundle, segment = export_model("m", 0, encoded)
+        try:
+            rebuilt, shm = attach_model(bundle)
+        finally:
+            segment.unlink()
         chunk = encoded._auto_chunk()
         for n in (1, 2, 7, chunk + 1, 2 * chunk + 1):
             X = self._rows(n, 1000 + n)
             reference = loop_predict_raw(model, X)
-            for engine in (encoded, rebuilt):
-                assert np.array_equal(engine.predict_raw(X), reference), n
+            assert np.array_equal(encoded.predict_raw(X), reference), n
+            assert np.array_equal(rebuilt.predict_raw(X), reference), n
+        del rebuilt
+        shm.close()
 
 
 class TestExitLeafInvariant:
@@ -559,9 +576,8 @@ class TestExitLeafInvariant:
 def reference_pack(trees, init_score, n_features):
     """The per-tree reference packer: an iterative DFS plus a mask loop.
 
-    Returns the packed state as :meth:`BitvectorForest.export_state`
-    lays it out (arrays, meta minus the fingerprint), or ``None`` for
-    the declines.
+    Returns the attributes :meth:`BitvectorForest.pack` sets, by name,
+    or ``None`` for the declines.
     """
     max_leaves = max(t.n_leaves for t in trees)
     for tree in trees:
@@ -606,14 +622,22 @@ def reference_pack(trees, init_score, n_features):
             mask = full ^ (((1 << int(hi[child] - lo[child])) - 1) << int(lo[child]))
             words = [(mask >> (width * w)) & word_max for w in range(n_words)]
             per_feat[tree.feature[node]].append((tree.threshold[node], ti, words))
-    arrays = {
-        "leaf_values": np.concatenate(leaf_values),
+    state = {
+        "n_trees": len(trees),
+        "n_features": n_features,
+        "init_score": float(init_score),
+        "word_bits": width,
+        "n_words": n_words,
         "leaf_offsets": np.asarray(leaf_offsets, np.int64),
+        "leaf_values": np.concatenate(leaf_values),
         "init_vec": np.asarray(init_vec, dtype=np.uint64).astype(dtype),
+        "feat_thr": [],
+        "tables": [],
     }
     tables = {}  # feature -> its own prefix table, (C_f + 1, T, W)
     for f, conds in enumerate(per_feat):
         if not conds:
+            state["feat_thr"].append(np.empty(0))
             continue
         order = np.argsort([c[0] for c in conds], kind="stable")
         conds = [conds[i] for i in order]
@@ -621,7 +645,7 @@ def reference_pack(trees, init_score, n_features):
         for p, (_, ti, words) in enumerate(conds, start=1):
             table[p, ti] = words
         np.bitwise_and.accumulate(table, axis=0, out=table)
-        arrays[f"feat_thr:{f}"] = np.array([c[0] for c in conds], np.float64)
+        state["feat_thr"].append(np.array([c[0] for c in conds], np.float64))
         tables[f] = table
     budget = bitvector_mod.MAX_TABLE_BYTES
     if sum(t.nbytes for t in tables.values()) > budget:
@@ -631,7 +655,7 @@ def reference_pack(trees, init_score, n_features):
         {f: t.shape[0] for f, t in tables.items()}, row_bytes, budget
     )
     table_bytes = 0
-    for g, group in enumerate(groups):
+    for group in groups:
         # Row-major over the group's features: row Σ pos_f · stride_f
         # holds the AND of every feature's row pos_f.
         sizes = [tables[f].shape[0] for f in group]
@@ -640,19 +664,11 @@ def reference_pack(trees, init_score, n_features):
             joint[row] = np.bitwise_and.reduce(
                 [tables[f][p] for f, p in zip(group, combo)]
             )
-        arrays[f"table:{g}"] = joint[:, :, 0].copy() if n_words == 1 else joint
+        state["tables"].append(joint[:, :, 0].copy() if n_words == 1 else joint)
         table_bytes += joint.nbytes
-    meta = {
-        "n_trees": len(trees),
-        "n_features": n_features,
-        "init_score": float(init_score),
-        "n_words": n_words,
-        "word_bits": width,
-        "table_bytes": table_bytes,
-        "n_conditions": sum(len(c) for c in per_feat),
-        "groups": groups,
-    }
-    return arrays, meta
+    state["groups"] = groups
+    state["table_bytes"] = table_bytes
+    return state
 
 
 def reference_groups(rows, row_bytes, budget):
@@ -677,7 +693,8 @@ def reference_groups(rows, row_bytes, budget):
 
 
 class TestPackMatchesReference:
-    """Every packed array byte-equal to the per-tree reference packer."""
+    """Every packed attribute equal to the per-tree reference packer's,
+    arrays byte for byte."""
 
     def _assert_packs_equal(self, trees, init_score, n_features):
         encoded = BitvectorForest.pack(trees, init_score, n_features)
@@ -685,18 +702,25 @@ class TestPackMatchesReference:
         if reference is None:
             assert encoded is None
             return None
-        arrays, meta = encoded.export_state()
-        assert meta.pop("fingerprint") == bitvector_mod._forest_fingerprint(
-            trees, init_score
-        )
-        assert meta == reference[1]
-        assert arrays.keys() == reference[0].keys()
-        for key, expected in reference[0].items():
-            got = arrays[key]
-            assert got.dtype == expected.dtype, key
-            assert got.shape == expected.shape, key
-            assert got.tobytes() == expected.tobytes(), key
+        # The pickled state is exactly the reference's attributes.
+        assert encoded.__getstate__().keys() == reference.keys()
+        for key, expected in reference.items():
+            got = getattr(encoded, key)
+            if key in ("feat_thr", "tables"):
+                assert len(got) == len(expected), key
+                for i, (ours, theirs) in enumerate(zip(got, expected)):
+                    self._assert_same_array(ours, theirs, (key, i))
+            elif isinstance(expected, np.ndarray):
+                self._assert_same_array(got, expected, key)
+            else:
+                assert got == expected, key
         return encoded
+
+    @staticmethod
+    def _assert_same_array(got, expected, key):
+        assert got.dtype == expected.dtype, key
+        assert got.shape == expected.shape, key
+        assert got.tobytes() == expected.tobytes(), key
 
     @pytest.mark.parametrize(
         "n_leaves, words, bits",

@@ -1,14 +1,15 @@
-"""Equivalence tests for the packed (exported) bitvector state.
+"""Equivalence tests for the bitvector engine a fleet worker attaches.
 
-A fleet worker never encodes a forest itself: it rebuilds a
-:class:`~repro.forest.bitvector.BitvectorForest` from the flat buffers
-that :meth:`~repro.forest.bitvector.BitvectorForest.export_state` packs,
-mapped read-only.  That rebuilt engine must be *bitwise identical* to the
-per-tree loop on every forest shape.  These tests sweep model families,
-depths, degenerate trees, edge thresholds and special float inputs
-through ``export_state`` → read-only copies → ``from_state``, always
-comparing with ``np.array_equal`` (no tolerances).  The shared-memory
-transport itself is covered in ``tests/serve/test_shm.py``.
+A fleet worker never encodes a forest itself: the front end pickles its
+:class:`~repro.forest.bitvector.BitvectorForest` into shared memory with
+:func:`~repro.serve.shm.export_model`, and the worker unpickles it over
+read-only views with :func:`~repro.serve.shm.attach_model`.  That
+attached engine must be *bitwise identical* to the per-tree loop on
+every forest shape.  These tests sweep model families, depths,
+degenerate trees, edge thresholds, special float inputs and staged
+prediction through that transport, always comparing with
+``np.array_equal`` (no tolerances).  Alignment, read-only views and the
+segment lifecycle are covered in ``tests/serve/test_shm.py``.
 """
 
 import numpy as np
@@ -28,21 +29,50 @@ from repro.forest.engines import (
     invalidate_model_caches,
     loop_predict_raw,
 )
-from repro.forest.tree import LEAF
+from repro.forest.tree import LEAF, forest_fingerprint
+from repro.serve.shm import attach_model, export_model
+
+# Attached segments of the running test's engines; each closes after
+# the test, once its engine (whose arrays are views of it) is gone.
+_attached = []
+
+
+@pytest.fixture(autouse=True)
+def _close_attached():
+    yield
+    while _attached:
+        _attached.pop().close()
 
 
 def repack(encoded):
-    """Rebuild ``encoded`` from read-only copies of its exported buffers."""
-    arrays, meta = encoded.export_state()
-    frozen = {}
-    for key, buf in arrays.items():
-        frozen[key] = buf.copy()
-        frozen[key].flags.writeable = False
-    return BitvectorForest.from_state(frozen, dict(meta))
+    """``encoded`` as a worker holds it: exported, attached, unlinked.
+
+    POSIX keeps the unlinked segment mapped while the engine uses it.
+    """
+    bundle, segment = export_model("m", 0, encoded)
+    try:
+        engine, attached = attach_model(bundle)
+    finally:
+        segment.unlink()
+    _attached.append(attached)
+    return engine
+
+
+def state_of(engine):
+    """An engine's pickled attributes, arrays as (dtype, shape, bytes)."""
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, list):
+            return [plain(item) for item in value]
+        return value
+
+    return {key: plain(value) for key, value in engine.__getstate__().items()}
 
 
 def packed_model(model):
-    """The packed state of ``model``'s current bitvector encoding."""
+    """``model``'s current bitvector engine as a worker attaches it."""
     encoded = bitvector_for(model)
     assert encoded is not None
     return repack(encoded)
@@ -123,8 +153,8 @@ class TestEquivalence:
         assert np.array_equal(packed.predict_raw(X_test), loop_predict_raw(model, X_test))
 
     def test_staged_predict_bitwise_identical(self, data):
-        # Staged prediction runs the loop; stage k must equal the packed
-        # state of the forest's first k trees bit for bit.
+        # Staged prediction runs the loop; stage k must equal the attached
+        # engine of the forest's first k trees bit for bit.
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=12, num_leaves=7, random_state=0)
         model.fit(X, y)
@@ -197,7 +227,7 @@ class TestDegenerateTrees:
         root = int(np.flatnonzero(model.trees_[0].feature != LEAF)[0])
         model.trees_[0].threshold[root] = np.nan
         invalidate_model_caches(model)
-        # No encoding means no packed state to export ...
+        # No encoding means no engine to export ...
         assert bitvector_for(model) is None
         # ... and predict_raw still works through the loop fallback.
         assert np.array_equal(model.predict_raw(X_test), loop_predict_raw(model, X_test))
@@ -209,14 +239,15 @@ class TestCacheAndInvalidation:
         model = GradientBoostingRegressor(n_estimators=10, num_leaves=15, random_state=0)
         model.fit(X, y)
         before = model.predict_raw(X_test)
+        fingerprint_before = forest_fingerprint(model)
         packed_before = packed_model(model)
         model.trees_[0].value *= 2.0
         packed_after = packed_model(model)
-        assert packed_after.fingerprint != packed_before.fingerprint
+        assert forest_fingerprint(model) != fingerprint_before
         after = packed_after.predict_raw(X_test)
         assert not np.array_equal(before, after)
         assert np.array_equal(after, loop_predict_raw(model, X_test))
-        # An exported state is a snapshot: the old one keeps its answers.
+        # An exported engine is a snapshot: the old one keeps its answers.
         assert np.array_equal(packed_before.predict_raw(X_test), before)
 
     def test_explicit_invalidation_hook(self, data):
@@ -224,17 +255,12 @@ class TestCacheAndInvalidation:
         model = GradientBoostingRegressor(n_estimators=5, num_leaves=7, random_state=0)
         model.fit(X, y)
         encoded = bitvector_for(model)
-        arrays_before, meta_before = encoded.export_state()
         invalidate_model_caches(model)
         assert "_bitvector_state" not in model.__dict__
         # The next export re-encodes into an equal, fresh state.
         fresh = bitvector_for(model)
         assert fresh is not encoded
-        arrays_after, meta_after = fresh.export_state()
-        assert meta_after == meta_before
-        assert arrays_after.keys() == arrays_before.keys()
-        for key, buf in arrays_before.items():
-            assert np.array_equal(arrays_after[key], buf)
+        assert state_of(fresh) == state_of(encoded)
         assert np.array_equal(repack(fresh).predict_raw(X_test), loop_predict_raw(model, X_test))
 
 
@@ -261,5 +287,5 @@ class TestChunkingAndRoundtrip:
         assert encoded is not None
         packed = repack(encoded)
         assert packed.n_trees == 8
-        assert packed.fingerprint == encoded.fingerprint
+        assert state_of(packed) == state_of(encoded)
         assert np.array_equal(packed.predict_raw(X_test), loop_predict_raw(model, X_test))

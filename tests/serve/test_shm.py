@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.forest import GradientBoostingRegressor, bitvector_for
 from repro.serve.fleet import Fleet, FleetConfig
 from repro.serve.registry import ModelRegistry
 from repro.serve.shm import (
-    attach_block,
     attach_model,
-    export_block,
     export_model,
     live_segments,
 )
@@ -22,78 +21,153 @@ def entry(serve_forest):
 
 
 def _export(entry):
-    return export_model(
-        entry.model_id, entry.fingerprint, entry.n_features, entry.bitvector
+    return export_model(entry.model_id, entry.fingerprint, entry.bitvector)
+
+
+def _arrays(engine):
+    """Every array an engine's evaluation reads."""
+    return [
+        engine.leaf_values,
+        engine.leaf_offsets,
+        engine.init_vec,
+        *engine.feat_thr,
+        *engine.tables,
+    ]
+
+
+def _on_attached(bundle, check):
+    """Run ``check(engine)`` on the bundle's attached engine.
+
+    The engine's arrays are views that hold the segment's mapping, so
+    the attached segment closes only after they are gone.
+    """
+    engine, shm = attach_model(bundle)
+    assert all(
+        not a.flags.writeable and not a.flags.owndata for a in _arrays(engine)
     )
+    check(engine)
+    with pytest.raises(BufferError):
+        shm.close()
+    del engine
+    shm.close()
+
+
+def _threshold_rows(encoded, n, seed):
+    """Rows on, just below and just above every feature's thresholds."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((n, encoded.n_features))
+    for f, thr in enumerate(encoded.feat_thr):
+        if thr.size:
+            points = np.concatenate([thr, thr[:1] - 1.0, thr[-1:] + 1.0])
+            rows[:, f] = rng.choice(points, n)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def multiword_forest():
+    """Trees of up to 100 leaves (two uint64 words) over 5 features, one
+    of them constant, so it has no conditions."""
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((3000, 5))
+    X[:, 2] = 1.0
+    y = 2 * X[:, 0] + np.sin(3 * X[:, 1]) + X[:, 3] * X[:, 4]
+    model = GradientBoostingRegressor(
+        n_estimators=6, num_leaves=100, random_state=0
+    )
+    return model.fit(X, y + 0.1 * rng.standard_normal(3000))
 
 
 class TestExportAttach:
-    def test_block_round_trip(self):
-        arrays = {
-            "a": np.arange(7, dtype=np.float64),
-            "b": np.arange(12, dtype=np.uint32).reshape(3, 4),
-            "empty": np.empty(0, dtype=np.int64),
-        }
-        block, segment = export_block("t", arrays, {"k": 3})
+    def test_engine_round_trip(self, multiword_forest, loop_predict):
+        """Every array of an attached engine is a read-only view equal to
+        the front end's; a feature without conditions and multi-word
+        masks make the trip too."""
+        encoded = bitvector_for(multiword_forest)
+        assert encoded.n_words == 2
+        assert encoded.feat_thr[2].size == 0
+        rows = np.random.default_rng(3).standard_normal((300, 5))
+        rows[::7] = np.nan
+
+        def check(engine):
+            assert engine.groups == encoded.groups
+            for ours, theirs in zip(_arrays(engine), _arrays(encoded)):
+                assert ours.dtype == theirs.dtype
+                assert ours.tobytes() == theirs.tobytes()
+            for n in (1, 2, 300):
+                assert np.array_equal(
+                    engine.predict_raw(rows[:n]),
+                    loop_predict(multiword_forest, rows[:n]),
+                )
+
+        bundle, segment = export_model("mw", 1, encoded)
         try:
-            shm, views = attach_block(block)
-            assert set(views) == set(arrays)
-            for key in arrays:
-                np.testing.assert_array_equal(views[key], arrays[key])
-                assert views[key].dtype == arrays[key].dtype
-                assert not views[key].flags.writeable
-            assert block.meta == {"k": 3}
-            shm.close()
+            _on_attached(bundle, check)
         finally:
             assert segment.unlink() is True
 
-    def test_offsets_are_aligned(self):
-        arrays = {"x": np.ones(3), "y": np.ones(5), "z": np.ones(1)}
-        block, segment = export_block("t", arrays, {})
+    def test_offsets_are_aligned(self, bench_forests):
+        """Every out-of-band buffer starts 64-byte aligned in the segment."""
+        entry = ModelRegistry().add("census", bench_forests["census"])
+        bundle, segment = _export(entry)
         try:
-            assert all(spec.offset % 64 == 0 for spec in block.arrays)
+            assert len(bundle.spans) == len(_arrays(entry.bitvector))
+            assert all(offset % 64 == 0 for offset, _ in bundle.spans)
+            for (offset, nbytes), (nxt, _) in zip(bundle.spans, bundle.spans[1:]):
+                assert offset + nbytes <= nxt
+
+            def check(engine):
+                for array in _arrays(engine):
+                    assert array.size == 0 or array.ctypes.data % 64 == 0
+
+            _on_attached(bundle, check)
         finally:
             segment.unlink()
 
     def test_attached_engines_bitwise_identical(
         self, entry, serve_rows, loop_predict
     ):
-        bundle, segment = _export(entry)
-        try:
-            bitvector, shm = attach_model(bundle)
+        def check(engine):
             np.testing.assert_array_equal(
-                bitvector.predict_raw(serve_rows),
+                engine.predict_raw(serve_rows),
                 loop_predict(entry.model, serve_rows),
             )
-            assert bitvector.fingerprint == entry.fingerprint
-            shm.close()
+
+        bundle, segment = _export(entry)
+        try:
+            assert bundle.fingerprint == entry.fingerprint
+            _on_attached(bundle, check)
         finally:
             segment.unlink()
 
     def test_joint_tables_round_trip(self, bench_forests, loop_predict):
-        """The census forest packs features in joint-table groups; workers
-        attach the same groups and tables and answer bit for bit."""
-        entry = ModelRegistry().add("census", bench_forests["census"])
+        """Workers attach the bench forests with the same groups and
+        tables and answer bit for bit; the census forest packs features
+        in joint-table groups."""
+        census = bench_forests["census"]
+        assert max(len(group) for group in bitvector_for(census).groups) > 1
+        for name in ("spline", "census", "serve"):
+            self._assert_round_trip(
+                ModelRegistry().add(name, bench_forests[name]), loop_predict
+            )
+
+    @staticmethod
+    def _assert_round_trip(entry, loop_predict):
         encoded = entry.bitvector
-        assert max(len(group) for group in encoded.groups) > 1
-        rng = np.random.default_rng(4)
-        rows = np.zeros((700, entry.n_features))
-        for f, thr in enumerate(encoded.feat_thr):
-            if thr.size:
-                points = np.concatenate([thr, thr[:1] - 1.0, thr[-1:] + 1.0])
-                rows[:, f] = rng.choice(points, 700)
-        bundle, segment = _export(entry)
-        try:
-            bitvector, shm = attach_model(bundle)
-            assert bitvector.groups == encoded.groups
-            for ours, theirs in zip(bitvector.tables, encoded.tables):
+        rows = _threshold_rows(encoded, 700, 4)
+
+        def check(engine):
+            assert engine.groups == encoded.groups
+            for ours, theirs in zip(engine.tables, encoded.tables):
                 assert ours.tobytes() == theirs.tobytes()
             for n in (1, 2, 700):
                 np.testing.assert_array_equal(
-                    bitvector.predict_raw(rows[:n]),
+                    engine.predict_raw(rows[:n]),
                     loop_predict(entry.model, rows[:n]),
                 )
-            shm.close()
+
+        bundle, segment = _export(entry)
+        try:
+            _on_attached(bundle, check)
         finally:
             segment.unlink()
 
@@ -115,13 +189,13 @@ class TestLifecycleHygiene:
         bundle, segment = _export(entry)
         segment.unlink()
         with pytest.raises(FileNotFoundError):
-            attach_block(bundle.bitvector)
+            attach_model(bundle)
 
     def test_export_uses_fresh_segment_names(self, entry):
         first, segment_a = _export(entry)
         second, segment_b = _export(entry)
         try:
-            assert first.bitvector.segment != second.bitvector.segment
+            assert first.segment != second.segment
         finally:
             segment_a.unlink()
             segment_b.unlink()

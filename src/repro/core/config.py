@@ -46,7 +46,12 @@ __all__ = [
 #:    joint code counts, and its linear predictor from per-term lookups,
 #:    without the dense design; fits with a tensor term or an uncoded
 #:    column keep the kernel-1 bits.
-KERNEL_VERSION = 2
+#: 3. Every column mean that centers a term is the count-weighted mean over
+#:    the distinct (joint) values the training rows take, in ascending
+#:    value order, without gathering the block; the posterior covariance
+#:    comes from the GCV search's Demmler–Reinsch factors, not a general
+#:    inverse; fidelity on D*'s test rows runs the fit's own design route.
+KERNEL_VERSION = 3
 
 
 def explain_config_hash(config: "GEFConfig") -> str:

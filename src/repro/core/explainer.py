@@ -507,7 +507,9 @@ class GEF:
             print(f"[gef] GCV selected lam = {gam.lam:g}")
 
         with obs_span("fidelity", rows=int(len(dataset.X_test))):
-            y_hat = gam.predict_mu(dataset.X_test, dataset.coding("test"))
+            y_hat = gam.link.inverse(
+                gam.coded_eta(dataset.X_test, dataset.coding("test"))
+            )
             fidelity = {
                 "rmse": rmse(dataset.y_test, y_hat),
                 "r2": r2_score(dataset.y_test, y_hat),

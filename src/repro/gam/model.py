@@ -10,7 +10,9 @@ Wood, *Generalized Additive Models: an introduction with R* (2006):
 
 * ``edof = tr[(X'WX + S)^-1 X'WX]``
 * ``GCV  = n * deviance / (n - edof)^2``
-* ``V_beta = (X'WX + S)^-1 * scale``  (posterior covariance)
+* ``V_beta = (X'WX + S)^-1 * scale``  (posterior covariance, from the
+  Demmler–Reinsch factors the GCV scoring already holds:
+  ``V diag(1/d) V' * scale``, no inverse of its own)
 
 One PIRLS serves ``fit`` and the GCV search: each iteration forms the
 working Gram once, factors it once and scores every candidate lambda from
@@ -32,10 +34,16 @@ archived dataset, prediction on arbitrary ``X``) is its own values under
 the identity coding.  Prediction on arbitrary ``X`` streams the design
 in ``_ROW_BLOCK``-row blocks and never materializes it.
 
+Fidelity on D*'s coded test rows (:meth:`GAM.coded_eta`) takes the
+fit's own route: on the code route, each term's centered table at the
+domain values (one sweep, nothing learned) and the per-term lookup
+PIRLS uses; otherwise the dense design in ``_ROW_BLOCK``-row blocks,
+bitwise equal to :meth:`GAM.predict_eta`.
+
 Every evaluation makes one basis sweep
 (:func:`~repro.gam.bsplines.bspline_sweep`) for all of its B-spline
-marginals: ``_design`` for the fit, fidelity's coded test rows and
-prediction, and :meth:`GAM.term_blocks` for the blocks of several
+marginals: ``_design`` for the fit and prediction, fidelity's coded
+test rows, and :meth:`GAM.term_blocks` for the blocks of several
 terms, each at its own values — a local explanation's instance rows and
 spline windows, a global explanation's curves.  The results are
 byte-equal to one evaluation per term and marginal: the sweep gives each
@@ -63,6 +71,7 @@ from .links import get_link
 from .terms import (
     InterceptTerm,
     Term,
+    _joint,
     centered_blocks,
     coded_columns,
     marginal_tables,
@@ -172,8 +181,7 @@ class _CodedDesign:
                 if K_s == 1:  # the intercept: every row has code 0
                     H = n_t[None, :]
                 else:
-                    # intp before the product: uint8 codes times K_t wrap.
-                    joint = c_s.astype(np.intp) * K_t + c_t
+                    joint = _joint([c_s, c_t], [K_s, K_t])
                     H = np.bincount(joint, weights=w, minlength=K_s * K_t)
                     H = H.reshape(K_s, K_t)
                 G[sl_s, sl_t] = A_s.T @ (H @ A_t)
@@ -188,7 +196,8 @@ class _CodedDesign:
 
 
 def _score(G, b, zwz, n, penalty, ridge, lams):
-    """Coefficients, edof and working-model GCV of every multiplier.
+    """Coefficients, edof and working-model GCV of every multiplier, and
+    the factors ``V`` and ``shrink`` (``1 / d`` per candidate column).
 
     One Demmler–Reinsch factorization serves every ``lam``: with ``G +
     ridge*I + kappa*P = K K'`` and ``eigh(K^-1 P K^-T) = U diag(t) U'``,
@@ -216,7 +225,7 @@ def _score(G, b, zwz, n, penalty, ridge, lams):
     edofs = np.maximum(1.0 - kappa * t - rho, 0.0) @ shrink
     rss = zwz - 2.0 * (b @ betas) + np.einsum("ik,ik->k", betas, G @ betas)
     gcvs = n * np.maximum(rss, 0.0) / np.maximum(n - edofs, 1e-8) ** 2
-    return betas, edofs, gcvs
+    return betas, edofs, gcvs, V, shrink
 
 
 class GAM:
@@ -310,36 +319,49 @@ class GAM:
             sp.set(cols=D.shape[1])
         return D
 
-    def _training_design(self, X: np.ndarray, coding=None):
-        """Fit every term on ``X`` and return the training design PIRLS runs on.
-
-        When every term but the intercept reads one feature that
-        ``coding`` codes, it is a :class:`_CodedDesign` of per-term
-        tables; otherwise (a tensor term, an uncoded column) it is the
-        dense design of :meth:`_fit_design`.  Knots, levels and column
-        means are the same bytes either way.
-        """
+    def _coded_route(self, coding) -> bool:
+        """Whether every term but the intercept reads one feature that
+        ``coding`` codes: the fit and fidelity then run on per-term
+        tables (:meth:`_coded_design`)."""
         codes = {} if coding is None else coding[1]
-        if not all(
+        return all(
             isinstance(term, InterceptTerm)
             or (len(term.features) == 1 and term.features[0] in codes)
             for term in self.terms
-        ):
+        )
+
+    def _coded_design(self, X: np.ndarray, coding, fit: bool = False):
+        """The :class:`_CodedDesign` of rows ``X`` coded by ``coding``: each
+        term's centered block at its feature's domain values.  ``fit``
+        first learns every term's knots, levels and centering."""
+        columns = [coded_columns(X, coding, term.features) for term in self.terms]
+        tables = marginal_tables(self.terms, columns, learn=fit)
+        with obs_span("gam.assemble"):
+            centered = [
+                term.fit_table(tabs) if fit else term.centered_table(tabs)
+                for term, tabs in zip(self.terms, tables)
+            ]
+        term_codes = [
+            cols[0][1] if cols else np.zeros(len(X), dtype=np.uint8)
+            for cols in columns
+        ]
+        return _CodedDesign(centered, term_codes, len(X))
+
+    def _training_design(self, X: np.ndarray, coding=None):
+        """Fit every term on ``X`` and return the training design PIRLS runs on.
+
+        On the code route (:meth:`_coded_route`) it is a
+        :class:`_CodedDesign` of per-term tables; otherwise (a tensor
+        term, an uncoded column) it is the dense design of
+        :meth:`_fit_design`.  Knots, levels and column means are the same
+        bytes either way.
+        """
+        if not self._coded_route(coding):
             return _RowDesign(self._fit_design(X, coding))
         with obs_span("gam.design", rows=len(X)) as sp:
-            columns = [coded_columns(X, coding, term.features) for term in self.terms]
-            tables = marginal_tables(self.terms, columns, learn=True)
-            with obs_span("gam.assemble"):
-                centered = [
-                    term.fit_table(tabs, cols)
-                    for term, tabs, cols in zip(self.terms, tables, columns)
-                ]
-            term_codes = [
-                cols[0][1] if cols else np.zeros(len(X), dtype=np.uint8)
-                for cols in columns
-            ]
-            sp.set(cols=self.n_coefs)
-        return _CodedDesign(centered, term_codes, len(X))
+            design = self._coded_design(X, coding, fit=True)
+            sp.set(cols=design.p)
+        return design
 
     def _resolve_lam(self, lam, n_given_terms: int):
         """Normalize ``lam`` to a scalar or a per-term array over self.terms.
@@ -438,7 +460,7 @@ class GAM:
                     "GCV scoring"
                 ):
                     try:
-                        betas, edofs, gcvs = _score(
+                        betas, edofs, gcvs, V, shrink = _score(
                             G, b, zwz, n, penalty, self.ridge, lams
                         )
                     except np.linalg.LinAlgError as exc:
@@ -473,9 +495,8 @@ class GAM:
         gcv = n * deviance / max(n - edof, 1e-8) ** 2
         assert_all_finite(np.asarray([edof, scale, gcv]), "GAM statistics")
         with obs_span("gam.cov", p=p):
-            A = G + lam * penalty
-            A[np.diag_indices(p)] += self.ridge
-            cov = np.linalg.inv(A) * scale
+            # V' (G + ridge*I + lam*P) V = diag(d): the inverse is V diag(1/d) V'.
+            cov = (V * (shrink[:, best] * scale)) @ V.T
         self.coef_ = beta
         self.statistics_ = {
             "edof": edof,
@@ -494,26 +515,35 @@ class GAM:
         if self.coef_ is None:
             raise RuntimeError("GAM is not fitted")
 
-    def predict_eta(self, X: np.ndarray, coding=None) -> np.ndarray:
-        """Linear predictor (link scale).
-
-        ``coding`` codes ``X`` as in :meth:`_design` (D*'s test rows);
-        the result is bitwise the same as without it.
-        """
+    def predict_eta(self, X: np.ndarray) -> np.ndarray:
+        """Linear predictor (link scale)."""
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         eta = np.empty(len(X))
         for lo, hi in _blocks(len(X)):
-            block = coding
-            if coding is not None:
-                domains, codes = coding
-                block = (domains, {f: c[lo:hi] for f, c in codes.items()})
-            eta[lo:hi] = self._design(X[lo:hi], block) @ self.coef_
+            eta[lo:hi] = self._design(X[lo:hi]) @ self.coef_
         return eta
 
-    def predict_mu(self, X: np.ndarray, coding=None) -> np.ndarray:
+    def predict_mu(self, X: np.ndarray) -> np.ndarray:
         """Response mean: inverse link of the linear predictor."""
-        return self.link.inverse(self.predict_eta(X, coding))
+        return self.link.inverse(self.predict_eta(X))
+
+    def coded_eta(self, X: np.ndarray, coding) -> np.ndarray:
+        """Linear predictor of rows ``X`` coded by ``coding`` (D*'s test
+        rows), through the fit's own design route.
+
+        On the code route (:meth:`_coded_route`) it is the per-term table
+        lookup PIRLS runs (:meth:`_CodedDesign.eta`), within rounding of
+        :meth:`predict_eta`; otherwise it is the dense design in
+        ``_ROW_BLOCK``-row blocks, bitwise equal to :meth:`predict_eta`.
+        """
+        self._check_fitted()
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if self._coded_route(coding):
+            design = self._coded_design(X, coding)
+        else:
+            design = _RowDesign(self._design(X, coding))
+        return design.eta(self.coef_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Alias for :meth:`predict_mu` (pyGAM-compatible)."""

@@ -14,7 +14,14 @@ the design matrix and a block-diagonal piece of the penalty:
 All non-intercept terms are *centered*: their design columns have the
 training mean subtracted, which pins each component at zero mean (the
 paper's ``E[s_j(x_j)] = 0`` identifiability constraint) and leaves the
-constant to the intercept.
+constant to the intercept.  One rule computes that mean for every
+column, coded or not: :meth:`Term.learn` counts how many training rows
+take each distinct (joint) value (``bincount`` of the codes, a tensor's
+joint codes, for coded columns; each row once for uncoded ones), visits
+the values in ascending order, merging equal ones, and the mean is
+``counts @ block(at those values) / n`` — so no n-by-p block is gathered
+to center, and a coded and an uncoded column of the same rows give the
+same bytes.
 
 A term's block is built from one *marginal* basis per feature.  Each
 feature arrives as a *coded column* ``(values, codes)`` with ``x ==
@@ -27,13 +34,15 @@ function of each row's value alone, so both codings give the same bytes.
 marginal of several terms — all B-spline marginals in one
 :func:`~repro.gam.bsplines.bspline_sweep` — and :meth:`Term.fill`
 gathers, combines and centers each term's block; a subclass supplies
-what it learns from the values seen in training (``_learn``), the knots
+what it learns from the distinct values seen in training (``_learn``), the knots
 of a B-spline marginal (``_spline``) or else its marginal basis
 (``_marginal``) and, for a tensor, how the gathered marginals combine
 (``_combine``).
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -73,11 +82,50 @@ def coded_columns(X: np.ndarray, coding, features) -> list[tuple]:
     ]
 
 
-def _seen(values: np.ndarray, codes: np.ndarray | None) -> np.ndarray:
-    """The distinct values a coded column takes (its values, uncoded)."""
-    if codes is None:
-        return values
-    return values[np.bincount(codes, minlength=len(values)) > 0]
+def _joint(indices: list[np.ndarray], sizes: list[int]) -> np.ndarray:
+    """Row-major index into the ``sizes`` grid of per-column ``indices``."""
+    joint = indices[0]
+    for index, size in zip(indices[1:], sizes[1:]):
+        # intp before the product: uint8 codes times a size wrap.
+        joint = joint.astype(np.intp) * size + index
+    return joint
+
+
+def _value_counts(columns: list[tuple]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """How many rows take each distinct (joint) value of ``columns``, in
+    ascending (lexicographic) value order, and for each column the index
+    of a table row holding that value.
+
+    Coded columns count their joint codes with ``bincount`` and drop the
+    codes no row drew; uncoded columns count each row once.  The counted
+    cells are then sorted by value (stably) and equal values merged —
+    ``-0.0`` with ``0.0``, or a domain that repeats a value — keeping the
+    first cell's table row, as ``np.unique`` does.  So an unsorted domain
+    counts as its sorted, drawn values, and coded and uncoded columns of
+    the same rows give the same counts and table rows.
+    """
+    if all(codes is not None for _, codes in columns):
+        sizes = [len(values) for values, _ in columns]
+        counts = np.bincount(
+            _joint([codes for _, codes in columns], sizes), minlength=prod(sizes)
+        )
+        cells = np.flatnonzero(counts)
+        counts, index = counts[cells], np.unravel_index(cells, sizes)
+    else:
+        n = len(columns[0][0] if columns[0][1] is None else columns[0][1])
+        counts = np.ones(n, dtype=np.intp)
+        index = [np.arange(n) if codes is None else codes for _, codes in columns]
+    values = [np.asarray(v)[i] for (v, _), i in zip(columns, index)]
+    order = np.lexsort(values[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    for v in values:
+        v = v[order]
+        starts[1:] |= v[1:] != v[:-1]
+    starts = np.flatnonzero(starts)
+    first = order[starts]
+    counts = np.add.reduceat(counts[order], starts)
+    return counts.astype(np.float64), [i[first] for i in index]
 
 
 def marginal_tables(terms, columns, learn: bool = False) -> list[list[np.ndarray]]:
@@ -134,38 +182,51 @@ class Term:
     features: tuple[int, ...] = ()
 
     def learn(self, columns: list[tuple]) -> None:
-        """Learn knots or levels from the training ``(values, codes)`` columns."""
-        self._learn([_seen(values, codes) for values, codes in columns])
+        """Learn knots or levels from the training ``(values, codes)``
+        columns, and count the distinct (joint) values the rows take for
+        the centering that the next ``fill(..., fit=True)`` or
+        :meth:`fit_table` computes."""
+        self._counts = _value_counts(columns)
+        _, index = self._counts
+        self._learn([np.asarray(values)[i] for (values, _), i in zip(columns, index)])
 
     def fill(
         self, tables: list[np.ndarray], columns: list[tuple], out: np.ndarray,
         fit: bool = False,
     ) -> None:
         """Write the centered block into ``out``: the marginal ``tables``
-        gathered by the columns' codes and combined.  ``fit`` keeps the
-        block's column means as the centering of every later design."""
-        raw = self._gathered(tables, columns)
+        gathered by the columns' codes and combined.  ``fit`` first learns
+        the centering (:meth:`_fit_means`)."""
         if fit:
-            self.col_means_ = raw.mean(axis=0)
-            self._fitted = True
-        np.subtract(raw, self.col_means_, out=out)
-
-    def fit_table(self, tables: list[np.ndarray], columns: list[tuple]) -> np.ndarray:
-        """Learn the centering from the training rows, as ``fill(...,
-        fit=True)`` does, and return the centered block at each value of
-        the term's one feature: row ``v`` is the block's row at code
-        ``v``."""
-        self.col_means_ = self._gathered(tables, columns).mean(axis=0)
-        self._fitted = True
-        return self._combine(tables) - self.col_means_
-
-    def _gathered(self, tables: list[np.ndarray], columns: list[tuple]) -> np.ndarray:
-        """The uncentered block: the marginal ``tables`` gathered by the
-        columns' codes and combined."""
-        return self._combine([
+            self._fit_means(tables)
+        raw = self._combine([
             table if codes is None else table.take(codes, axis=0)
             for table, (_, codes) in zip(tables, columns)
         ])
+        np.subtract(raw, self.col_means_, out=out)
+
+    def fit_table(self, tables: list[np.ndarray]) -> np.ndarray:
+        """Learn the centering, as ``fill(..., fit=True)`` does, and return
+        :meth:`centered_table`."""
+        self._fit_means(tables)
+        return self.centered_table(tables)
+
+    def centered_table(self, tables: list[np.ndarray]) -> np.ndarray:
+        """The centered block at each value of the term's one feature: row
+        ``v`` is the block's row at code ``v``."""
+        return self._combine(tables) - self.col_means_
+
+    def _fit_means(self, tables: list[np.ndarray]) -> None:
+        """Keep the block's training column means as the centering of every
+        later design: the block's row at each distinct (joint) value the
+        rows take, in ascending value order, weighted by the count
+        :meth:`learn` took.  A coded and an uncoded column of the same
+        rows give the same bytes."""
+        counts, index = self._counts
+        del self._counts
+        rows = self._combine([table[i] for table, i in zip(tables, index)])
+        self.col_means_ = counts @ rows / counts.sum()
+        self._fitted = True
 
     def fit_design(self, X: np.ndarray, coding=None) -> np.ndarray:
         """Learn data-dependent pieces and return the centered training block.
@@ -237,14 +298,20 @@ class InterceptTerm(Term):
 
     features = ()
 
+    def learn(self, columns) -> None:
+        pass
+
     def fill(self, tables, columns, out, fit=False) -> None:
         if fit:
             self._fitted = True
         out.fill(1.0)
 
-    def fit_table(self, tables, columns) -> np.ndarray:
-        # One uncentered row of ones: every training row has code 0.
+    def fit_table(self, tables) -> np.ndarray:
         self._fitted = True
+        return self.centered_table(tables)
+
+    def centered_table(self, tables) -> np.ndarray:
+        # One uncentered row of ones: every row has code 0.
         return np.ones((1, 1))
 
     def design_for(self, values: np.ndarray) -> np.ndarray:

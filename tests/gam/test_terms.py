@@ -152,6 +152,14 @@ class TestFitDesign:
         assert block.shape == (len(X), term.n_coefs)
 
 
+def count_weighted_mean(x, raw):
+    """The centering rule: each distinct value of ``x``, ascending, weighted
+    by its count, times the row of ``raw`` where it first occurs."""
+    _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
+    counts = np.bincount(inverse).astype(np.float64)
+    return counts @ raw[first] / len(x)
+
+
 def _coded_sample(rng, n, domains, missing=None):
     """Codes into ``domains`` (never drawing ``missing[f]``) and their rows."""
     codes = {}
@@ -227,8 +235,37 @@ class TestCodedDesign:
         )
         reference = GAM(self._terms()).gridsearch(X, y, lam_grid=[0.1, 1.0])
         assert gam.coef_.tobytes() == reference.coef_.tobytes()
-        coded_eta = gam.predict_eta(X_test, (self.DOMAINS, codes_test))
+        # A tensor term: the fit's route, and so fidelity's, is the rows.
+        coded_eta = gam.coded_eta(X_test, (self.DOMAINS, codes_test))
         assert coded_eta.tobytes() == gam.predict_eta(X_test).tobytes()
+
+    @pytest.mark.parametrize("kind", ["undrawn", "unsorted", "repeated"])
+    def test_col_means_of_coded_and_uncoded_columns(self, kind):
+        """Domains with values no row draws, given out of order, or
+        repeating a value: every term's centering (a tensor's on two coded
+        features too) is the uncoded fit's, on both fit routes."""
+        from repro.gam import GAM
+
+        rng = np.random.default_rng(6)
+        domains, missing = dict(self.DOMAINS), None
+        if kind == "undrawn":
+            missing = {0: [0, 1, 100, 199], 1: list(range(10, 20)), 2: [1]}
+        elif kind == "unsorted":
+            domains = {f: d[rng.permutation(len(d))] for f, d in domains.items()}
+        else:
+            domains = {f: np.concatenate([d, d[::3]]) for f, d in domains.items()}
+        X, codes = _coded_sample(rng, 3_000, domains, missing=missing)
+        coding = (domains, codes)
+        for coded, rows in zip(self._terms(), self._terms()):
+            block = coded.fit_design(X, coding)
+            assert block.tobytes() == rows.fit_design(X).tobytes(), rows.label
+            assert coded.col_means_.tobytes() == rows.col_means_.tobytes(), rows.label
+        univariate = lambda: GAM(self._terms()[:4])  # noqa: E731
+        coded, rows = univariate(), univariate()
+        assert coded._training_design(X, coding).route == "codes"
+        rows._fit_design(X)
+        for a, b in zip(coded.terms[1:], rows.terms[1:]):
+            assert a.col_means_.tobytes() == b.col_means_.tobytes(), b.label
 
     def test_knots_follow_the_sampled_range(self):
         """Codes that miss both domain ends learn the sampled min/max."""
@@ -249,14 +286,14 @@ class TestCodedDesign:
         x = np.array([-1.0, 1.0, -0.0, 0.0, 0.5, -0.5, 0.0, -0.0])
         X = x[:, None]
         linear = LinearTerm(0).fit_design(X)
-        assert linear.tobytes() == (x - x.mean())[:, None].tobytes()
+        assert linear.tobytes() == (x - count_weighted_mean(x, x[:, None]))[:, None].tobytes()
         assert np.signbit(linear[2, 0]) and not np.signbit(linear[3, 0])
         spline = SplineTerm(0, n_splines=6)
         block = spline.fit_design(X)
         from repro.gam.bsplines import bspline_design
 
         raw = bspline_design(x, spline.knots_, spline.degree)
-        assert block.tobytes() == (raw - raw.mean(axis=0)).tobytes()
+        assert block.tobytes() == (raw - count_weighted_mean(x, raw)).tobytes()
 
         domain = np.array([-1.0, -0.0, 1.0])
         codes = np.array([0, 1, 2, 1, 1], dtype=np.uint8)

@@ -38,6 +38,7 @@ from ..core.numerics import (
     set_kernel_fault_hook,
 )
 from ..core.stages import get_stage_hook, set_stage_hook
+from ..forest.tree import LEAF
 
 __all__ = [
     "FOREST_FAULTS",
@@ -51,9 +52,6 @@ __all__ = [
     "stall_stage",
 ]
 
-#: Sentinel marking leaves in ``Tree.feature``.
-_LEAF = -1
-
 #: The structural defects :func:`corrupt_forest` can inject.
 FOREST_FAULTS = (
     "nan-threshold",
@@ -66,7 +64,7 @@ FOREST_FAULTS = (
 
 
 def _first_internal(tree) -> int:
-    internal = np.nonzero(np.asarray(tree.feature) != _LEAF)[0]
+    internal = np.nonzero(np.asarray(tree.feature) != LEAF)[0]
     if internal.size == 0:
         raise ValueError(
             "cannot corrupt a stump tree: no internal node to target"
@@ -75,7 +73,7 @@ def _first_internal(tree) -> int:
 
 
 def _first_leaf(tree) -> int:
-    leaves = np.nonzero(np.asarray(tree.feature) == _LEAF)[0]
+    leaves = np.nonzero(np.asarray(tree.feature) == LEAF)[0]
     return int(leaves[0])
 
 
@@ -103,17 +101,7 @@ def corrupt_forest(forest, fault: str, tree_index: int = 0):
         raise ValueError(
             f"unknown fault {fault!r}; expected one of {FOREST_FAULTS}"
         )
-    # The cached bitvector encoding is costly to copy and would mask the
-    # corruption on predict anyway: map it to None in the deepcopy memo,
-    # then drop the placeholder from the copy.
-    memo: dict = {}
-    cached = forest.__dict__.get("_bitvector_state")
-    if cached is not None:
-        memo[id(cached)] = None
-    corrupted = copy.deepcopy(forest, memo)
-    from ..forest.engines import invalidate_model_caches
-
-    invalidate_model_caches(corrupted)
+    corrupted = copy.deepcopy(forest)  # unfrozen: a copy leaves the state behind
     tree = corrupted.trees_[tree_index]
     if fault == "nan-threshold":
         tree.threshold[_first_internal(tree)] = np.nan
@@ -124,12 +112,10 @@ def corrupt_forest(forest, fault: str, tree_index: int = 0):
     elif fault == "cyclic-child":
         tree.left[_first_internal(tree)] = 0
     elif fault == "orphan-node":
-        tree.feature = np.append(tree.feature, _LEAF)
-        tree.threshold = np.append(tree.threshold, 0.0)
-        tree.left = np.append(tree.left, 0)
-        tree.right = np.append(tree.right, 0)
-        tree.value = np.append(tree.value, 0.0)
-        tree.gain = np.append(tree.gain, 0.0)
+        fills = {"feature": LEAF, "threshold": 0.0, "left": 0, "right": 0,
+                 "value": 0.0, "gain": 0.0}
+        for name, fill in fills.items():
+            setattr(tree, name, np.append(getattr(tree, name), fill))
     elif fault == "feature-out-of-range":
         tree.feature[_first_internal(tree)] = int(corrupted.n_features_) + 3
     return corrupted

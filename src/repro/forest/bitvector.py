@@ -111,20 +111,21 @@ prediction runs the per-tree loop, the reference this engine matches.
 
 The ``bitvector.eval`` span carries ``gather_s`` (gather + AND) and
 ``reduce_s`` (exit leaf, leaf values and reduction), summed over chunks.
+
+:func:`bitvector_for` encodes a model once, into the frozen state that
+also holds its fingerprint (:func:`repro.forest.tree.frozen_state`).
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
 from ..core.errors import ForestValidationError
 from ..core.node_table import node_table
 from ..core.numerics import NumericsError, assert_all_finite, strict_enabled
-from ..obs.metrics import get_metrics, inc as metric_inc, observe as metric_observe
+from ..obs.metrics import inc as metric_inc, observe as metric_observe
 from ..obs.trace import monotonic as obs_monotonic, span as obs_span
-from .tree import Tree, _forest_fingerprint
+from .tree import STATE_KEY, Tree, frozen_state
 
 __all__ = [
     "JOINT_ROWS",
@@ -134,10 +135,6 @@ __all__ = [
     "bitvector_for",
     "invalidate_model_caches",
 ]
-
-# Per-model bitvector caches (model.__dict__["_bitvector_state"]) are
-# guarded by _pack_lock; the module holds no other mutable state.
-_pack_lock = threading.Lock()
 
 #: Trees wider than ``64 * MAX_LEAF_WORDS`` leaves decline packing.
 MAX_LEAF_WORDS = 8
@@ -499,9 +496,7 @@ class BitvectorForest:
     # pickling (shared-memory serving fleet)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_joint"]
-        return state
+        return {k: v for k, v in self.__dict__.items() if k != "_joint"}
 
     def __setstate__(self, state: dict) -> None:
         # The arrays are adopted as they are (read-only shared-memory views
@@ -558,50 +553,31 @@ class BitvectorForest:
 
 
 # ----------------------------------------------------------------------
-# model integration: cached encoding and invalidation
+# model integration: the encoding in the frozen-forest state
 # ----------------------------------------------------------------------
 def invalidate_model_caches(model) -> None:
-    """Drop a model's cached :class:`BitvectorForest` (call after mutation).
-
-    :func:`bitvector_for` also re-encodes when the structural fingerprint
-    changes; this hook makes the common sites (fit, early-stopping
-    truncation) explicit and cheap.
-    """
-    with _pack_lock:
-        model.__dict__.pop("_bitvector_state", None)
+    """Drop a model's frozen state (encoding and fingerprint): for cold
+    set-ups or a changed encoding budget; a refit or new trees need none."""
+    model.__dict__.pop(STATE_KEY, None)
 
 
 def bitvector_for(model) -> BitvectorForest | None:
-    """The up-to-date :class:`BitvectorForest` of a fitted forest model.
-
-    Re-encodes when the model's structural fingerprint changed since the
-    last call; returns ``None`` when the forest cannot be encoded.
-    """
-    trees = getattr(model, "trees_", None)
-    if not trees:
+    """A fitted forest's :class:`BitvectorForest`, encoded on first use;
+    ``None`` when the forest cannot be encoded."""
+    if not getattr(model, "trees_", None):
         return None
-    fingerprint = _forest_fingerprint(trees, model.init_score_)
-    with _pack_lock:
-        state = model.__dict__.get("_bitvector_state")
-        if state is not None and state[0] == fingerprint:
-            return state[1]
-    # Pack outside the lock (it is the expensive part); a concurrent
-    # packer may race us, but both produce equivalent objects and the
-    # last write simply wins.
-    registry = get_metrics()
-    t0 = obs_monotonic() if registry is not None else 0.0
-    with obs_span("bitvector.pack", n_trees=len(trees)):
-        encoded = BitvectorForest.pack(
-            trees, model.init_score_, int(model.n_features_)
-        )
-    if registry is not None:
-        metric_inc("pack.count")
-        metric_observe("pack.seconds", obs_monotonic() - t0)
-        if encoded is not None:
-            metric_observe("bitvector.table_bytes", encoded.table_bytes)
-        else:
-            metric_inc("bitvector.declined")
-    with _pack_lock:
-        model.__dict__["_bitvector_state"] = (fingerprint, encoded)
-    return encoded
+    return frozen_state(model, "encoded", _pack)
 
+
+def _pack(init_score, n_features, *trees) -> BitvectorForest | None:
+    """Encode a frozen forest, with its ``bitvector.pack`` span and metrics."""
+    t0 = obs_monotonic()
+    with obs_span("bitvector.pack", n_trees=len(trees)):
+        encoded = BitvectorForest.pack(list(trees), init_score, int(n_features))
+    metric_inc("pack.count")
+    metric_observe("pack.seconds", obs_monotonic() - t0)
+    if encoded is not None:
+        metric_observe("bitvector.table_bytes", encoded.table_bytes)
+    else:
+        metric_inc("bitvector.declined")
+    return encoded

@@ -17,7 +17,7 @@ import numpy as np
 from .binning import BinMapper
 from .grower import TreeGrowerParams, grow_tree
 from .losses import get_loss
-from .engines import FittedForest, invalidate_model_caches, loop_staged_predict_raw
+from .engines import FittedForest, loop_staged_predict_raw
 from .tree import Tree
 from .._rng import as_generator
 
@@ -154,7 +154,6 @@ class _BaseGradientBoosting(FittedForest):
 
         if self.early_stopping_rounds is not None and self.best_iteration_:
             del self.trees_[self.best_iteration_ :]
-        invalidate_model_caches(self)
         return self
 
     def staged_predict_raw(self, X: np.ndarray):

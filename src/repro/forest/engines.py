@@ -12,9 +12,9 @@ forest the encoding declines (non-finite thresholds, trees wider than
 ``64 * MAX_LEAF_WORDS`` leaves, prefix tables over ``MAX_TABLE_BYTES``).
 :func:`loop_predict_raw` and :func:`loop_staged_predict_raw` are the
 per-tree loop, the equivalence reference: every engine must match them
-bitwise.  :func:`invalidate_model_caches`, the one hook that drops a
-model's cached encoding, lives in :mod:`repro.forest.bitvector` next to
-the cache it drops, and is re-exported here.
+bitwise.  A forest freezes on its first predict or fingerprint
+(:func:`repro.forest.tree.frozen_state`); a pickle or copy leaves that
+state behind, and :func:`invalidate_model_caches` (re-exported) drops it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitvector import bitvector_for, invalidate_model_caches
-from .tree import accumulate_importance
+from .tree import STATE_KEY, accumulate_importance
 
 __all__ = [
     "FittedForest",
@@ -53,13 +53,16 @@ def loop_staged_predict_raw(model, X):
 class FittedForest:
     """Structure access and prediction shared by every forest model.
 
-    Subclasses set ``trees_``, ``init_score_`` and ``n_features_`` in
-    ``fit`` and call :func:`invalidate_model_caches` when done.
+    Subclasses set ``trees_``, ``init_score_`` and ``n_features_`` in ``fit``.
     """
 
     trees_: list
     init_score_: float
     n_features_: int | None
+
+    def __getstate__(self) -> dict:
+        """The model's attributes without its frozen state (pickle, copy)."""
+        return {k: v for k, v in self.__dict__.items() if k != STATE_KEY}
 
     @property
     def n_trees_(self) -> int:
@@ -77,7 +80,6 @@ class FittedForest:
         saves work and never changes a bit.
         """
         self._check_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         encoded = bitvector_for(self)
         if encoded is None:
             return loop_predict_raw(self, X)

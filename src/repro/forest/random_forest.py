@@ -18,7 +18,7 @@ import numpy as np
 
 from .binning import BinMapper
 from .grower import TreeGrowerParams, grow_tree
-from .engines import FittedForest, invalidate_model_caches
+from .engines import FittedForest
 from .tree import Tree
 from .._rng import as_generator
 
@@ -107,7 +107,6 @@ class _BaseRandomForest(FittedForest):
             tree.value /= self.n_estimators  # sum of trees == bagged average
             self.trees_.append(tree)
             self._bootstrap_rows.append(np.unique(rows))
-        invalidate_model_caches(self)
         return self
 
     def oob_prediction(self, X: np.ndarray) -> np.ndarray:

@@ -19,9 +19,10 @@ Conventions
 
 from __future__ import annotations
 
+import operator
 import zlib
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import FrozenInstanceError, dataclass, field, fields
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -75,15 +76,21 @@ class Tree:
     cover: np.ndarray = field(default=None)  # float64, summed hessians
 
     def __post_init__(self):
-        n = len(self.feature)
-        for name in ("threshold", "left", "right", "value", "gain", "n_samples"):
-            arr = getattr(self, name)
-            if len(arr) != n:
-                raise ValueError(f"array '{name}' has length {len(arr)}, expected {n}")
         if self.cover is None:
             self.cover = self.n_samples.astype(np.float64)
+        n = len(self.feature)
+        for f in fields(self):
+            arr = getattr(self, f.name)
+            if len(arr) != n:
+                raise ValueError(f"array '{f.name}' has length {len(arr)}, expected {n}")
         if self.n_nodes == 0:
             raise ValueError("a tree must have at least one node")
+
+    def __setattr__(self, name, value):
+        # Rebinding a frozen tree's array (see frozen_state) is a write too.
+        if self.__dict__.get(name) is not None and not self.feature.flags.writeable:
+            raise FrozenInstanceError(f"cannot rebind {name!r} of a frozen Tree")
+        super().__setattr__(name, value)
 
     # ------------------------------------------------------------------
     # basic structure
@@ -210,23 +217,55 @@ class Tree:
         )
 
 
-def _forest_fingerprint(trees: list[Tree], init_score: float) -> int:
-    """Cheap structural checksum covering everything prediction depends on."""
-    h = zlib.crc32(np.float64(init_score).tobytes())
-    h = zlib.crc32(np.int64(len(trees)).tobytes(), h)
-    # One crc32 over the joined bytes equals the chained per-array crc32s
-    # at a fraction of the per-call cost, which matters because
-    # bitvector_for checks the fingerprint on every predict.
-    arrays = [
-        arr
+def _forest_fingerprint(trees, init_score: float) -> int:
+    """Structural checksum covering everything prediction depends on."""
+    # One crc32 of the joined bytes equals the chained crc32s ledgers key on.
+    arrays = [np.float64(init_score), np.int64(len(trees))] + [
+        np.ascontiguousarray(arr)
         for tree in trees
         for arr in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
     ]
-    try:
-        data = b"".join(arrays)
-    except TypeError:  # a non-contiguous array, or not an array at all
-        data = b"".join([np.ascontiguousarray(arr) for arr in arrays])
-    return zlib.crc32(data, h)
+    return zlib.crc32(b"".join(arrays))
+
+
+#: The ``model.__dict__`` key of a fitted forest's :class:`FrozenForest`.
+STATE_KEY = "_bitvector_state"
+#: A :class:`FrozenForest` field not computed yet.
+PENDING = object()
+
+
+class FrozenForest(NamedTuple):
+    """``(init_score_, n_features_, *trees_)`` frozen, with the encoding
+    (``None``: declined) and fingerprint filled on first request, with no
+    lock: racing writers store equal values, and a lost fill is redone."""
+
+    identity: tuple
+    encoded: object = PENDING
+    fingerprint: object = PENDING
+
+
+def frozen_state(model, name: str, compute):
+    """Field ``name`` of the model's :class:`FrozenForest`, computed once
+    by ``compute(init_score, n_features, *trees)``.
+
+    The state holds while ``trees_`` has the same :class:`Tree` objects in
+    order and ``init_score_``/``n_features_`` are the same objects, an O(T)
+    check a refit and new, appended or deleted trees fail.  Freezing makes
+    every node array read-only, so a write into a used tree raises."""
+    identity = (model.init_score_, getattr(model, "n_features_", None), *model.trees_)
+    state = model.__dict__.get(STATE_KEY)
+    if state is None or len(state.identity) != len(identity) or not all(
+        map(operator.is_, state.identity, identity)
+    ):
+        for tree in identity[2:]:
+            for f in fields(tree):
+                getattr(tree, f.name).setflags(write=False)
+        state = FrozenForest(identity)
+    value = getattr(state, name)
+    if value is PENDING:
+        value = compute(*state.identity)
+        model.__dict__[STATE_KEY] = state._replace(**{name: value})
+    return value
 
 
 def forest_fingerprint(model) -> int:
@@ -234,10 +273,9 @@ def forest_fingerprint(model) -> int:
 
     Covers everything prediction depends on (tree structure, thresholds,
     leaf values, init score), so two forests with equal fingerprints are
-    interchangeable for serving.  The bitvector encoding cache, the model
-    registry, the surrogate cache and the ledger all key on this value.
+    interchangeable for serving.  The model registry, the surrogate cache
+    and the ledger key on it; it is computed once per :func:`frozen_state`.
     """
-    trees = getattr(model, "trees_", None)
-    if not trees:
+    if not getattr(model, "trees_", None):
         raise ValueError("model is not fitted")
-    return _forest_fingerprint(trees, model.init_score_)
+    return frozen_state(model, "fingerprint", lambda i, _, *t: _forest_fingerprint(t, i))

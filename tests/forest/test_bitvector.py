@@ -11,6 +11,7 @@ always comparing with ``np.array_equal`` (no tolerances).
 """
 
 import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -309,18 +310,42 @@ class TestEligibilityAndFallback:
         assert bitvector_for(model) is not None
 
 
+def forest_edits(model, X, y):
+    """Changes that give a used forest new trees, each as ``(name, edit)``."""
+    first = model.trees_[0]
+    doubled = dataclasses.replace(first, value=first.value * 2.0)
+    return [
+        ("replace a tree", lambda: model.trees_.__setitem__(0, doubled)),
+        ("append a tree", lambda: model.trees_.append(doubled)),
+        ("delete a tree", lambda: model.trees_.pop()),
+        ("reassign trees_", lambda: setattr(model, "trees_", model.trees_[:6])),
+        ("refit", lambda: model.fit(X, -y)),
+    ]
+
+
 class TestCacheAndInvalidation:
     def test_mutation_triggers_reencode(self, data):
+        # A used forest is frozen: an in-place write raises at the write
+        # site, and only new trees change it, each re-encoding once.
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=10, num_leaves=15, random_state=0)
         model.fit(X, y)
         before = model.predict_raw(X_test)
-        encoded_before = bitvector_for(model)
-        model.trees_[0].value *= 2.0
-        after = model.predict_raw(X_test)
-        assert bitvector_for(model) is not encoded_before
-        assert not np.array_equal(before, after)
-        assert np.array_equal(after, loop_predict_raw(model, X_test))
+        encoded = bitvector_for(model)
+        with pytest.raises(ValueError, match="read-only"):
+            model.trees_[0].value *= 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.trees_[0].value = model.trees_[0].value * 2.0
+        assert np.array_equal(model.predict_raw(X_test), before)
+        assert bitvector_for(model) is encoded
+        for name, edit in forest_edits(model, X, y):
+            edit()
+            after = model.predict_raw(X_test)
+            assert bitvector_for(model) is not encoded, name
+            encoded = bitvector_for(model)
+            assert not np.array_equal(after, before), name
+            assert np.array_equal(after, loop_predict_raw(model, X_test)), name
+            before = after
 
     def test_invalidate_model_caches_drops_encoding(self, data):
         X, y, _ = data

@@ -32,6 +32,8 @@ from repro.forest.engines import (
 from repro.forest.tree import LEAF, forest_fingerprint
 from repro.serve.shm import attach_model, export_model
 
+from .test_bitvector import forest_edits
+
 # Attached segments of the running test's engines; each closes after
 # the test, once its engine (whose arrays are views of it) is gone.
 _attached = []
@@ -238,17 +240,26 @@ class TestCacheAndInvalidation:
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=10, num_leaves=15, random_state=0)
         model.fit(X, y)
-        before = model.predict_raw(X_test)
-        fingerprint_before = forest_fingerprint(model)
-        packed_before = packed_model(model)
-        model.trees_[0].value *= 2.0
-        packed_after = packed_model(model)
-        assert forest_fingerprint(model) != fingerprint_before
-        after = packed_after.predict_raw(X_test)
-        assert not np.array_equal(before, after)
-        assert np.array_equal(after, loop_predict_raw(model, X_test))
-        # An exported engine is a snapshot: the old one keeps its answers.
-        assert np.array_equal(packed_before.predict_raw(X_test), before)
+        original = before = model.predict_raw(X_test)
+        fingerprint = forest_fingerprint(model)
+        packed_original = packed = packed_model(model)
+        # A used forest is frozen: an in-place write raises where it happens.
+        with pytest.raises(ValueError, match="read-only"):
+            model.trees_[0].value *= 2.0
+        assert forest_fingerprint(model) == fingerprint
+        # New trees repack, and the fingerprint follows them.
+        for name, edit in forest_edits(model, X, y):
+            edit()
+            packed_after = packed_model(model)
+            assert forest_fingerprint(model) != fingerprint, name
+            fingerprint = forest_fingerprint(model)
+            after = packed_after.predict_raw(X_test)
+            assert not np.array_equal(before, after), name
+            assert np.array_equal(after, loop_predict_raw(model, X_test)), name
+            # An exported engine is a snapshot: the old one keeps its answers.
+            assert np.array_equal(packed.predict_raw(X_test), before), name
+            packed, before = packed_after, after
+        assert np.array_equal(packed_original.predict_raw(X_test), original)
 
     def test_explicit_invalidation_hook(self, data):
         X, y, X_test = data

@@ -163,3 +163,9 @@ class TestTreeSerialization:
         payload = json.dumps(make_two_level().to_dict())
         clone = Tree.from_dict(json.loads(payload))
         assert clone.n_nodes == 5
+
+    def test_from_dict_rejects_a_mismatched_cover(self):
+        data = Tree.single_leaf(1.0).to_dict()
+        data["cover"] = [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="'cover' has length 3, expected 1"):
+            Tree.from_dict(data)

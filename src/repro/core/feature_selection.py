@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import ForestValidationError, SelectionError
+from .node_table import accumulate_importance, forest_table
 
 __all__ = [
     "forest_feature_gains",
@@ -22,23 +23,23 @@ __all__ = [
 ]
 
 
-def _check_forest(forest) -> None:
+def _forest_table(forest):
+    """The node table of a forest that reports trees and ``n_features_``."""
     if not getattr(forest, "trees_", None):
         raise ForestValidationError("forest is not fitted (empty trees_)")
     if getattr(forest, "n_features_", None) is None:
         raise ForestValidationError("forest does not report n_features_")
+    return forest_table(forest)
 
 
 def forest_feature_gains(forest) -> np.ndarray:
     """Accumulated split gain per feature across the whole forest.
 
     The same sums, bit for bit, as ``forest.feature_importance("gain")``:
-    both are :func:`~repro.forest.tree.accumulate_importance`.
+    both are :func:`~repro.core.node_table.accumulate_importance`.
     """
-    from ..forest.tree import accumulate_importance  # core loads before forest
-
-    _check_forest(forest)
-    return accumulate_importance(forest.trees_, int(forest.n_features_), "gain")
+    table = _forest_table(forest)
+    return accumulate_importance(table, int(forest.n_features_), "gain")
 
 
 def forest_split_counts(forest) -> np.ndarray:
@@ -47,10 +48,8 @@ def forest_split_counts(forest) -> np.ndarray:
     The fallback importance for forests whose serialization stripped the
     per-node gains: split frequency still ranks the load-bearing features.
     """
-    from ..forest.tree import accumulate_importance  # core loads before forest
-
-    _check_forest(forest)
-    return accumulate_importance(forest.trees_, int(forest.n_features_), "split")
+    table = _forest_table(forest)
+    return accumulate_importance(table, int(forest.n_features_), "split")
 
 
 def select_univariate(
@@ -96,13 +95,10 @@ def feature_thresholds(forest) -> list[np.ndarray]:
     strategies (K-Quantile, K-Means, Equi-Size) rely on how often the
     forest splits in a region, not just on where.
     """
-    _check_forest(forest)
+    table = _forest_table(forest)
     n_features = int(forest.n_features_)
-    feature = np.concatenate([t.feature for t in forest.trees_])
-    internal = feature != -1
-    feats = feature[internal]
-    thrs = np.concatenate([t.threshold for t in forest.trees_])[internal]
-    thrs = thrs.astype(np.float64)
+    feats = table.feature[table.internal]
+    thrs = table.threshold[table.internal].astype(np.float64)
     # One grouped pass: sort by (feature, threshold), then split per feature.
     order = np.lexsort((thrs, feats))
     counts = np.bincount(feats, minlength=n_features)

@@ -14,8 +14,8 @@ I(f_i, f_j) computed one of four ways:
   on a sample of D* (the accurate but expensive reference).
 
 Count-Path and Gain-Path read only the forest structure, in O(sum of node
-depths) over one node table (:mod:`repro.core.node_table`) with no
-recursion; H-Stat needs O(N |F'|^2) forest evaluations.
+depths) over the forest's node table (:mod:`repro.core.node_table`) with
+no recursion; H-Stat needs O(N |F'|^2) forest evaluations.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from ..xai.hstat import h_statistic_matrix
 from .errors import SelectionError
 from .feature_selection import forest_feature_gains
-from .node_table import node_table
+from .node_table import forest_table
 
 __all__ = [
     "candidate_pairs",
@@ -78,7 +78,7 @@ def _path_scores(forest, features: list[int], want_gain: bool) -> dict[Pair, flo
         return {}
     feats = np.unique(np.asarray(features, dtype=np.int64))
     m = feats.size
-    table = node_table(forest.trees_)
+    table = forest_table(forest)
     slot = np.searchsorted(feats, table.feature)
     slot[~table.internal | (feats[np.minimum(slot, m - 1)] != table.feature)] = -1
     desc = np.flatnonzero(slot >= 0)

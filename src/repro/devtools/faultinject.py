@@ -93,9 +93,10 @@ def corrupt_forest(forest, fault: str, tree_index: int = 0):
     - ``"feature-out-of-range"`` — an internal node tests a feature index
       ``>= n_features_``.
 
-    The original forest is never modified; the returned copy still
-    *predicts* (tree traversal may simply never reach the defect), which
-    is exactly why validation has to be structural.
+    The original forest is never modified.  The per-tree loop may still
+    predict on the copy (traversal may never reach the defect), which is
+    why validation is structural: ``predict_raw`` and registration build
+    the node table and reject the four unwalkable faults.
     """
     if fault not in FOREST_FAULTS:
         raise ValueError(
@@ -113,7 +114,7 @@ def corrupt_forest(forest, fault: str, tree_index: int = 0):
         tree.left[_first_internal(tree)] = 0
     elif fault == "orphan-node":
         fills = {"feature": LEAF, "threshold": 0.0, "left": 0, "right": 0,
-                 "value": 0.0, "gain": 0.0}
+                 "value": 0.0, "gain": 0.0, "n_samples": 0, "cover": 0.0}
         for name, fill in fills.items():
             setattr(tree, name, np.append(getattr(tree, name), fill))
     elif fault == "feature-out-of-range":

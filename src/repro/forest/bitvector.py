@@ -121,7 +121,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.errors import ForestValidationError
-from ..core.node_table import node_table
+from ..core.node_table import NodeTable, forest_table, node_table
 from ..core.numerics import NumericsError, assert_all_finite, strict_enabled
 from ..obs.metrics import inc as metric_inc, observe as metric_observe
 from ..obs.trace import monotonic as obs_monotonic, span as obs_span
@@ -215,12 +215,15 @@ class BitvectorForest:
     # ------------------------------------------------------------------
     @classmethod
     def pack(
-        cls, trees: list[Tree], init_score: float, n_features: int
+        cls, trees: list[Tree], init_score: float, n_features: int,
+        table: NodeTable | None = None,
     ) -> "BitvectorForest | None":
-        """Encode ``trees`` into a :class:`BitvectorForest`; ``None`` if unsupported."""
+        """Encode ``trees`` (node table ``table``, built when not given) into
+        a :class:`BitvectorForest`; ``None`` if unsupported."""
         if not trees or n_features < 1:
             return None
-        table = node_table(trees)
+        if table is None:
+            table = node_table(trees, n_features)
         internal = table.internal
         if not np.all(np.isfinite(table.threshold[internal])):
             return None
@@ -566,14 +569,17 @@ def bitvector_for(model) -> BitvectorForest | None:
     ``None`` when the forest cannot be encoded."""
     if not getattr(model, "trees_", None):
         return None
-    return frozen_state(model, "encoded", _pack)
+    return frozen_state(model, "encoded", lambda *_: _pack(model))
 
 
-def _pack(init_score, n_features, *trees) -> BitvectorForest | None:
+def _pack(model) -> BitvectorForest | None:
     """Encode a frozen forest, with its ``bitvector.pack`` span and metrics."""
+    table = forest_table(model)
     t0 = obs_monotonic()
-    with obs_span("bitvector.pack", n_trees=len(trees)):
-        encoded = BitvectorForest.pack(list(trees), init_score, int(n_features))
+    with obs_span("bitvector.pack", n_trees=len(model.trees_)):
+        encoded = BitvectorForest.pack(
+            model.trees_, model.init_score_, int(model.n_features_), table
+        )
     metric_inc("pack.count")
     metric_observe("pack.seconds", obs_monotonic() - t0)
     if encoded is not None:

@@ -12,17 +12,19 @@ forest the encoding declines (non-finite thresholds, trees wider than
 ``64 * MAX_LEAF_WORDS`` leaves, prefix tables over ``MAX_TABLE_BYTES``).
 :func:`loop_predict_raw` and :func:`loop_staged_predict_raw` are the
 per-tree loop, the equivalence reference: every engine must match them
-bitwise.  A forest freezes on its first predict or fingerprint
-(:func:`repro.forest.tree.frozen_state`); a pickle or copy leaves that
-state behind, and :func:`invalidate_model_caches` (re-exported) drops it.
+bitwise.  A forest freezes on its first predict, fingerprint or node
+table (:func:`repro.forest.tree.frozen_state`); a pickle or copy leaves
+that state behind, and :func:`invalidate_model_caches` (re-exported)
+drops it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core.node_table import NodeTable, accumulate_importance, node_table
 from .bitvector import bitvector_for, invalidate_model_caches
-from .tree import STATE_KEY, accumulate_importance
+from .tree import STATE_KEY, frozen_state
 
 __all__ = [
     "FittedForest",
@@ -92,7 +94,12 @@ class FittedForest:
         selection (``forest_feature_gains``) ranks F' by.
         """
         self._check_fitted()
-        return accumulate_importance(self.trees_, self.n_features_, importance_type)
+        table = self.node_table()
+        return accumulate_importance(table, self.n_features_, importance_type)
+
+    def node_table(self) -> NodeTable:
+        """This forest's node table, built once per frozen state."""
+        return frozen_state(self, "table", lambda _, n, *trees: node_table(trees, n))
 
     def _check_fitted(self) -> None:
         if not self.trees_:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import Tree, accumulate_importance
+from ..core.node_table import accumulate_importance, forest_table
+from .tree import Tree
 
 __all__ = ["dump_tree", "forest_summary"]
 
@@ -65,10 +66,13 @@ def forest_summary(forest, feature_names: list[str] | None = None) -> str:
         raise ValueError("forest is not fitted")
     n_features = int(forest.n_features_)
 
-    leaves = np.array([t.n_leaves for t in trees])
-    depths = np.array([t.max_depth for t in trees])
-    split_counts = accumulate_importance(trees, n_features, "split").astype(np.int64)
-    gain_totals = accumulate_importance(trees, n_features, "gain")
+    table = forest_table(forest)
+    leaves = np.bincount(table.tree[~table.internal], minlength=len(trees))
+    depths = np.zeros(len(trees), dtype=np.int64)
+    for depth, level in enumerate(table.levels):
+        depths[table.tree[level]] = depth  # the last level a tree reaches
+    split_counts = accumulate_importance(table, n_features, "split").astype(np.int64)
+    gain_totals = accumulate_importance(table, n_features, "gain")
 
     def name(feature: int) -> str:
         if feature_names:

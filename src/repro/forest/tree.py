@@ -26,40 +26,12 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ..core.node_table import node_table
+from ..core.node_table import accumulate_importance, node_table
 
 __all__ = ["LEAF", "Tree", "accumulate_importance", "forest_fingerprint"]
 
 #: Sentinel stored in ``Tree.feature`` for leaf nodes.
 LEAF = -1
-
-
-def accumulate_importance(
-    trees: list["Tree"], n_features: int, importance_type: str
-) -> np.ndarray:
-    """Per-feature gain sum or split count over the splits of ``trees``.
-
-    The one implementation of the statistic: GEF's F' and Pair-Gain
-    (``forest_feature_gains``), ``feature_importance`` and the forest
-    summary all read it.  Gains are bincounted per (tree, feature) and
-    then summed over trees in tree order; ``cumsum`` is sequential for
-    every shape, where ``sum`` would add a contiguous axis pairwise.
-    """
-    if importance_type not in ("gain", "split"):
-        raise ValueError("importance_type must be 'gain' or 'split'")
-    feature = np.concatenate([t.feature for t in trees])
-    internal = feature != LEAF
-    feats = feature[internal]
-    if importance_type == "split":
-        return np.bincount(feats, minlength=n_features).astype(np.float64)
-    gain = np.concatenate([t.gain for t in trees])[internal]
-    tree_of = np.repeat(np.arange(len(trees)), [t.n_nodes for t in trees])
-    per_tree = np.bincount(
-        tree_of[internal] * n_features + feats,
-        weights=gain,
-        minlength=len(trees) * n_features,
-    ).reshape(len(trees), n_features)
-    return np.cumsum(per_tree, axis=0)[-1]
 
 
 @dataclass
@@ -85,6 +57,12 @@ class Tree:
                 raise ValueError(f"array '{f.name}' has length {len(arr)}, expected {n}")
         if self.n_nodes == 0:
             raise ValueError("a tree must have at least one node")
+
+    def __setstate__(self, state):
+        # Pickle protocol 5 gives a frozen array back read-only: copy it.
+        self.__dict__.update(
+            (k, v if v.flags.writeable else v.copy()) for k, v in state.items()
+        )
 
     def __setattr__(self, name, value):
         # Rebinding a frozen tree's array (see frozen_state) is a write too.
@@ -236,12 +214,14 @@ PENDING = object()
 
 class FrozenForest(NamedTuple):
     """``(init_score_, n_features_, *trees_)`` frozen, with the encoding
-    (``None``: declined) and fingerprint filled on first request, with no
-    lock: racing writers store equal values, and a lost fill is redone."""
+    (``None``: declined), fingerprint and node table filled on first
+    request, with no lock: racing writers store equal values, and a lost
+    fill is redone."""
 
     identity: tuple
     encoded: object = PENDING
     fingerprint: object = PENDING
+    table: object = PENDING
 
 
 def frozen_state(model, name: str, compute):
@@ -251,7 +231,8 @@ def frozen_state(model, name: str, compute):
     The state holds while ``trees_`` has the same :class:`Tree` objects in
     order and ``init_score_``/``n_features_`` are the same objects, an O(T)
     check a refit and new, appended or deleted trees fail.  Freezing makes
-    every node array read-only, so a write into a used tree raises."""
+    every node array read-only, so a write into a used tree raises.  A
+    ``compute`` may fill other fields first (packing reads the table)."""
     identity = (model.init_score_, getattr(model, "n_features_", None), *model.trees_)
     state = model.__dict__.get(STATE_KEY)
     if state is None or len(state.identity) != len(identity) or not all(
@@ -260,10 +241,13 @@ def frozen_state(model, name: str, compute):
         for tree in identity[2:]:
             for f in fields(tree):
                 getattr(tree, f.name).setflags(write=False)
-        state = FrozenForest(identity)
+        state = model.__dict__[STATE_KEY] = FrozenForest(identity)
     value = getattr(state, name)
     if value is PENDING:
         value = compute(*state.identity)
+        current = model.__dict__.get(STATE_KEY)
+        if current is not None and current.identity is state.identity:
+            state = current
         model.__dict__[STATE_KEY] = state._replace(**{name: value})
     return value
 

@@ -66,6 +66,25 @@ _state_lock = threading.Lock()
 _registry = None
 
 
+def _new_hist() -> dict:
+    """An empty histogram: count, sum, running min/max and log2 buckets."""
+    return {"count": 0, "sum": 0.0, "min": math.inf, "max": -math.inf, "buckets": {}}
+
+
+def _hist_view(hist: dict) -> dict:
+    """A histogram's snapshot entry: a derived ``mean``, and ``None`` for
+    the min/max/mean of an empty one, so the snapshot serializes cleanly."""
+    count = hist["count"]
+    return {
+        "count": count,
+        "sum": hist["sum"],
+        "min": hist["min"] if count else None,
+        "max": hist["max"] if count else None,
+        "mean": (hist["sum"] / count) if count else None,
+        "buckets": dict(hist["buckets"]),
+    }
+
+
 class MetricsRegistry:
     """Counters, gauges and histograms behind one lock.
 
@@ -101,12 +120,7 @@ class MetricsRegistry:
         with self._lock:
             hist = self._hists.get(name)
             if hist is None:
-                hist = {
-                    "count": 0, "sum": 0.0,
-                    "min": math.inf, "max": -math.inf,
-                    "buckets": {},
-                }
-                self._hists[name] = hist
+                hist = self._hists[name] = _new_hist()
             hist["count"] += 1
             hist["sum"] += value
             hist["min"] = min(hist["min"], value)
@@ -131,21 +145,10 @@ class MetricsRegistry:
         ``None`` so the snapshot serializes cleanly.
         """
         with self._lock:
-            hists = {}
-            for name, hist in self._hists.items():
-                count = hist["count"]
-                hists[name] = {
-                    "count": count,
-                    "sum": hist["sum"],
-                    "min": hist["min"] if count else None,
-                    "max": hist["max"] if count else None,
-                    "mean": (hist["sum"] / count) if count else None,
-                    "buckets": dict(hist["buckets"]),
-                }
             return {
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
-                "histograms": hists,
+                "histograms": {n: _hist_view(h) for n, h in self._hists.items()},
             }
 
     def reset(self) -> None:
@@ -230,26 +233,17 @@ class MetricsAggregator:
                     base_hist = {}
                 merged = self._hists.get(name)
                 if merged is None:
-                    merged = {
-                        "count": 0, "sum": 0.0,
-                        "min": math.inf, "max": -math.inf,
-                        "buckets": {},
-                    }
-                    self._hists[name] = merged
+                    merged = self._hists[name] = _new_hist()
                 merged["count"] += int(
                     hist.get("count", 0) - base_hist.get("count", 0)
                 )
                 merged["sum"] += float(
                     hist.get("sum", 0.0) - base_hist.get("sum", 0.0)
                 )
-                for bound in ("min", "max"):
-                    value = hist.get(bound)
-                    if value is None:
-                        continue
-                    merged[bound] = (
-                        min(merged[bound], value) if bound == "min"
-                        else max(merged[bound], value)
-                    )
+                if hist.get("min") is not None:
+                    merged["min"] = min(merged["min"], hist["min"])
+                if hist.get("max") is not None:
+                    merged["max"] = max(merged["max"], hist["max"])
                 base_buckets = base_hist.get("buckets", {})
                 for key, count in hist.get("buckets", {}).items():
                     delta = int(count) - int(base_buckets.get(key, 0))
@@ -262,17 +256,7 @@ class MetricsAggregator:
     def fleet_snapshot(self) -> dict:
         """Merged fleet totals, shaped like :meth:`MetricsRegistry.snapshot`."""
         with self._lock:
-            hists = {}
-            for name, hist in self._hists.items():
-                count = hist["count"]
-                hists[name] = {
-                    "count": count,
-                    "sum": hist["sum"],
-                    "min": hist["min"] if count else None,
-                    "max": hist["max"] if count else None,
-                    "mean": (hist["sum"] / count) if count else None,
-                    "buckets": dict(hist["buckets"]),
-                }
+            hists = {n: _hist_view(h) for n, h in self._hists.items()}
             gauges: dict[str, float] = {}
             for worker_gauges in self._gauges.values():
                 for name, value in worker_gauges.items():
@@ -373,6 +357,10 @@ def _prom_value(value: float) -> str:
     return repr(value)
 
 
+#: Snapshot key, Prometheus type and name suffix of the scalar families.
+_SCALARS = (("counters", "counter", "_total"), ("gauges", "gauge", ""))
+
+
 def _bucket_upper_bound(key: str) -> float:
     """The inclusive upper bound of a log2 histogram bucket key."""
     if key == "<=0":
@@ -396,14 +384,11 @@ def to_prometheus(snapshot: dict | None = None) -> str:
         registry = _registry
         snapshot = registry.snapshot() if registry is not None else {}
     lines: list[str] = []
-    for name, value in sorted(snapshot.get("counters", {}).items()):
-        pname = _prom_name(name) + "_total"
-        lines.append(f"# TYPE {pname} counter")
-        lines.append(f"{pname} {_prom_value(value)}")
-    for name, value in sorted(snapshot.get("gauges", {}).items()):
-        pname = _prom_name(name)
-        lines.append(f"# TYPE {pname} gauge")
-        lines.append(f"{pname} {_prom_value(value)}")
+    for key, kind, suffix in _SCALARS:
+        for name, value in sorted(snapshot.get(key, {}).items()):
+            pname = _prom_name(name) + suffix
+            lines.append(f"# TYPE {pname} {kind}")
+            lines.append(f"{pname} {_prom_value(value)}")
     for name, hist in sorted(snapshot.get("histograms", {}).items()):
         pname = _prom_name(name)
         lines.append(f"# TYPE {pname} histogram")
@@ -444,13 +429,10 @@ def fleet_to_prometheus(aggregator: MetricsAggregator) -> str:
     series = aggregator.worker_series()
     families: dict[tuple[str, str], list[tuple[str, float]]] = {}
     for worker in sorted(series):
-        data = series[worker]
-        for name, value in data["counters"].items():
-            pname = _prom_name(f"fleet.worker.{name}") + "_total"
-            families.setdefault(("counter", pname), []).append((worker, value))
-        for name, value in data["gauges"].items():
-            pname = _prom_name(f"fleet.worker.{name}")
-            families.setdefault(("gauge", pname), []).append((worker, value))
+        for key, kind, suffix in _SCALARS:
+            for name, value in series[worker][key].items():
+                pname = _prom_name(f"fleet.worker.{name}") + suffix
+                families.setdefault((kind, pname), []).append((worker, value))
     for (kind, pname), samples in sorted(
         families.items(), key=lambda item: (item[0][0], item[0][1])
     ):

@@ -4,7 +4,9 @@ Each registered model is loaded through :mod:`repro.forest.model_io`
 (or handed over as an already-fitted forest-protocol object), encoded
 once by the bitvector engine (serving latency must never pay a
 first-request encode), and fingerprinted with
-:func:`repro.forest.tree.forest_fingerprint`.  The fingerprint — not
+:func:`repro.forest.tree.forest_fingerprint`.  Encoding builds the node
+table, GEF's structural contract: a forest it cannot walk is never
+registered.  The fingerprint — not
 the id — is the *structural* identity: the surrogate cache keys fitted
 GAMs by it, so re-registering the same forest under another id (or
 hot-reloading an unchanged file) reuses the cached explanation.
@@ -94,7 +96,8 @@ class ModelRegistry:
         """Register (or hot-swap) a model under ``model_id``.
 
         ``source`` is either a path to a ``save_forest`` JSON file or an
-        already-fitted forest-protocol object.  Returns the new entry.
+        already-fitted forest-protocol object.  Returns the new entry;
+        raises ``ForestValidationError`` for a forest it cannot walk.
         """
         entry = self._build_entry(str(model_id), source)
         with self._lock:

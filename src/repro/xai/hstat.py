@@ -35,28 +35,9 @@ def h_statistic(
     callable or any forest-protocol model (see
     :func:`~repro.xai.pdp.as_predict_fn`).
     """
-    predict_fn = as_predict_fn(predict_fn)
-    sample = np.atleast_2d(np.asarray(sample, dtype=np.float64))
-    if background is None:
-        background = sample
-    f_i = pd_at_points(
-        predict_fn, background, (feature_i,), sample[:, [feature_i]], center=True
-    )
-    f_j = pd_at_points(
-        predict_fn, background, (feature_j,), sample[:, [feature_j]], center=True
-    )
-    f_ij = pd_at_points(
-        predict_fn,
-        background,
-        (feature_i, feature_j),
-        sample[:, [feature_i, feature_j]],
-        center=True,
-    )
-    denom = float(np.sum(f_ij**2))
-    if denom <= 0.0:
-        return 0.0
-    num = float(np.sum((f_ij - f_i - f_j) ** 2))
-    return num / denom
+    return h_statistic_matrix(
+        predict_fn, sample, [feature_i, feature_j], background
+    )[(feature_i, feature_j)]
 
 
 def h_statistic_matrix(
@@ -65,7 +46,8 @@ def h_statistic_matrix(
     features: list[int],
     background: np.ndarray | None = None,
 ) -> dict[tuple[int, int], float]:
-    """H^2 for every unordered pair drawn from ``features``.
+    """H^2 for every unordered pair drawn from ``features``, keyed
+    ``(features[a], features[b])`` with ``a < b``.
 
     The univariate centered PDs are computed once per feature and shared
     across pairs.

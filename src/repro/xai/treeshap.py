@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.node_table import node_table
+from ..core.node_table import NodeTable, forest_table, node_table
 from ..forest.tree import Tree
 
 __all__ = ["TreeShapExplainer", "forest_expected_value"]
@@ -82,15 +82,16 @@ def _coefficients(z: np.ndarray) -> dict:
     return {"grow": tuple(grow), "keep": tuple(keep), "unwind": unwind}
 
 
-def _leaf_paths(trees: list[Tree]) -> list[_PathGroup]:
+def _leaf_paths(table: NodeTable) -> list[_PathGroup]:
     """Every leaf's root path with repeated features merged, grouped by length.
 
     Paths are read bottom-up from the node table's parents in a fixed
     number of numpy calls per tree level.  A split sends ``x <= t`` left
     and everything else, NaN included, right, as :meth:`Tree.apply` does.
     """
-    table = node_table(trees)
-    cover = np.concatenate([t.n_samples for t in trees]).astype(np.float64)
+    if table.n_samples is None:
+        raise ValueError("TreeSHAP needs every tree's per-node n_samples")
+    cover = table.n_samples.astype(np.float64)
     reached = np.concatenate(table.levels)
     leaves = reached[~table.internal[reached]]
     steps = []
@@ -173,28 +174,18 @@ def _group_shap(group: _PathGroup, Xt: np.ndarray) -> np.ndarray:
 
 def expected_tree_value(tree: Tree) -> float:
     """Cover-weighted mean leaf value (the tree's base prediction)."""
-    leaves = tree.feature == -1
-    weights = tree.n_samples[leaves].astype(np.float64)
-    total = weights.sum()
-    if total <= 0:
-        return float(np.mean(tree.value[leaves]))
-    return float(np.dot(tree.value[leaves], weights) / total)
+    return forest_expected_value([tree])
 
 
-def forest_expected_value(trees: list[Tree], init_score: float = 0.0) -> float:
-    """Base prediction of a whole forest: init plus per-tree expected values.
-
-    Vectorized over the forest: all leaves are concatenated once and the
-    per-tree cover-weighted means come out of three ``np.bincount`` calls
-    instead of a Python loop over trees.
-    """
-    values = [t.value[t.feature == -1] for t in trees]
-    weights = [t.n_samples[t.feature == -1].astype(np.float64) for t in trees]
-    counts = np.array([v.size for v in values])
-    ids = np.repeat(np.arange(len(trees)), counts)
-    v = np.concatenate(values)
-    w = np.concatenate(weights)
-    n = len(trees)
+def forest_expected_value(table: NodeTable | list, init_score: float = 0.0) -> float:
+    """Base prediction of a whole forest (node table or trees): init plus
+    the per-tree cover-weighted leaf means, from three ``np.bincount``."""
+    if not isinstance(table, NodeTable):
+        table = node_table(table)
+    leaves = ~table.internal
+    ids, v, n = table.tree[leaves], table.value[leaves], table.n_trees
+    w = table.n_samples[leaves].astype(np.float64)
+    counts = np.bincount(ids, minlength=n)
     w_sum = np.bincount(ids, weights=w, minlength=n)
     wv_sum = np.bincount(ids, weights=w * v, minlength=n)
     v_sum = np.bincount(ids, weights=v, minlength=n)
@@ -227,10 +218,9 @@ class TreeShapExplainer:
             raise ValueError("forest is not fitted")
         self.forest = forest
         self.n_features = int(forest.n_features_)
-        self.expected_value = forest_expected_value(
-            forest.trees_, forest.init_score_
-        )
-        self._groups = _leaf_paths(forest.trees_)
+        table = forest_table(forest)
+        self._groups = _leaf_paths(table)
+        self.expected_value = forest_expected_value(table, forest.init_score_)
         elements = sum(g.z.size for g in self._groups)
         self._chunk = max(1, _LANES // max(elements, 1))
 

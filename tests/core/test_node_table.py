@@ -51,5 +51,5 @@ class TestNodeTable:
             gain=np.ones(4),
             n_samples=np.ones(4, np.int64),
         )
-        with pytest.raises(ValueError, match="not a forest"):
+        with pytest.raises(ValueError, match="root is referenced"):
             node_table([tree])

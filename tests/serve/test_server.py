@@ -8,6 +8,7 @@ adapter over it, exercised separately).
 
 from __future__ import annotations
 
+import copy
 import json
 import threading
 import urllib.error
@@ -16,8 +17,10 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.core import ForestValidationError
 from repro.core.config import GEFConfig
-from repro.forest import forest_fingerprint, save_forest
+from repro.devtools import corrupt_forest
+from repro.forest import LEAF, forest_fingerprint, save_forest
 from repro.obs.metrics import (
     enable_metrics,
     get_metrics,
@@ -339,3 +342,60 @@ def test_closed_app_sheds(app, serve_forest):
     )
     assert response.status == 429
     assert app.handle("GET", "/healthz", None).json()["status"] == "draining"
+
+
+# ----------------------------------------------------------------------
+# the registry enforces the structural contract
+# ----------------------------------------------------------------------
+def _shared_subtree(forest, tree_index):
+    """A copy whose first test node sends both branches to one child."""
+    bad = copy.deepcopy(forest)
+    tree = bad.trees_[tree_index]
+    node = int(np.flatnonzero(tree.feature != LEAF)[0])
+    tree.right[node] = tree.left[node]
+    return bad
+
+
+_UNWALKABLE = {
+    "dangling-child": "dangling child",
+    "cyclic-child": "root is referenced",
+    "orphan-node": "orphan node",
+    "feature-out-of-range": "split feature index",
+    "shared-subtree": "referenced as a child 2 times",
+}
+
+
+def _unwalkable(forest, fault, tree_index=3):
+    if fault == "shared-subtree":
+        return _shared_subtree(forest, tree_index)
+    return corrupt_forest(forest, fault, tree_index=tree_index)
+
+
+@pytest.mark.parametrize("fault", sorted(_UNWALKABLE))
+def test_unwalkable_forest_file_is_rejected_with_400(
+    app, serve_forest, serve_rows, tmp_path, fault
+):
+    path = tmp_path / f"{fault}.json"
+    save_forest(_unwalkable(serve_forest, fault), path)
+    response = app.handle(
+        "POST", "/models", json.dumps({"id": "bad", "path": str(path)})
+    )
+    assert response.status == 400
+    payload = response.json()
+    assert payload["kind"] == "bad-request"
+    assert "tree 3: " in payload["error"]
+    assert _UNWALKABLE[fault] in payload["error"]
+    assert app.registry.ids() == ["demo"]
+    predict = app.handle(
+        "POST", "/predict",
+        json.dumps({"model": "bad", "rows": serve_rows[:2].tolist()}),
+    )
+    assert predict.status == 404
+
+
+@pytest.mark.parametrize("fault", sorted(_UNWALKABLE))
+def test_unwalkable_forest_object_is_rejected(app, serve_forest, fault):
+    with pytest.raises(ForestValidationError, match=_UNWALKABLE[fault]):
+        app.add_model("demo", _unwalkable(serve_forest, fault))
+    assert app.registry.ids() == ["demo"]
+    assert app.registry.get("demo").model is serve_forest

@@ -115,9 +115,9 @@ def _build(trees, n_features) -> NodeTable:
     root_cycle = (local == 0) & (in_degree > 0)
     # Level-synchronous sweep from the roots of every walkable tree: with
     # in-degree <= 1 it reaches each node once, and an unreached node of
-    # a tree with a test node is an orphan.
+    # a walkable tree, leaf-only or not, is an orphan.
     walkable = ~tree_any(bad_left | bad_right | root_cycle | (in_degree > 1), starts)
-    reached = ~(walkable & tree_any(internal, starts))[tree]
+    reached = ~walkable[tree]
     parent = np.full(n, -1, dtype=np.int64)
     levels = []
     frontier = starts[walkable]

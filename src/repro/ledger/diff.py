@@ -100,12 +100,13 @@ def diff_surrogates(a_payload: dict, b_payload: dict) -> dict:
     for label in sorted(set(terms_a) & set(terms_b)):
         basis = _basis_changed(terms_a[label], terms_b[label])
         seg_a, seg_b = coefs_a.get(label, []), coefs_b.get(label, [])
+        # Segments of different widths have no elementwise delta (None,
+        # strict JSON); their basis change already names why.
+        coef_delta = None
         if len(seg_a) == len(seg_b):
             coef_delta = max(
                 (abs(x - y) for x, y in zip(seg_a, seg_b)), default=0.0
             )
-        else:
-            coef_delta = float("inf")
         if not basis and coef_delta == 0.0:  # repro: allow(float-eq) bitwise-unchanged sentinel: equal archives give exactly 0
             unchanged.append(label)
         else:
@@ -188,9 +189,10 @@ def render_diff(diff: dict) -> str:
         lines.append(f"  - {label}")
     for item in terms["changed"]:
         what = ", ".join(item["basis_changed"]) or "coefficients"
+        delta = item["max_abs_coef_delta"]
         lines.append(
-            f"  ~ {item['term']}: {what} "
-            f"(max |coef delta| {item['max_abs_coef_delta']:.6g})"
+            f"  ~ {item['term']}: {what} (max |coef delta| "
+            f"{'n/a' if delta is None else format(delta, '.6g')})"
         )
     if diff["config_changed"]:
         lines.append(f"config changed: {', '.join(diff['config_changed'])}")

@@ -328,16 +328,10 @@ class Tracer:
         labels the process lane (the fleet front end merges one lane per
         worker pid).  ``extra`` (e.g. a metrics snapshot) is embedded
         under ``otherData``, which viewers ignore but
-        :func:`repro.obs.summary.summarize_trace` reads back.
+        :func:`repro.obs.summary.summarize_trace` reads back.  It is
+        :func:`merge_chrome_trace` of this one lane.
         """
-        events = [
-            _chrome_event(s.to_dict(), epoch_s=self.epoch_s, pid=pid)
-            for s in self.spans()
-        ]
-        payload = {"traceEvents": events, "displayTimeUnit": "ms"}
-        if extra:
-            payload["otherData"] = dict(extra)
-        return payload
+        return merge_chrome_trace([{**self.to_dict(), "pid": pid}], extra=extra)
 
     def write(self, path, extra: dict | None = None) -> None:
         """Write the Chrome-trace JSON of this tracer to ``path``."""

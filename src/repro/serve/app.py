@@ -148,8 +148,12 @@ class Response:
 
 
 def _json_response(status: int, payload: dict) -> Response:
+    # Strict JSON: a NaN or infinity raises here (a 500) instead of
+    # reaching a client as a bare token no JSON parser accepts.
     return Response(
-        status, (json.dumps(payload) + "\n").encode("utf-8"), _JSON
+        status,
+        (json.dumps(payload, allow_nan=False) + "\n").encode("utf-8"),
+        _JSON,
     )
 
 
@@ -429,6 +433,15 @@ class ServeApp:
         except (TypeError, ValueError) as exc:
             raise BadRequestError(f"{name} must be numeric: {exc}") from exc
 
+    @staticmethod
+    def _surrogate_input(X: np.ndarray, name: str) -> None:
+        # The forest routes a NaN or infinite value down a branch; the
+        # GAM surrogate answers NaN, which no JSON response can carry.
+        if not np.isfinite(X).all():
+            raise BadRequestError(
+                f"{name} must be finite for the GAM surrogate"
+            )
+
     @classmethod
     def _rows_for(cls, payload: dict, entry: ModelEntry) -> np.ndarray:
         rows = payload.get("rows")
@@ -490,7 +503,7 @@ class ServeApp:
         self, method: str, path: str, body, endpoint: str, deadline: Deadline
     ) -> Response:
         if method == "GET" and path == "/healthz":
-            return self._healthz()
+            return _json_response(200, self._health())
         if method == "GET" and path == "/metrics":
             return Response(200, self._metrics_text().encode("utf-8"), _PROM)
         if endpoint == "unknown":
@@ -528,7 +541,8 @@ class ServeApp:
         """The ``/metrics`` body; :class:`FleetApp` appends fleet series."""
         return to_prometheus()
 
-    def _healthz(self) -> Response:
+    def _health(self) -> dict:
+        """The ``/healthz`` body; :class:`FleetApp` adds the fleet's view."""
         models = {
             entry.model_id: {
                 "fingerprint": entry.fingerprint,
@@ -552,7 +566,7 @@ class ServeApp:
                 "path": str(self.ledger.root),
                 "entries": len(self.ledger),
             }
-        return _json_response(200, payload)
+        return payload
 
     def _predict(self, body, deadline: Deadline) -> Response:
         payload = self._parse_json(body)
@@ -642,6 +656,7 @@ class ServeApp:
         payload = self._parse_json(body)
         entry = self._entry_for(payload)
         X = self._rows_for(payload, entry)
+        self._surrogate_input(X, "rows")
         explanation = self._surrogate_for(entry, deadline)
         with obs_span("serve.gam_predict", rows=int(X.shape[0])):
             mu = explanation.predict(X)
@@ -667,6 +682,7 @@ class ServeApp:
                     f"instance has {x.shape[0]} values, the model expects "
                     f"{entry.n_features}"
                 )
+            self._surrogate_input(x, "instance")
         top = payload.get("top")
         if top is not None and (
             isinstance(top, bool) or not isinstance(top, int) or top < 0

@@ -4,7 +4,7 @@ The bitvector engine's cost per call is dominated by fixed overhead
 (digitizing, buffer setup), so sixteen concurrent one-request calls are
 far slower than one sixteen-request call.  :class:`MicroBatcher` exploits
 that: client threads :meth:`submit` row blocks into a bounded queue and
-block on a per-request event; a single worker thread drains the queue and
+block on a per-request future; a single worker thread drains the queue and
 issues **one** engine call per flush, then scatters the result
 slices back.  Rows never interact inside the engine, so the
 batched output is bitwise identical to per-request evaluation — the
@@ -25,14 +25,15 @@ requests are outstanding, ``submit`` raises
 :class:`~repro.core.errors.ShedError` immediately (HTTP 429 upstream).
 
 All shared state (queue, counters, flush window) is guarded by one
-condition variable; per-request completion uses an event owned by the
-submitting thread.
+condition variable; each request completes through its own
+:class:`concurrent.futures.Future`.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
+from concurrent.futures import Future, TimeoutError as FutureTimeout
 
 import numpy as np
 
@@ -41,18 +42,6 @@ from ..obs.metrics import inc as metric_inc, observe as metric_observe
 from ..obs.trace import monotonic, span as obs_span
 
 __all__ = ["MicroBatcher"]
-
-
-class _Pending:
-    """One submitted request: its rows and its completion signal."""
-
-    __slots__ = ("rows", "event", "result", "error")
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-        self.event = threading.Event()
-        self.result: np.ndarray | None = None
-        self.error: BaseException | None = None
 
 
 class MicroBatcher:
@@ -97,7 +86,8 @@ class MicroBatcher:
         self.max_pending = int(max_pending)
         self.name = str(name)
         self._cv = threading.Condition()
-        self._queue: deque[_Pending] = deque()
+        # (rows, future) per accepted request, oldest first.
+        self._queue: deque[tuple[np.ndarray, Future]] = deque()
         self._outstanding = 0
         self._open_since: float | None = None
         self._running = False
@@ -189,7 +179,7 @@ class MicroBatcher:
         stopped.
         """
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-        request = _Pending(X)
+        future = Future()
         with self._cv:
             if not self._running:
                 raise ServeError("micro-batcher is not running")
@@ -200,19 +190,23 @@ class MicroBatcher:
                     f"({self.max_pending} outstanding requests)"
                 )
             self._outstanding += 1
-            self._queue.append(request)
+            self._queue.append((X, future))
             if self._open_since is None:
                 self._open_since = monotonic()
             self._cv.notify_all()
-        if not request.event.wait(timeout_s):
+        try:
+            # exception() times out with FutureTimeout but returns (never
+            # raises) the batch's own error, whatever its class.
+            error = future.exception(timeout_s)
+        except FutureTimeout:
             raise StageTimeoutError(
                 f"predict request timed out after {timeout_s:g}s "
                 f"(batch still in flight)",
                 stage="serve.predict",
-            )
-        if request.error is not None:
-            raise request.error
-        return request.result
+            ) from None
+        if error is not None:
+            raise error
+        return future.result()
 
     # ------------------------------------------------------------------
     # worker
@@ -229,7 +223,7 @@ class MicroBatcher:
             and monotonic() - self._open_since >= self.max_delay_s
         )
 
-    def _take_batch_locked(self) -> list[_Pending]:
+    def _take_batch_locked(self) -> list[tuple[np.ndarray, Future]]:
         batch = [
             self._queue.popleft()
             for _ in range(min(self.max_batch, len(self._queue)))
@@ -240,25 +234,26 @@ class MicroBatcher:
         # the very next loop iteration instead of waiting a fresh delay.
         return batch
 
-    def _complete(self, batch: list[_Pending]) -> None:
+    def _release(self, batch) -> None:
+        # The count drops before any future resolves, so a woken
+        # submitter's next submit sees the freed slot: the shed count at
+        # a fixed depth is exact.
         with self._cv:
             self._outstanding -= len(batch)
             self._cv.notify_all()
-        for request in batch:
-            request.event.set()
 
-    def _fail(self, batch: list[_Pending], error: BaseException) -> None:
-        for request in batch:
-            request.error = error
-        self._complete(batch)
+    def _fail(self, batch, error: BaseException) -> None:
+        self._release(batch)
+        for _, future in batch:
+            future.set_exception(error)
 
-    def _flush(self, batch: list[_Pending]) -> None:
-        sizes = [request.rows.shape[0] for request in batch]
+    def _flush(self, batch) -> None:
+        sizes = [rows.shape[0] for rows, _ in batch]
         n_rows = int(sum(sizes))
         rows = (
-            batch[0].rows
+            batch[0][0]
             if len(batch) == 1
-            else np.concatenate([request.rows for request in batch], axis=0)
+            else np.concatenate([rows for rows, _ in batch], axis=0)
         )
         try:
             with obs_span(
@@ -270,11 +265,11 @@ class MicroBatcher:
             return
         metric_observe("serve.batch_size", len(batch))
         metric_observe("serve.batch_rows", n_rows)
+        self._release(batch)
         offset = 0
-        for request, size in zip(batch, sizes):
-            request.result = scores[offset : offset + size]
+        for (_, future), size in zip(batch, sizes):
+            future.set_result(scores[offset : offset + size])
             offset += size
-        self._complete(batch)
 
     def _wait_timeout_locked(self) -> float | None:
         if not self._queue or self._open_since is None:
@@ -283,8 +278,7 @@ class MicroBatcher:
 
     def _run(self) -> None:
         while True:
-            leftovers: list[_Pending] | None = None
-            batch: list[_Pending] | None = None
+            leftovers = batch = None
             with self._cv:
                 while True:
                     if not self._running:

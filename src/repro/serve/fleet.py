@@ -35,11 +35,12 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
-import json
 import multiprocessing
 import os
 import signal
+import socket
 import threading
+from concurrent.futures import Future, TimeoutError as FutureTimeout
 from dataclasses import dataclass
 
 from ..core.errors import (
@@ -52,7 +53,7 @@ from ..core.errors import (
 from ..obs.metrics import MetricsAggregator, fleet_to_prometheus
 from ..obs.metrics import inc as metric_inc
 from ..obs.trace import current_context, get_tracer, merge_chrome_trace
-from .app import Response, ServeApp, ServeConfig, _json_response
+from .app import ServeApp, ServeConfig
 from .registry import ModelEntry
 from .shm import export_model
 from .worker import worker_main
@@ -67,10 +68,11 @@ __all__ = ["Fleet", "FleetApp", "FleetConfig", "HashRing"]
 _START_METHOD = "spawn"
 #: Virtual nodes per worker on the consistent-hash ring.
 _VNODES = 64
-#: Seconds to wait for a worker to become ready, to stop, and to ack.
+#: Seconds to wait for a worker to become ready, to stop, and to answer
+#: a control request (load, unload, obs-pull, chaos).
 _READY_TIMEOUT_S = 60.0
 _STOP_TIMEOUT_S = 10.0
-_ACK_TIMEOUT_S = 60.0
+_CONTROL_TIMEOUT_S = 60.0
 
 
 @dataclass
@@ -129,26 +131,16 @@ class HashRing:
         return out
 
 
-class _Pending:
-    """One in-flight fleet predict awaiting its worker's reply."""
-
-    __slots__ = ("event", "scores", "error", "outcome")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.scores = None
-        self.error: BaseException | None = None
-        self.outcome = "pending"
-
-
 class _WorkerHandle:
     """Front-end-side handle of one worker process.
 
-    Owns the pipe, the reader thread, and the in-flight request map.
-    ``mark_dead`` is the single point of failure bookkeeping: it runs at
-    most once, drains every pending request with outcome ``"died"`` (the
-    dispatcher then re-dispatches), and wakes every ack waiter so no
-    fault-injection helper can hang on a corpse.
+    Owns the pipe, the reader thread, and one ``rid -> Future`` map: every
+    request but ``ping`` and ``stop`` carries a per-handle request id, and
+    its reply resolves that future.  ``mark_dead`` is the single point of
+    failure bookkeeping: it runs at most once, fails every pending future
+    with :class:`WorkerCrashError` (the dispatcher re-dispatches), so no
+    caller can hang on a corpse, and shuts the pipe down; the reader
+    thread closes it.
     """
 
     def __init__(self, name: str, proc, conn):
@@ -162,8 +154,8 @@ class _WorkerHandle:
         self.dead_event = threading.Event()
         self._lock = threading.Lock()
         self._send_lock = threading.Lock()
-        self._pending: dict[int, _Pending] = {}
-        self._acks: dict[tuple, list[threading.Event]] = {}
+        self._rids = itertools.count(1)
+        self._pending: dict[int, Future] = {}
         self._reader: threading.Thread | None = None
 
     def start_reader(self, fleet: "Fleet") -> None:
@@ -187,35 +179,47 @@ class _WorkerHandle:
             self.mark_dead("pipe write failed")
             return False
 
-    def submit(self, rid: int, message, pending: _Pending) -> bool:
-        """Register an in-flight request and send it; False if dead."""
+    def request(self, kind: str, *args) -> tuple[int, Future] | None:
+        """Send ``(kind, rid, *args)``; the rid and the future its reply
+        resolves, or ``None`` when the worker is dead or the write fails."""
+        future = Future()
         with self._lock:
             if not self.alive:
-                return False
-            self._pending[rid] = pending
-        if not self.send(message):
-            with self._lock:
-                self._pending.pop(rid, None)
-            return False
-        return True
+                return None
+            rid = next(self._rids)
+            self._pending[rid] = future
+        if not self.send((kind, rid, *args)):
+            return None
+        return rid, future
 
     def forget(self, rid: int) -> None:
-        """Drop an in-flight request (front-end-side timeout)."""
+        """Drop a request (front-end-side timeout); its reply is ignored."""
         with self._lock:
             self._pending.pop(rid, None)
 
-    def await_ack(self, key: tuple, message, timeout_s: float) -> bool:
-        """Send ``message`` and wait for the matching worker ack."""
-        event = threading.Event()
-        with self._lock:
-            if not self.alive:
-                return False
-            self._acks.setdefault(key, []).append(event)
-        if not self.send(message):
+    def ask(self, kind: str, *args, timeout_s: float) -> bool:
+        """Send a control request and wait; ``True`` once it is answered."""
+        sent = self.request(kind, *args)
+        if sent is None:
             return False
-        return event.wait(timeout_s) and self.alive
+        rid, future = sent
+        try:
+            return future.exception(timeout_s) is None
+        except FutureTimeout:
+            self.forget(rid)
+            return False
 
     # -- the reader thread ---------------------------------------------
+    def _resolve(self, rid: int, value, error) -> None:
+        with self._lock:
+            future = self._pending.pop(rid, None)
+        if future is None:
+            return  # forgotten after a timeout, or failed by mark_dead
+        if error is None:
+            future.set_result(value)
+        else:
+            future.set_exception(error)
+
     def _read_loop(self, fleet: "Fleet") -> None:
         while True:
             try:
@@ -224,14 +228,12 @@ class _WorkerHandle:
                 break
             kind = message[0]
             if kind == "res":
-                _, rid, scores, error = message
-                with self._lock:
-                    pending = self._pending.pop(rid, None)
-                if pending is not None:
-                    pending.scores = scores
-                    pending.error = error
-                    pending.outcome = "ok"
-                    pending.event.set()
+                self._resolve(*message[1:])
+            elif kind == "obs":
+                # Ingest before resolving: sync_obs sees the aggregated
+                # state the moment its request returns.
+                fleet.ingest_obs(self.name, message[2])
+                self._resolve(message[1], None, None)
             elif kind == "pong":
                 # A healthy pong carries a piggybacked observability
                 # payload; the corrupt-heartbeat chaos form stays a bare
@@ -243,47 +245,36 @@ class _WorkerHandle:
                 self.pid = int(message[1])
                 fleet.supervisor.on_ready(self.name, message[1])
                 self.ready_event.set()
-            elif kind == "obs":
-                # Ingest before waking the waiter: sync_obs must see the
-                # aggregated state the moment await_ack returns.
-                fleet.ingest_obs(self.name, message[2])
-                self._ack(("obs", message[1]))
-            elif kind in ("loaded", "unloaded"):
-                self._ack((kind, message[1]))
-            elif kind == "chaos-ack":
-                self._ack(("chaos", message[1], bool(message[2])))
             elif kind == "stopped":
                 self.stopping = True
                 fleet.supervisor.on_stopped(self.name)
         self.mark_dead("pipe closed")
-
-    def _ack(self, key: tuple) -> None:
-        with self._lock:
-            waiters = self._acks.pop(key, [])
-        for event in waiters:
-            event.set()
+        with self._send_lock:
+            self.conn.close()
 
     # -- death ---------------------------------------------------------
     def mark_dead(self, reason: str) -> None:
-        """Declare the worker dead exactly once; fail over in-flights."""
+        """Declare the worker dead exactly once; fail every pending request."""
         with self._lock:
             if not self.alive:
                 return
             self.alive = False
             orphans = list(self._pending.values())
             self._pending.clear()
-            ack_waiters = [e for lst in self._acks.values() for e in lst]
-            self._acks.clear()
-        for pending in orphans:
-            pending.outcome = "died"
-            pending.event.set()
-        for event in ack_waiters:
-            event.set()
+        crash = WorkerCrashError(f"fleet worker {self.name} died ({reason})")
+        for future in orphans:
+            future.set_exception(crash)
         self.dead_event.set()
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        # EOF for the reader and the worker.  Only the reader closes the
+        # connection: a close here could free the descriptor under its
+        # blocked recv, and the next pipe opened could reuse it.
+        with self._send_lock:
+            if not self.conn.closed:
+                with socket.socket(fileno=os.dup(self.conn.fileno())) as sock:
+                    try:
+                        sock.shutdown(socket.SHUT_RDWR)
+                    except OSError:  # the worker's end is already gone
+                        pass
 
 
 class Fleet:
@@ -298,7 +289,6 @@ class Fleet:
         self._handles: dict[str, _WorkerHandle] = {}
         self._models: dict[str, dict] = {}
         self._rr: dict[int, int] = {}
-        self._rid = itertools.count(1)
         self._started = False
         self._closed = False
         self._names = [f"w{i}" for i in range(max(1, int(self.config.workers)))]
@@ -413,7 +403,7 @@ class Fleet:
 
         Returns the assigned worker names.  Callable before ``start()``
         (bundles ride along on spawn) or after (live workers load and
-        ack).  Re-adding an id is a hot swap: the old segment is unlinked
+        reply).  Re-adding an id is a hot swap: the old segment is unlinked
         after the new bundle is broadcast — workers still mapping the old
         segment keep serving from it until they process the swap (POSIX
         unlink-while-mapped), so there is no unserved window.
@@ -444,11 +434,7 @@ class Fleet:
             for name in assigned:
                 handle = self._handle_or_none(name)
                 if handle is not None and handle.alive:
-                    handle.await_ack(
-                        ("loaded", entry.model_id),
-                        ("load", bundle),
-                        _ACK_TIMEOUT_S,
-                    )
+                    handle.ask("load", bundle, timeout_s=_CONTROL_TIMEOUT_S)
         if old is not None:
             old["segment"].unlink()
         return assigned
@@ -464,11 +450,7 @@ class Fleet:
             for name in record["assigned"]:
                 handle = self._handle_or_none(name)
                 if handle is not None and handle.alive:
-                    handle.await_ack(
-                        ("unloaded", model_id),
-                        ("unload", model_id),
-                        _ACK_TIMEOUT_S,
-                    )
+                    handle.ask("unload", model_id, timeout_s=_CONTROL_TIMEOUT_S)
         record["segment"].unlink()
 
     def assignment(self, model_id: str) -> list[str]:
@@ -523,13 +505,13 @@ class Fleet:
         """Score the rows ``X`` on a replica of ``model_id``; fail over.
 
         Returns the replica's raw scores, or raises the error its
-        ``predict_raw`` raised.  A worker dying mid-request wakes the
-        dispatch with outcome ``"died"`` and the loop retries the next
-        untried alive replica — predict is pure given the fingerprint, so
-        the replay is idempotent.  Raises :class:`ModelNotFoundError`
-        when no replica holds ``model_id`` at ``fingerprint``,
-        :class:`WorkerCrashError` when every replica has died (callers
-        with a local registry fall back in-process),
+        ``predict_raw`` raised.  A worker dying mid-request fails the
+        request's future with :class:`WorkerCrashError`, and the loop
+        retries the next untried alive replica — predict is pure given
+        the fingerprint, so the replay is idempotent.  Raises
+        :class:`ModelNotFoundError` when no replica holds ``model_id`` at
+        ``fingerprint``, :class:`WorkerCrashError` when every replica has
+        died (callers with a local registry fall back in-process),
         :class:`FleetDegradedError` when the fleet is closed, never
         started or below quorum, and :class:`StageTimeoutError` when a
         reply takes longer than ``timeout_s``.
@@ -557,25 +539,26 @@ class Fleet:
                     f"assigned {assigned})"
                 )
             tried.add(handle.name)
-            rid = next(self._rid)
-            pending = _Pending()
-            message = (
-                "predict", rid, model_id, fingerprint, X, current_context()
+            sent = handle.request(
+                "predict", model_id, fingerprint, X, current_context()
             )
-            if not handle.submit(rid, message, pending):
+            if sent is None:
                 continue
+            rid, future = sent
             dispatched = True
             metric_inc("fleet.dispatched")
-            if not pending.event.wait(timeout_s):
+            try:
+                error = future.exception(timeout_s)
+            except FutureTimeout:
                 handle.forget(rid)
                 raise StageTimeoutError(
                     f"fleet request to worker {handle.name} timed out",
                     stage="serve.fleet",
-                )
-            if pending.outcome == "ok":
-                if pending.error is not None:
-                    raise pending.error
-                return pending.scores
+                ) from None
+            if error is None:
+                return future.result()
+            if not isinstance(error, WorkerCrashError):
+                raise error
             metric_inc("fleet.redispatched")
 
     # ------------------------------------------------------------------
@@ -620,12 +603,13 @@ class Fleet:
             handle.send(("ping", seq))
 
     def chaos(self, name: str, flag: str, value: bool) -> bool:
-        """Flip a worker-side fault-injection switch; True once acked."""
-        handle = self.handle(name)
-        return handle.await_ack(
-            ("chaos", flag, bool(value)),
-            ("chaos", flag, bool(value)),
-            _ACK_TIMEOUT_S,
+        """Flip a worker-side fault-injection switch; True once answered.
+
+        The reply is a FIFO barrier: the reader has processed every
+        message the worker sent before it, pongs included.
+        """
+        return self.handle(name).ask(
+            "chaos", flag, bool(value), timeout_s=_CONTROL_TIMEOUT_S
         )
 
     def await_ready(self, name: str, timeout_s: float | None = None) -> bool:
@@ -670,18 +654,15 @@ class Fleet:
         heartbeat payload is already merged).
         """
         timeout = (
-            timeout_s if timeout_s is not None else _ACK_TIMEOUT_S
+            timeout_s if timeout_s is not None else _CONTROL_TIMEOUT_S
         )
         with self._lock:
             handles = list(self._handles.values())
-        answered = 0
-        for handle in handles:
-            if not (handle.alive and handle.ready_event.is_set()):
-                continue
-            token = next(self._rid)
-            if handle.await_ack(("obs", token), ("obs-pull", token), timeout):
-                answered += 1
-        return answered
+        return sum(
+            handle.ask("obs-pull", timeout_s=timeout)
+            for handle in handles
+            if handle.alive and handle.ready_event.is_set()
+        )
 
     def merged_trace(self, extra: dict | None = None) -> dict:
         """One Chrome trace with a ``pid`` lane per fleet process.
@@ -693,9 +674,7 @@ class Fleet:
         lanes = []
         tracer = get_tracer()
         if tracer is not None:
-            front = tracer.to_dict()
-            front["pid"] = 1
-            lanes.append(front)
+            lanes.append({**tracer.to_dict(), "pid": 1})
         with self._obs_lock:
             for pid in sorted(self._span_lanes):
                 lane = self._span_lanes[pid]
@@ -794,11 +773,9 @@ class FleetApp(ServeApp):
             self.fleet.aggregator
         )
 
-    def _healthz(self) -> Response:
-        base = super()._healthz()
-        payload = json.loads(base.body.decode("utf-8"))
-        payload["fleet"] = self.fleet.view()
-        return _json_response(200, payload)
+    def _health(self) -> dict:
+        """The local ``/healthz`` body plus the fleet's view."""
+        return {**super()._health(), "fleet": self.fleet.view()}
 
     def close(self, drain: bool = True) -> None:
         """Close the fleet, then drain the local app."""

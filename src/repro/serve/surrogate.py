@@ -11,36 +11,27 @@ module is the cache that realizes it:
 * **singleflight** — when N requests for an unfitted forest arrive
   concurrently, exactly one thread runs the PR-3 stage runner (the
   ``surrogate.fits`` metric counts this, and the concurrency test
-  asserts it is exactly 1); the others block on the leader's flight and
-  receive the same fitted object (or its typed failure);
+  asserts it is exactly 1); the others wait on the leader's flight, a
+  :class:`concurrent.futures.Future`, and receive the same fitted object
+  (or a :class:`ServeError` naming the leader's failure);
 * **LRU with capacity eviction** — the least-recently-used Γ is dropped
   when the cache exceeds ``capacity`` (``surrogate.evictions``).
 
-A failed fit is *not* cached: the flight propagates the typed error to
-every waiter and the next request starts a fresh flight.
+A failed fit is *not* cached: every waiter of the flight fails and the
+next request starts a fresh flight.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future, TimeoutError as FutureTimeout
 
 from ..core.errors import ServeError, StageTimeoutError
 from ..obs.metrics import inc as metric_inc
 from ..obs.trace import span as obs_span
 
 __all__ = ["SurrogateCache"]
-
-
-class _Flight:
-    """One in-progress fit: waiters block on ``event``."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.result = None
-        self.error: BaseException | None = None
 
 
 class SurrogateCache:
@@ -69,7 +60,7 @@ class SurrogateCache:
         self.capacity = int(capacity)
         self._lock = threading.Lock()
         self._entries: OrderedDict[int, object] = OrderedDict()
-        self._flights: dict[int, _Flight] = {}
+        self._flights: dict[int, Future] = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -120,45 +111,53 @@ class SurrogateCache:
             flight = self._flights.get(fingerprint)
             leader = flight is None
             if leader:
-                flight = _Flight()
-                self._flights[fingerprint] = flight
+                flight = self._flights[fingerprint] = Future()
         if leader:
             return self._fit(model, fingerprint, flight)
-        if not flight.event.wait(timeout_s):
+        try:
+            error = flight.exception(timeout_s)
+        except FutureTimeout:
             raise StageTimeoutError(
                 f"timed out after {timeout_s:g}s waiting for another "
                 f"request's surrogate fit",
                 stage="serve.explain",
-            )
-        if flight.error is not None:
+            ) from None
+        if error is not None:
+            # A new exception per waiter: the leader's own object is
+            # raised in the leader's thread only.
             raise ServeError(
                 f"the in-flight surrogate fit this request joined failed: "
-                f"{flight.error}"
-            ) from flight.error
-        return flight.result
+                f"{error}"
+            ) from error
+        return flight.result()
 
-    def _fit(self, model, fingerprint: int, flight: _Flight):
+    def _fit(self, model, fingerprint: int, flight: Future):
         metric_inc("surrogate.fits")
         try:
             with obs_span("serve.surrogate_fit", fingerprint=fingerprint):
                 explanation = self._fit_fn(model)
-            flight.result = explanation
         except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
             with self._lock:
                 self._flights.pop(fingerprint, None)
-                if flight.error is None:
-                    self._entries[fingerprint] = flight.result
-                    self._entries.move_to_end(fingerprint)
-                    while len(self._entries) > self.capacity:
-                        self._entries.popitem(last=False)
-                        metric_inc("surrogate.evictions")
-            flight.event.set()
+            flight.set_exception(exc)
+            raise
+        # Cached before the flight resolves: a woken waiter's next
+        # request is a hit.
+        with self._lock:
+            self._flights.pop(fingerprint, None)
+            self._insert_locked(fingerprint, explanation)
+        flight.set_result(explanation)
         if self._on_fit is not None:
             self._on_fit(fingerprint, explanation)
         return explanation
+
+    def _insert_locked(self, fingerprint: int, explanation) -> None:
+        """Insert as most recently used; evict beyond ``capacity``."""
+        self._entries[fingerprint] = explanation
+        self._entries.move_to_end(fingerprint)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            metric_inc("surrogate.evictions")
 
     def seed(self, fingerprint: int, explanation) -> bool:
         """Pre-populate the cache without fitting (ledger rehydration).
@@ -171,11 +170,7 @@ class SurrogateCache:
         with self._lock:
             if fingerprint in self._entries or fingerprint in self._flights:
                 return False
-            self._entries[fingerprint] = explanation
-            self._entries.move_to_end(fingerprint)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                metric_inc("surrogate.evictions")
+            self._insert_locked(fingerprint, explanation)
         metric_inc("surrogate.rehydrated")
         return True
 

@@ -7,32 +7,33 @@ the front end sends it.  Everything else about ``/predict`` — parsing,
 validation, admission, micro-batching, encoding the answer — happens
 once, on the front end, so a worker is a bare engine behind its pipe.
 The protocol is deliberately tiny — plain tuples, first element the
-message kind:
+message kind.  Every request but ``ping`` and ``stop`` carries a
+per-handle request id ``rid``, and its one reply carries it back:
 
 Front end -> worker::
 
     ("predict", rid, model_id, fingerprint, X, ctx)
                                        score the float64 rows X (ctx =
                                        trace context dict or None)
+    ("load", rid, bundle)              attach a SharedModelBundle
+    ("unload", rid, model_id)          drop a model
+    ("obs-pull", rid)                  request a fresh observability payload
+    ("chaos", rid, flag, value)        fault-injection switch
     ("ping", seq)                      heartbeat probe (answer with pong)
-    ("load", bundle)                   attach a SharedModelBundle
-    ("unload", model_id)               drop a model
-    ("obs-pull", token)                request a fresh observability payload
-    ("chaos", flag, value)             fault-injection switch (acked)
     ("stop", drain)                    drain (or abort) and exit
 
 Worker -> front end::
 
-    ("ready", pid, model_ids)          boot finished, models attached
-    ("res", rid, scores, error)        the scores, or None and the
+    ("res", rid, value, error)         the reply to predict, load, unload
+                                       and chaos: the scores (None for
+                                       the others), or None and the
                                        exception predict raised; a model
                                        or fingerprint miss is a
                                        ModelNotFoundError
+    ("obs", rid, obs)                  the reply to obs-pull
     ("pong", seq, obs)                 heartbeat answer + piggybacked
                                        observability payload
-    ("loaded"|"unloaded", model_id)    model lifecycle ack
-    ("obs", token, obs)                answer to an obs-pull
-    ("chaos-ack", flag, value)         fault switch applied
+    ("ready", pid, model_ids)          boot finished, models attached
     ("stopped",)                       clean exit imminent
 
 The observability payload carries the worker pid, a monotonic metrics
@@ -50,7 +51,8 @@ is exactly what distinguishes *busy* from *hung* for the supervisor.
 The ``chaos`` switches implement the deterministic fleet faults
 (:func:`repro.devtools.faultinject.hang_worker` mutes pongs,
 ``corrupt_heartbeat`` garbles them); pipe FIFO ordering makes their
-effects exact — every ping sent after the ack is affected.
+effects exact — every ping sent after the reply is affected, and the
+front end has read every pong sent before it.
 """
 
 from __future__ import annotations
@@ -175,16 +177,16 @@ class _WorkerRuntime:
             elif kind == "obs-pull":
                 self._send(("obs", message[1], self._obs_payload()))
             elif kind == "load":
-                self._load(message[1])
-                self._send(("loaded", message[1].model_id))
+                self._load(message[2])
+                self._send(("res", message[1], None, None))
             elif kind == "unload":
-                self._models.pop(message[1], None)
-                self._send(("unloaded", message[1]))
+                self._models.pop(message[2], None)
+                self._send(("res", message[1], None, None))
             elif kind == "chaos":
-                _, flag, value = message
+                _, rid, flag, value = message
                 if flag in self._chaos:
                     self._chaos[flag] = bool(value)
-                self._send(("chaos-ack", flag, value))
+                self._send(("res", rid, None, None))
             elif kind == "stop":
                 drain = bool(message[1])
                 break

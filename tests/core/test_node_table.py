@@ -53,3 +53,19 @@ class TestNodeTable:
         )
         with pytest.raises(ValueError, match="root is referenced"):
             node_table([tree])
+
+    def test_leaf_only_tree_with_extra_nodes_has_an_orphan(self):
+        # A stub whose one tree is two leaves: the root reaches node 0 only.
+        stub = Tree(
+            feature=np.array([LEAF, LEAF], np.int32),
+            threshold=np.zeros(2),
+            left=np.array([-1, -1], np.int32),
+            right=np.array([-1, -1], np.int32),
+            value=np.zeros(2),
+            gain=np.zeros(2),
+            n_samples=np.ones(2, np.int64),
+        )
+        with pytest.raises(
+            ValueError, match="tree 0: orphan node 1 is unreachable from the root"
+        ):
+            node_table([stub])

@@ -260,10 +260,16 @@ def test_shape_defect_after_structural_defect_names_lowest_tree():
 
 
 def test_leaf_only_trees_skip_structure_checks():
-    # No internal node: no child is read, so loose leaves are accepted.
+    # No internal node: no child is read, so a lone leaf's child slots
+    # are never range-checked...
+    lone = _node_tree(feature=[-1], left=[5], right=[7])
+    report = validate_forest(_forest([lone, _two_split_tree()]))
+    assert (report.n_trees, report.n_nodes, report.n_leaves) == (2, 6, 4)
+    # ...but the nodes the root cannot reach are orphans all the same.
     loose = _node_tree(feature=[-1, -1, -1], left=[5, 0, 0], right=[7, 0, 0])
-    report = validate_forest(_forest([loose, _two_split_tree()]))
-    assert (report.n_trees, report.n_nodes, report.n_leaves) == (2, 8, 6)
+    assert _message(_forest([loose, _two_split_tree()])) == (
+        "tree 0: orphan node 1 is unreachable from the root"
+    )
 
 
 def test_report_counts_unchanged(small_forest):

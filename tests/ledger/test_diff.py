@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.errors import LedgerError
@@ -104,3 +106,17 @@ def test_diff_entries_rejects_non_surrogates(tmp_path):
 def test_diff_surrogates_rejects_bare_payloads():
     with pytest.raises(LedgerError):
         diff_surrogates({"no": "archive"}, {"no": "archive"})
+
+
+def test_diff_of_different_basis_widths_is_strict_json():
+    def payload(n_splines):
+        term = {"type": "spline", "feature": 0, "n_splines": n_splines}
+        gam = {"terms": [term], "coef": [0.5] * n_splines}
+        return {"fingerprint": 1, "explanation": {"gam": gam}}
+
+    diff = diff_surrogates(payload(4), payload(6))
+    (item,) = diff["terms"]["changed"]
+    assert item["basis_changed"] == ["n_splines"]
+    assert item["max_abs_coef_delta"] is None
+    json.dumps(diff, allow_nan=False)
+    assert "(max |coef delta| n/a)" in render_diff(diff)

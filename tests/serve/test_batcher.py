@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.errors import ServeError, ShedError
+from repro.core.errors import ServeError, ShedError, StageTimeoutError
 from repro.obs.metrics import enable_metrics
 from repro.obs.trace import advance
 from repro.serve import MicroBatcher
@@ -222,6 +222,21 @@ def test_stop_no_drain_fails_queued_requests():
     # New submits against a stopped batcher are refused outright.
     with pytest.raises(ServeError):
         batcher.submit(np.array([[0.0]]))
+
+
+def test_submit_timeout_then_stop_fails_the_queued_request():
+    calls: list[np.ndarray] = []
+    batcher = MicroBatcher(
+        _echo_predict(calls), max_batch=64, max_delay_s=1e9, name="timeout"
+    )
+    # Nothing flushes a lone request with a 1e9 s window: the wait times out.
+    with pytest.raises(StageTimeoutError) as err:
+        batcher.submit(np.array([[1.0]]), timeout_s=0.02)
+    assert err.value.stage == "serve.predict"
+    assert batcher.outstanding == 1  # still queued, not scored
+    batcher.stop(drain=False)
+    assert batcher.outstanding == 0
+    assert calls == []
 
 
 def test_predict_error_propagates_to_every_submitter():

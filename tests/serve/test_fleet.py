@@ -8,16 +8,25 @@ read-only tests; spawn cost is paid once.  Tests that mutate fleet state
 from __future__ import annotations
 
 import json
+import multiprocessing
+import sys
 import threading
+from concurrent.futures import TimeoutError as FutureTimeout
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.errors import FleetDegradedError, ModelNotFoundError
+from repro.core.errors import (
+    FleetDegradedError,
+    ModelNotFoundError,
+    StageTimeoutError,
+    WorkerCrashError,
+)
 from repro.obs import enable_metrics, get_metrics
 from repro.obs.trace import advance
 from repro.serve import FleetApp, FleetConfig, ServeApp, ServeConfig
-from repro.serve.fleet import HashRing
+from repro.serve.fleet import Fleet, HashRing, _WorkerHandle
 from repro.serve.shm import live_segments
 
 #: Bound for event waits (worker boot, thread joins) — a ceiling for hung
@@ -174,9 +183,7 @@ class TestFrontBatching:
             app.start_fleet()
             # Unload behind the front end's back: the front still routes
             # "m" to w0, which now answers ModelNotFoundError.
-            assert app.fleet.handle("w0").await_ack(
-                ("unloaded", "m"), ("unload", "m"), WAIT_S
-            )
+            assert app.fleet.handle("w0").ask("unload", "m", timeout_s=WAIT_S)
             rows = serve_rows[:4]
             response = app.handle("POST", "/predict", _predict_body(rows))
             assert response.status == 200
@@ -283,3 +290,204 @@ class TestDegradedServing:
         app.close(drain=True)
         with pytest.raises(FleetDegradedError):
             app.fleet.dispatch("m", entry.fingerprint, serve_rows[:1], 5.0)
+
+
+def _bare_handle(name="w9", fleet=None):
+    """A worker handle over a bare pipe; the test plays the worker.
+
+    ``fleet`` is only read for replies other than ``res``.
+    """
+    front, worker = multiprocessing.Pipe()
+    handle = _WorkerHandle(name, SimpleNamespace(pid=None), front)
+    handle.ready_event.set()
+    handle.start_reader(fleet)
+    return handle, worker
+
+
+def _recv(pipe):
+    """The next message the front end sent down ``pipe`` (bounded wait)."""
+    assert pipe.poll(WAIT_S), "no message from the front end"
+    return pipe.recv()
+
+
+def _bare_fleet(n_workers):
+    """A never-started Fleet routing model "m" (fingerprint 7) to bare
+    handles, with quorum faked: dispatch's failover loop, no processes."""
+    fleet = Fleet(FleetConfig(workers=n_workers, replication=n_workers))
+    pipes = {}
+    for name in fleet._names:
+        handle, pipes[name] = _bare_handle(name)
+        fleet._handles[name] = handle
+    fleet._models["m"] = {
+        "bundle": SimpleNamespace(fingerprint=7),
+        "assigned": list(fleet._names),
+    }
+    fleet.active = lambda: True
+    return fleet, pipes
+
+
+def _dispatch_in_thread(fleet, timeout_s=WAIT_S):
+    outcome: dict = {}
+
+    def run():
+        try:
+            outcome["scores"] = fleet.dispatch("m", 7, np.ones((2, 3)), timeout_s)
+        except Exception as exc:  # noqa: BLE001 - asserted by the caller
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+class TestWorkerHandle:
+    def test_unanswered_request_times_out_and_late_reply_is_dropped(self):
+        handle, worker = _bare_handle()
+        try:
+            rid, late = handle.request("predict", "m", 1, np.zeros((1, 2)), None)
+            assert _recv(worker)[:4] == ("predict", rid, "m", 1)
+            with pytest.raises(FutureTimeout):
+                late.result(timeout=0.02)
+            handle.forget(rid)
+            # A control request that times out forgets itself.
+            assert handle.ask("unload", "m", timeout_s=0.02) is False
+            _, unload_rid, _ = _recv(worker)
+            worker.send(("res", rid, np.ones(1), None))
+            worker.send(("res", unload_rid, None, None))
+            rid2, answered = handle.request("chaos", "mute_pings", True)
+            assert _recv(worker) == ("chaos", rid2, "mute_pings", True)
+            worker.send(("res", rid2, None, None))
+            assert answered.result(timeout=WAIT_S) is None
+            # Pipe FIFO: both late replies were read first and resolved
+            # nothing, and the reader is still serving.
+            assert not late.done()
+            assert handle.alive
+        finally:
+            handle.mark_dead("test over")
+            worker.close()
+
+    def test_mark_dead_fails_every_pending_future(self):
+        handle, worker = _bare_handle()
+        try:
+            pending = [
+                handle.request("predict", "m", 1, np.zeros((1, 2)), None),
+                handle.request("load", "bundle"),
+                handle.request("unload", "m"),
+                handle.request("obs-pull"),
+                handle.request("chaos", "mute_pings", True),
+            ]
+            handle.mark_dead("synthetic crash")
+            for _, future in pending:
+                error = future.exception(timeout=WAIT_S)
+                assert isinstance(error, WorkerCrashError)
+                assert "w9" in str(error)
+            assert handle.dead_event.is_set()
+            assert handle.request("obs-pull") is None
+            assert handle.ask("unload", "m", timeout_s=WAIT_S) is False
+        finally:
+            worker.close()
+
+    def test_racing_requests_and_death_resolve_every_future(self):
+        handle, worker = _bare_handle()
+
+        def echo():  # the worker: answer every request with its own rid
+            try:
+                while True:
+                    rid = worker.recv()[1]
+                    worker.send(("res", rid, rid, None))
+            except (EOFError, OSError):
+                pass  # mark_dead shut the pipe down
+
+        sent: list = []
+
+        def client(k):
+            for i in range(200):
+                if k == 0 and i == 100:
+                    handle.mark_dead("synthetic crash")
+                request = handle.request("predict", "m", 1, None, None)
+                if request is not None:
+                    sent.append(request)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=echo, daemon=True)] + [
+                threading.Thread(target=client, args=(k,), daemon=True)
+                for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(WAIT_S)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            worker.close()
+        assert not handle.alive and len(sent) >= 100
+        # Each future resolved exactly once: with its own rid, or failed
+        # by the death; none is left pending.
+        for rid, future in sent:
+            error = future.exception(timeout=WAIT_S)
+            assert error is None and future.result() == rid or (
+                isinstance(error, WorkerCrashError)
+            )
+
+    def test_obs_reply_is_ingested_before_it_resolves(self):
+        seen: list = []
+        fleet = SimpleNamespace()
+        handle, worker = _bare_handle(fleet=fleet)
+        try:
+            rid, future = handle.request("obs-pull")
+            fleet.ingest_obs = lambda name, payload: seen.append(
+                (name, payload, future.done())
+            )
+            assert _recv(worker) == ("obs-pull", rid)
+            worker.send(("obs", rid, {"pid": 1}))
+            assert future.result(timeout=WAIT_S) is None
+            assert seen == [("w9", {"pid": 1}, False)]
+        finally:
+            handle.mark_dead("test over")
+            worker.close()
+
+
+class TestDispatchFailover:
+    def test_death_mid_request_redispatches_to_the_next_replica(self):
+        enable_metrics()
+        fleet, pipes = _bare_fleet(2)
+        try:
+            thread, outcome = _dispatch_in_thread(fleet)
+            # The rotation starts at the first assigned replica.
+            assert _recv(pipes["w0"])[0] == "predict"
+            fleet.handle("w0").mark_dead("synthetic crash")
+            message = _recv(pipes["w1"])
+            pipes["w1"].send(("res", message[1], np.array([1.0, 2.0]), None))
+            thread.join(WAIT_S)
+            assert outcome["scores"].tolist() == [1.0, 2.0]
+            counters = get_metrics().snapshot()["counters"]
+            assert counters["fleet.dispatched"] == 2
+            assert counters["fleet.redispatched"] == 1
+            # The last replica dies mid-request: re-dispatch is exhausted,
+            # and a dispatch after that finds none available.
+            thread, outcome = _dispatch_in_thread(fleet)
+            _recv(pipes["w1"])
+            fleet.handle("w1").mark_dead("synthetic crash")
+            thread.join(WAIT_S)
+            assert isinstance(outcome["error"], WorkerCrashError)
+            assert "re-dispatch exhausted" in str(outcome["error"])
+            with pytest.raises(WorkerCrashError, match="none available"):
+                fleet.dispatch("m", 7, np.ones((2, 3)), WAIT_S)
+        finally:
+            for name, worker in pipes.items():
+                fleet.handle(name).mark_dead("test over")
+                worker.close()
+
+    def test_unanswered_dispatch_times_out_as_a_stage_error(self):
+        fleet, pipes = _bare_fleet(1)
+        try:
+            with pytest.raises(StageTimeoutError) as err:
+                fleet.dispatch("m", 7, np.ones((2, 3)), 0.02)
+            assert err.value.stage == "serve.fleet"
+            assert fleet.handle("w0")._pending == {}  # forgotten
+        finally:
+            fleet.handle("w0").mark_dead("test over")
+            pipes["w0"].close()

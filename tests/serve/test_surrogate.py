@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.core.errors import ServeError
+from repro.core.errors import ServeError, StageTimeoutError
 from repro.obs.metrics import enable_metrics, get_metrics
 from repro.serve import SurrogateCache
 
@@ -131,6 +131,29 @@ def test_failed_fit_not_cached_and_propagates_to_waiters():
     with pytest.raises(ServeError):
         cache.explanation_for("m", fingerprint=9)
     assert len(fit.calls) == 2
+
+
+def test_waiter_timeout_leaves_the_leader_fit_to_finish():
+    fit = _CountingFit(block=True)
+    cache = SurrogateCache(fit, capacity=4)
+    results: list[object] = []
+    leader = threading.Thread(
+        target=lambda: results.append(
+            cache.explanation_for("m", fingerprint=5)
+        ),
+        daemon=True,
+    )
+    leader.start()
+    assert fit.started.wait(10.0)  # the leader is inside the fit
+    with pytest.raises(StageTimeoutError) as err:
+        cache.explanation_for("m", fingerprint=5, timeout_s=0.02)
+    assert err.value.stage == "serve.explain"
+    fit.release.set()
+    leader.join(10.0)
+    assert results == [("fitted", "m")]
+    assert cache.cached(5)
+    assert cache.explanation_for("m", fingerprint=5) is results[0]
+    assert len(fit.calls) == 1
 
 
 def test_invalidate_and_clear():

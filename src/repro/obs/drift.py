@@ -24,6 +24,7 @@ the serve layer.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 
@@ -123,7 +124,8 @@ class DriftMonitor:
         """Offer each (row, forest score) pair to the model's reservoir.
 
         Raise-free by contract: length mismatches are dropped rather
-        than failing a live request.
+        than failing a live request.  A pair with a non-finite cell or
+        score is not sampled: the surrogate cannot replay it.
         """
         if not rows or len(rows) != len(scores):
             return
@@ -138,7 +140,8 @@ class DriftMonitor:
                 )
                 self._samplers[model_id] = sampler
             for row, score in zip(rows, scores):
-                sampler.offer((list(row), float(score)))
+                if math.isfinite(score) and all(map(math.isfinite, row)):
+                    sampler.offer((list(row), float(score)))
         _metrics.inc("drift.observed", len(rows))
 
     def set_skew(self, offset: float) -> None:

@@ -101,6 +101,16 @@ class TestDriftMonitor:
         monitor.observe("m", [], [])                 # empty: dropped
         assert monitor.samples() == {}
 
+    def test_observe_skips_non_finite_pairs(self):
+        monitor = DriftMonitor(capacity=8, min_samples=1)
+        nan, inf = float("nan"), float("inf")
+        monitor.observe(
+            "m",
+            [[1.0, nan], [2.0, 3.0], [inf, 4.0], [5.0, 6.0]],
+            [1.0, 2.0, 3.0, nan],
+        )
+        assert monitor.samples() == {"m": [([2.0, 3.0], 2.0)]}
+
     def test_evaluate_replays_reservoir_exactly(self):
         monitor = DriftMonitor(capacity=64, min_samples=4, clock=lambda: 5.0)
         _feed(monitor, "m", 10)
